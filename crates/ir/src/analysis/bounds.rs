@@ -164,7 +164,7 @@ pub enum LayoutKind {
     #[default]
     Packed,
     /// The legacy tagged geometry: 4-byte state word + 9 bytes per
-    /// slot, `u64` done cell.
+    /// slot, `u64`-word done bitmap.
     Tagged,
 }
 
@@ -205,11 +205,13 @@ impl LayoutKind {
     }
 
     /// Bytes of the per-engine completion bitmap for `machines`
-    /// installed machines.
-    fn done_bytes(self, machines: usize) -> usize {
+    /// installed machines: one bit per machine, rounded up to whole
+    /// bytes (packed) or whole `u64` words (tagged — a single word for
+    /// suites of up to 64 machines).
+    pub fn done_bytes(self, machines: usize) -> usize {
         match self {
             LayoutKind::Packed => machines.div_ceil(8).max(1),
-            LayoutKind::Tagged => U64_BYTES,
+            LayoutKind::Tagged => U64_BYTES * machines.div_ceil(64).max(1),
         }
     }
 }
@@ -503,8 +505,8 @@ pub fn suite_bounds_for(compiled: &CompiledSuite, layout: LayoutKind) -> SuiteBo
         + u16_list_entry_bytes(0) // empty worklist
         + entry_bytes(done_b); // done bitmap
 
-    // The full-scan engine (`RoutingMode::FullScan`, or a suite too
-    // large to route) arms by staging the step routine's `pc` + `len`
+    // The full-scan engine (`RoutingMode::FullScan`, the reference
+    // oracle) arms by staging the step routine's `pc` + `len`
     // cells instead of the worklist + done bitmap, and each step
     // completes through the routine's 4-byte `pc` rather than a done
     // bit. Under the tagged layout the routed figures dominate both

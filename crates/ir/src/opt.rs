@@ -875,7 +875,7 @@ mod tests {
             s.machines()
                 .iter()
                 .flat_map(|m| m.to_raw().code)
-                .filter(|op| pred(op))
+                .filter(&pred)
                 .count()
         };
         let fused = |op: &Op| {
@@ -945,7 +945,7 @@ mod tests {
                         let ctx = EventCtx {
                             // Mix sub-threshold and past-deadline gaps.
                             time_us: seq * if burst < 2 { 1_000 } else { 7_000_000 },
-                            dep_data: (seq % 3 == 0).then_some(seq as f64),
+                            dep_data: seq.is_multiple_of(3).then_some(seq as f64),
                             energy_nj: 42_000,
                         };
                         let ev = CompiledEvent { kind, task, ctx };

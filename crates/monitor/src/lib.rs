@@ -45,17 +45,27 @@
 //! [`RoutingIndex`](artemis_ir::compile::RoutingIndex): for every
 //! `(event kind, task id)` key, the exact machines with a transition
 //! that can match. Under the default [`RoutingMode::Routed`], arming an
-//! event commits that key's **interested worklist** plus a one-word
+//! event commits that key's **interested worklist** plus a cleared
 //! completion bitmap in the same journal transaction as the event and
 //! sequence number; only worklisted machines are stepped, the event
 //! cell is decoded once per event instead of once per machine, and
 //! dismissed machines are never read, stepped, or counter-written. A
 //! reboot resumes exactly the armed set (the worklist is part of the
 //! arming commit), and a redelivered sequence number only finishes
-//! pending bitmap entries. [`RoutingMode::FullScan`] keeps the previous
-//! O(installed machines) step loop as the reference dispatch semantics;
-//! differential proptests pin the two paths to identical verdicts and
-//! FRAM-visible state, including under random power-failure schedules.
+//! pending bitmap entries.
+//!
+//! Worklist entries complete strictly in order — entry `j` steps only
+//! once entry `j − 1`'s bit is durable — so the set bits always form a
+//! prefix. The engine therefore tracks the *count* of completed entries
+//! and the bitmap is just that prefix's FRAM image, one bit per
+//! installed machine (`ceil(n / 8)` bytes packed, whole `u64` words
+//! tagged). Routing has no 64-machine limit: every suite the `u16`
+//! worklist encoding can hold ([`MAX_ROUTED_MACHINES`]) routes.
+//! [`RoutingMode::FullScan`] keeps the previous O(installed machines)
+//! step loop as the reference dispatch semantics — an oracle, never a
+//! fallback; differential proptests pin the two paths to identical
+//! verdicts and FRAM-visible state, including under random
+//! power-failure schedules.
 //!
 //! # Sparse delta commits
 //!
@@ -245,23 +255,27 @@ const COMPILED_DISPATCH_CYCLES: u64 = 10;
 /// and worklist staging, charged once at arming time.
 const ROUTING_LOOKUP_CYCLES: u64 = 12;
 
-/// Most machines a routed engine supports: the completion bitmap is a
-/// single FRAM word, so worklists hold at most 64 entries. Suites
-/// larger than this degrade to [`RoutingMode::FullScan`].
-pub const MAX_ROUTED_MACHINES: usize = 64;
+/// Most machines a routed engine supports: the capacity of the `u16`
+/// worklist encoding (a `u16` entry count over `u16` machine indices).
+/// The completion bitmap grows with the suite, so there is no 64-machine
+/// limit; a routed install of a larger suite is rejected with
+/// [`InstallError::TooManyMachines`] rather than degraded.
+pub const MAX_ROUTED_MACHINES: usize = u16::MAX as usize;
 
 /// How the engine resolves which machines an event must step.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RoutingMode {
     /// Install-time routing index + per-event armed worklists: only the
     /// machines interested in the `(kind, task)` key are stepped — the
-    /// default, O(interested machines) per event.
+    /// default, O(interested machines) per event, for suites of any
+    /// size up to [`MAX_ROUTED_MACHINES`] (no 64-machine limit).
     #[default]
     Routed,
     /// The reference dispatch semantics: every installed machine is
     /// stepped through the persistent [`Routine`], dismissed ones
-    /// paying a counter write. Kept behind this flag for differential
-    /// testing and as the scaling baseline.
+    /// paying a counter write. Kept behind this flag as the
+    /// differential oracle and the scaling baseline; never selected
+    /// implicitly.
     FullScan,
 }
 
@@ -475,6 +489,14 @@ pub enum InstallError {
     /// pass, or the energy feasibility pass rejected the suite. No
     /// FRAM was touched.
     Analysis(artemis_spec::Diagnostic),
+    /// A routed install asked for more machines than the `u16`
+    /// worklist encoding can index ([`MAX_ROUTED_MACHINES`]).
+    TooManyMachines {
+        /// Machines in the suite.
+        machines: usize,
+        /// The routed capacity.
+        max: usize,
+    },
     /// Device-level failure (FRAM exhaustion) during installation.
     Device(Interrupt),
 }
@@ -492,6 +514,10 @@ impl core::fmt::Display for InstallError {
             ),
             InstallError::Compile(i) => write!(f, "monitor compilation failed: {i}"),
             InstallError::Analysis(d) => write!(f, "static analysis rejected the suite: {d}"),
+            InstallError::TooManyMachines { machines, max } => write!(
+                f,
+                "{machines} machines exceed the routed worklist capacity of {max}"
+            ),
             InstallError::Device(i) => write!(f, "{i}"),
         }
     }
@@ -525,43 +551,69 @@ enum MachineStore {
     Block { addr: usize, len: usize },
 }
 
-/// A persistent completion bitmap: `len` little-endian mask bytes (8
-/// in the tagged layout, `ceil(machines / 8)` packed — the done-flag
-/// half of the packed layout). The mask value itself stays a `u64`
-/// everywhere in the engine; only its FRAM image shrinks.
+/// A persistent completion bitmap of `len` bytes: bit `j` (byte
+/// `j / 8`, bit `j % 8`) is set once worklist entry `j` is done.
+/// Entries complete strictly in order, so the set bits always form a
+/// prefix and the engine carries only the completed-entry *count*;
+/// this cell maps that count to and from its FRAM image. One bit per
+/// installed machine, so routing has no 64-machine limit: `ceil(n / 8)`
+/// bytes packed, whole 8-byte words tagged (a single word for suites
+/// of up to 64 machines).
 struct DoneCell {
     addr: usize,
     len: usize,
 }
 
 impl DoneCell {
-    /// The mask's FRAM image.
-    fn bytes(&self, mask: u64) -> Vec<u8> {
-        mask.to_le_bytes()[..self.len].to_vec()
+    /// The FRAM image of `done` completed entries: the low `done` bits
+    /// set, little-endian.
+    fn bytes(&self, done: usize) -> Vec<u8> {
+        debug_assert!(done <= 8 * self.len);
+        let mut b = vec![0u8; self.len];
+        b[..done / 8].fill(0xFF);
+        if !done.is_multiple_of(8) {
+            b[done / 8] = (1u8 << (done % 8)) - 1;
+        }
+        b
     }
 
-    /// One-op billed read of the whole mask.
-    fn read(&self, dev: &mut Device) -> Result<u64, Interrupt> {
+    /// One-op billed read of the whole bitmap, decoded to the
+    /// completed-entry count (its leading ones).
+    fn read(&self, dev: &mut Device) -> Result<usize, Interrupt> {
         let b = dev.nv_read_raw(self.addr, self.len)?;
-        let mut w = [0u8; 8];
-        w[..b.len()].copy_from_slice(b);
-        Ok(u64::from_le_bytes(w))
+        let full = b.iter().take_while(|&&x| x == 0xFF).count();
+        let done = 8 * full + b.get(full).map_or(0, |x| x.trailing_ones() as usize);
+        debug_assert_eq!(b, self.bytes(done), "completion bitmap is not a prefix");
+        Ok(done)
     }
 
-    /// Stages the mask into an entry-list transaction.
-    fn stage(&self, tx: &mut TxWriter, mask: u64) {
-        tx.write_raw(self.addr, self.bytes(mask));
+    /// Stages the bitmap into an entry-list transaction.
+    fn stage(&self, tx: &mut TxWriter, done: usize) {
+        tx.write_raw(self.addr, self.bytes(done));
     }
 
-    /// Stages the mask as one sparse sub-write.
-    fn push(&self, stx: &mut SparseTx, mask: u64) {
-        stx.push_raw(self.addr, self.bytes(mask));
+    /// Stages the bitmap as one sparse sub-write.
+    fn push(&self, stx: &mut SparseTx, done: usize) {
+        stx.push_raw(self.addr, self.bytes(done));
     }
 
     /// Plain idempotent write (completion of an effectless step).
-    fn write(&self, dev: &mut Device, mask: u64) -> Result<(), Interrupt> {
-        dev.nv_write_raw(self.addr, &self.bytes(mask))
+    fn write(&self, dev: &mut Device, done: usize) -> Result<(), Interrupt> {
+        dev.nv_write_raw(self.addr, &self.bytes(done))
     }
+}
+
+/// Routing serves every suite its `u16` worklist encoding can index; a
+/// larger routed request is rejected, never silently degraded to full
+/// scan.
+fn check_routed_capacity(machines: usize, routing: RoutingMode) -> Result<(), InstallError> {
+    if routing == RoutingMode::Routed && machines > MAX_ROUTED_MACHINES {
+        return Err(InstallError::TooManyMachines {
+            machines,
+            max: MAX_ROUTED_MACHINES,
+        });
+    }
+    Ok(())
 }
 
 /// Stages a machine's re-initialisation into `tx`, honouring its
@@ -643,11 +695,17 @@ struct Scratch {
     verdicts: Vec<MonitorVerdict>,
     /// Worklist staging at arming time (routed mode).
     worklist: Vec<u16>,
+    /// The armed worklist a delivery walks (routed and batch paths).
+    /// Taken out of the scratch for the walk, since each step borrows
+    /// the scratch itself, and put back afterwards.
+    armed: Vec<u16>,
+    /// Per-entry event masks of the armed batch worklist.
+    masks: Vec<u32>,
 }
 
 /// Persistent state of the routed event path: the armed worklist (a
-/// length-prefixed `u16` list region) and the one-word completion
-/// bitmap, both committed atomically with the event they belong to.
+/// length-prefixed `u16` list region) and its completion bitmap, both
+/// committed atomically with the event they belong to.
 struct RoutedState {
     worklist_addr: usize,
     done: DoneCell,
@@ -668,25 +726,15 @@ struct BatchState {
     done: DoneCell,
 }
 
-/// Bitmap with the low `count` bits set: "every worklist entry done".
-fn worklist_mask(count: usize) -> u64 {
-    debug_assert!(count <= MAX_ROUTED_MACHINES);
-    if count >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << count) - 1
-    }
-}
-
 /// How a machine step records its completion: by advancing the
 /// full-scan [`Routine`] counter, or by setting its bit in the routed
-/// path's completion bitmap (the value carried is the bitmap *after*
-/// this step). Either way, effectless steps complete with one plain
-/// idempotent FRAM write and effectful steps fold the marker into
-/// their crash-atomic journal commit.
+/// path's completion bitmap (the value carried is the completed-entry
+/// count *after* this step). Either way, effectless steps complete
+/// with one plain idempotent FRAM write and effectful steps fold the
+/// marker into their crash-atomic journal commit.
 enum Completion {
     Step(u32),
-    Bit(u64),
+    Bit(usize),
 }
 
 /// An encoded verdict cell: `(machine index, (action tag, path))` —
@@ -726,7 +774,8 @@ struct ShadowCache {
     seq: Option<u64>,
     event: Option<EncodedEvent>,
     worklist: Option<Vec<u16>>,
-    done: Option<u64>,
+    /// Completed-entry count of the armed worklist.
+    done: Option<usize>,
     verdict_count: Option<u32>,
     /// Generation-tagged verdict cells, indexed like `verdict_cells`.
     verdicts: Vec<(u64, VerdictCell)>,
@@ -734,7 +783,7 @@ struct ShadowCache {
     batch_seq: Option<u64>,
     batch_events: Option<Vec<EncodedEvent>>,
     batch_worklist: Option<Vec<u16>>,
-    batch_done: Option<u64>,
+    batch_done: Option<usize>,
     stats: CacheStats,
 }
 
@@ -864,9 +913,10 @@ impl MonitorEngine {
     }
 
     /// [`MonitorEngine::install`] with explicit execution *and* routing
-    /// modes. Suites larger than [`MAX_ROUTED_MACHINES`] degrade
-    /// [`RoutingMode::Routed`] to [`RoutingMode::FullScan`] (the
-    /// completion bitmap is a single FRAM word).
+    /// modes. [`RoutingMode::Routed`] serves suites of any size up to
+    /// [`MAX_ROUTED_MACHINES`] — there is no 64-machine limit — and
+    /// rejects larger ones with [`InstallError::TooManyMachines`]
+    /// instead of degrading to [`RoutingMode::FullScan`].
     pub fn install_with_routing(
         dev: &mut Device,
         suite: MonitorSuite,
@@ -895,6 +945,9 @@ impl MonitorEngine {
         app: &AppGraph,
         opts: InstallOptions,
     ) -> Result<Self, InstallError> {
+        // Checked again at install proper; rejecting here skips
+        // compiling a suite that can never install.
+        check_routed_capacity(suite.len(), opts.routing)?;
         for m in suite.machines() {
             validate_strict(m).map_err(InstallError::Invalid)?;
             for task in m.observed_tasks() {
@@ -986,15 +1039,15 @@ impl MonitorEngine {
             ExecMode::Interpreter => LayoutMode::Tagged,
         };
 
+        check_routed_capacity(suite.len(), routing)?;
+
         // The batch path only exists on the routed compiled path (its
         // completion bitmap and merged worklists reuse the routing
         // machinery); any other configuration silently falls back to
         // per-event delivery.
         let batch_events = match batch {
             BatchMode::Enabled { max_events }
-                if mode == ExecMode::Compiled
-                    && routing == RoutingMode::Routed
-                    && suite.len() <= MAX_ROUTED_MACHINES =>
+                if mode == ExecMode::Compiled && routing == RoutingMode::Routed =>
             {
                 Some(max_events.clamp(1, MAX_BATCH_EVENTS))
             }
@@ -1102,13 +1155,11 @@ impl MonitorEngine {
 
             // Routed dispatch: the armed-worklist region (count word +
             // one u16 per machine) and the completion bitmap, both
-            // zeroed, i.e. "no event pending". The packed layout
-            // shrinks the bitmap to one byte per 8 machines.
-            let done_len = match layout_mode {
-                LayoutMode::Packed => suite.len().div_ceil(8).max(1),
-                LayoutMode::Tagged => 8,
-            };
-            let routed = if routing == RoutingMode::Routed && suite.len() <= MAX_ROUTED_MACHINES {
+            // zeroed, i.e. "no event pending". One bit per machine: the
+            // packed layout rounds up to whole bytes, the tagged one to
+            // whole `u64` words.
+            let done_len = layout_kind.done_bytes(suite.len());
+            let routed = if routing == RoutingMode::Routed {
                 let worklist_addr = dev
                     .nv_alloc_raw(u16_list_bytes(suite.len()), owner, "monitor.worklist")
                     .map_err(dev_err)?;
@@ -1287,6 +1338,8 @@ impl MonitorEngine {
                 block_new: Vec::with_capacity(max_block),
                 verdicts: Vec::new(),
                 worklist: Vec::with_capacity(machines.len()),
+                armed: Vec::with_capacity(machines.len()),
+                masks: Vec::with_capacity(machines.len()),
             });
 
             let delta_enabled =
@@ -1338,9 +1391,10 @@ impl MonitorEngine {
         self.mode
     }
 
-    /// The routing mode the engine actually runs (a requested
-    /// [`RoutingMode::Routed`] degrades to full scan for suites larger
-    /// than [`MAX_ROUTED_MACHINES`]).
+    /// The routing mode the engine runs: always the one requested at
+    /// install. A routed request never degrades to full scan — routing
+    /// has no 64-machine limit, and suites beyond
+    /// [`MAX_ROUTED_MACHINES`] fail to install instead.
     pub fn routing_mode(&self) -> RoutingMode {
         if self.routed.is_some() {
             RoutingMode::Routed
@@ -1518,15 +1572,15 @@ impl MonitorEngine {
     }
 
     /// Shadow-aware read of a worklist's items (`count` already known
-    /// and non-zero). Preserves the uncached read order — the count
-    /// and item reads stay separate ops so a cold cached delivery
+    /// and non-zero) into `wl`. Preserves the uncached read order — the
+    /// count and item reads stay separate ops so a cold cached delivery
     /// performs exactly the uncached read sequence.
     fn list_items_cached(
         &self,
         dev: &mut Device,
         addr: usize,
         count: usize,
-        wl: &mut [u16; MAX_ROUTED_MACHINES],
+        wl: &mut Vec<u16>,
         field: fn(&ShadowCache) -> &Option<Vec<u16>>,
         field_mut: fn(&mut ShadowCache) -> &mut Option<Vec<u16>>,
     ) -> Result<(), Interrupt> {
@@ -1535,9 +1589,8 @@ impl MonitorEngine {
                 let c = cache.borrow();
                 match field(&c) {
                     Some(list) if list.len() == count => {
-                        for (slot, &v) in wl.iter_mut().zip(list) {
-                            *slot = v;
-                        }
+                        wl.clear();
+                        wl.extend_from_slice(list);
                         true
                     }
                     _ => false,
@@ -1549,11 +1602,14 @@ impl MonitorEngine {
             }
         }
         let bytes = dev.nv_read_raw(addr + 2, count * 2)?;
-        for (slot, ch) in wl.iter_mut().zip(bytes.chunks_exact(2)) {
-            *slot = u16::from_le_bytes([ch[0], ch[1]]);
-        }
+        wl.clear();
+        wl.extend(
+            bytes
+                .chunks_exact(2)
+                .map(|ch| u16::from_le_bytes([ch[0], ch[1]])),
+        );
         self.cache_put(|c| {
-            *field_mut(c) = Some(wl[..count].to_vec());
+            *field_mut(c) = Some(wl.clone());
             c.stats.misses += 1;
         });
         Ok(())
@@ -1665,8 +1721,8 @@ impl MonitorEngine {
         )
     }
 
-    /// Shadow-aware read of the routed completion bitmap.
-    fn read_done_cached(&self, dev: &mut Device, rs: &RoutedState) -> Result<u64, Interrupt> {
+    /// Shadow-aware read of the routed completed-entry count.
+    fn read_done_cached(&self, dev: &mut Device, rs: &RoutedState) -> Result<usize, Interrupt> {
         self.cache_read(
             dev,
             |c| c.done,
@@ -1675,8 +1731,12 @@ impl MonitorEngine {
         )
     }
 
-    /// Shadow-aware read of the batch completion bitmap.
-    fn read_batch_done_cached(&self, dev: &mut Device, bs: &BatchState) -> Result<u64, Interrupt> {
+    /// Shadow-aware read of the batch completed-entry count.
+    fn read_batch_done_cached(
+        &self,
+        dev: &mut Device,
+        bs: &BatchState,
+    ) -> Result<usize, Interrupt> {
         self.cache_read(
             dev,
             |c| c.batch_done,
@@ -1817,12 +1877,9 @@ impl MonitorEngine {
             // fixed by the batch arming commit).
             if let Some(bs) = &self.batch {
                 let count = self.read_batch_worklist_count(dev, bs)?;
-                if count > 0 {
-                    let done = self.read_batch_done_cached(dev, bs)?;
-                    if done & worklist_mask(count) != worklist_mask(count) {
-                        self.run_batch(dev, bs)?;
-                        return Ok(true);
-                    }
+                if count > 0 && self.read_batch_done_cached(dev, bs)? < count {
+                    self.run_batch(dev, bs)?;
+                    return Ok(true);
                 }
             }
             match &self.routed {
@@ -1832,8 +1889,7 @@ impl MonitorEngine {
                     if count == 0 {
                         return Ok(false);
                     }
-                    let done = self.read_done_cached(dev, rs)?;
-                    if done & worklist_mask(count) == worklist_mask(count) {
+                    if self.read_done_cached(dev, rs)? >= count {
                         return Ok(false);
                     }
                     self.run_worklist(dev, rs)?;
@@ -2058,18 +2114,42 @@ impl MonitorEngine {
         if count == 0 {
             return Ok(());
         }
-        let full = worklist_mask(count);
-        let mut done = self.read_batch_done_cached(dev, bs)?;
-        if done & full == full {
+        let done = self.read_batch_done_cached(dev, bs)?;
+        if done >= count {
             return Ok(());
         }
 
-        let mut wl = [0u16; MAX_ROUTED_MACHINES];
+        let (mut wl, mut masks) = {
+            let mut scratch = self.scratch.borrow_mut();
+            (
+                core::mem::take(&mut scratch.armed),
+                core::mem::take(&mut scratch.masks),
+            )
+        };
+        let r = self.run_batch_entries(dev, bs, count, done, &mut wl, &mut masks);
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.armed = wl;
+        scratch.masks = masks;
+        r
+    }
+
+    /// [`MonitorEngine::run_batch`]'s walk over the pending entries
+    /// `done..count`, with the worklist and mask buffers lent out of
+    /// the scratch.
+    fn run_batch_entries(
+        &self,
+        dev: &mut Device,
+        bs: &BatchState,
+        count: usize,
+        done: usize,
+        wl: &mut Vec<u16>,
+        masks: &mut Vec<u32>,
+    ) -> Result<(), Interrupt> {
         self.list_items_cached(
             dev,
             bs.worklist_addr,
             count,
-            &mut wl,
+            wl,
             shadow_batch_wl,
             shadow_batch_wl_mut,
         )?;
@@ -2077,23 +2157,20 @@ impl MonitorEngine {
         let n = events.len();
 
         dev.compute(ROUTING_LOOKUP_CYCLES * n as u64)?;
-        let mut masks = [0u32; MAX_ROUTED_MACHINES];
+        masks.clear();
+        masks.resize(count, 0);
         for (e, encoded) in events.iter().enumerate() {
             self.compute_worklist(encoded);
+            // The merged worklist is sorted (deduplicated at arming).
             for &mi in &*self.scratch.borrow().worklist {
-                if let Some(j) = wl[..count].iter().position(|&w| w == mi) {
+                if let Ok(j) = wl.binary_search(&mi) {
                     masks[j] |= 1 << e;
                 }
             }
         }
 
-        for j in 0..count {
-            let bit = 1u64 << j;
-            if done & bit != 0 {
-                continue;
-            }
-            self.step_batch_machine(dev, u32::from(wl[j]), &events, masks[j], done | bit, bs)?;
-            done |= bit;
+        for j in done..count {
+            self.step_batch_machine(dev, u32::from(wl[j]), &events, masks[j], j + 1, bs)?;
         }
         Ok(())
     }
@@ -2110,7 +2187,7 @@ impl MonitorEngine {
         i: u32,
         events: &[EncodedEvent],
         mask: u32,
-        done: u64,
+        done: usize,
         bs: &BatchState,
     ) -> Result<(), Interrupt> {
         let lm = &self.machines[i as usize];
@@ -2462,18 +2539,32 @@ impl MonitorEngine {
         if count == 0 {
             return Ok(());
         }
-        let full = worklist_mask(count);
-        let mut done = self.read_done_cached(dev, rs)?;
-        if done & full == full {
+        let done = self.read_done_cached(dev, rs)?;
+        if done >= count {
             return Ok(());
         }
 
-        let mut wl = [0u16; MAX_ROUTED_MACHINES];
+        let mut wl = core::mem::take(&mut self.scratch.borrow_mut().armed);
+        let r = self.run_worklist_entries(dev, rs, count, done, &mut wl);
+        self.scratch.borrow_mut().armed = wl;
+        r
+    }
+
+    /// [`MonitorEngine::run_worklist`]'s walk over the pending entries
+    /// `done..count`, with the worklist buffer lent out of the scratch.
+    fn run_worklist_entries(
+        &self,
+        dev: &mut Device,
+        rs: &RoutedState,
+        count: usize,
+        done: usize,
+        wl: &mut Vec<u16>,
+    ) -> Result<(), Interrupt> {
         self.list_items_cached(
             dev,
             rs.worklist_addr,
             count,
-            &mut wl,
+            wl,
             shadow_routed_wl,
             shadow_routed_wl_mut,
         )?;
@@ -2484,15 +2575,11 @@ impl MonitorEngine {
             |d| d.nv_read(&self.event_cell),
         )?;
 
-        for (j, &mi) in wl.iter().enumerate().take(count) {
-            let bit = 1u64 << j;
-            if done & bit != 0 {
-                continue;
-            }
+        for (j, &mi) in wl.iter().enumerate().skip(done) {
             let lm = &self.machines[mi as usize];
             // Path dismissal was resolved at arming time; worklisted
             // machines always get a real step.
-            let completion = Completion::Bit(done | bit);
+            let completion = Completion::Bit(j + 1);
             match self.mode {
                 ExecMode::Compiled => {
                     self.step_compiled(dev, mi as u32, lm, &encoded, false, completion)?
@@ -2501,7 +2588,6 @@ impl MonitorEngine {
                     self.step_interpreted(dev, mi as u32, lm, &encoded, false, completion)?
                 }
             }
-            done |= bit;
         }
         Ok(())
     }
@@ -2719,7 +2805,7 @@ impl MonitorEngine {
         encoded: &EncodedEvent,
         kind: EventKind,
         addr: usize,
-        done: u64,
+        done: usize,
     ) -> Result<(), Interrupt> {
         let covered = access.max_touched_slot().map_or(0, |s| s as usize + 1);
         let span = lm.layout.span(access.max_touched_slot());
@@ -3395,104 +3481,114 @@ mod tests {
         assert_eq!(dev.fram().used_by(MemOwner::Monitor), before);
     }
 
+    /// Suite sizes the bounds exactness pins run at: the historical
+    /// 8-machine dispatch shape and a wide suite past the 64-machine
+    /// mark, where the done bitmap spans several bytes (packed) and
+    /// several words (tagged).
+    const PIN_SIZES: [usize; 2] = [8, 72];
+
+    /// FRAM traffic of a run: (read ops, write ops, read bytes, write
+    /// bytes).
+    type FramTally = (usize, usize, usize, usize);
+
+    /// Installs `suite` with `opts`, resets it, delivers `events`
+    /// `start(t0)` events, and returns the FRAM traffic of the
+    /// deliveries.
+    fn tally_start_events(
+        suite: &MonitorSuite,
+        app: &AppGraph,
+        opts: InstallOptions,
+        events: u64,
+    ) -> FramTally {
+        let t0 = app.task_by_name("t0").unwrap();
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let engine = MonitorEngine::install_with(&mut dev, suite.clone(), app, opts).unwrap();
+        assert_eq!(engine.routing_mode(), RoutingMode::Routed);
+        engine.reset_monitor(&mut dev).unwrap();
+        let f = dev.fram();
+        let before = (f.read_ops(), f.write_ops(), f.read_bytes(), f.write_bytes());
+        for seq in 1..=events {
+            engine
+                .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
+                .unwrap();
+        }
+        let f = dev.fram();
+        (
+            (f.read_ops() - before.0) as usize,
+            (f.write_ops() - before.1) as usize,
+            (f.read_bytes() - before.2) as usize,
+            (f.write_bytes() - before.3) as usize,
+        )
+    }
+
+    /// The `start(t0)` key of a suite's static bounds under `layout`.
+    fn start_t0_key(
+        compiled: &CompiledSuite,
+        layout: artemis_ir::LayoutKind,
+    ) -> artemis_ir::analysis::bounds::EventCost {
+        artemis_ir::suite_bounds_for(compiled, layout)
+            .per_key
+            .into_iter()
+            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
+            .unwrap()
+    }
+
     /// Pins the static FRAM cost model of `artemis_ir::analysis::bounds`
     /// to the engine it describes: for the dispatch-benchmark-shaped
     /// suite, the per-event bound must equal what the engine actually
     /// bills (and therefore dominate any measured run, since arming-time
-    /// path filtering only ever shrinks the worklist).
+    /// path filtering only ever shrinks the worklist) — in ops and, per
+    /// layout, in bytes, at 8 machines and past 64.
     #[test]
     fn bounds_model_matches_engine() {
-        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
-
-        const MACHINES: usize = 8;
-        const VARS: usize = 12;
         const EVENTS: u64 = 20;
+        for machines in PIN_SIZES {
+            let (suite, app) = dispatch_suite(machines, 12);
+            let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+            let key = start_t0_key(&compiled, artemis_ir::LayoutKind::Packed);
+            assert_eq!(key.machines, machines);
+            assert_eq!(key.emitters, 0);
+            // Every machine degrades to whole-block commits, so the warm-
+            // cache bound keeps exactly the 2-entry commit protocol reads.
+            assert_eq!(key.degraded_machines, machines);
+            assert_eq!(key.cached_reads, machines * 5);
+            assert_eq!(key.cold_extra_reads, 2 + machines);
 
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
-        let mut suite = MonitorSuite::new();
-        for m in 0..MACHINES {
-            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-            for v in 0..VARS {
-                sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
+            // Both cache modes must match their static model exactly,
+            // under both layouts; the write model is cache-independent
+            // (write-through).
+            for (layout, kind) in [
+                (LayoutMode::Packed, artemis_ir::LayoutKind::Packed),
+                (LayoutMode::Tagged, artemis_ir::LayoutKind::Tagged),
+            ] {
+                let key = start_t0_key(&compiled, kind);
+                for (cache, model_reads, model_read_bytes) in [
+                    (CacheMode::Disabled, key.reads, key.read_bytes),
+                    (CacheMode::Enabled, key.cached_reads, key.cached_read_bytes),
+                ] {
+                    let opts = InstallOptions {
+                        cache,
+                        layout,
+                        ..InstallOptions::default()
+                    };
+                    let n = EVENTS as usize;
+                    let (reads, writes, read_bytes, write_bytes) =
+                        tally_start_events(&suite, &app, opts, EVENTS);
+                    let ctx = format!("{machines} machines, {layout:?}, {cache:?}");
+                    assert_eq!(reads, model_reads * n, "read model drifted ({ctx})");
+                    assert_eq!(writes, key.writes * n, "write model drifted ({ctx})");
+                    assert_eq!(
+                        read_bytes,
+                        model_read_bytes * n,
+                        "read-byte model drifted ({ctx})"
+                    );
+                    assert_eq!(
+                        write_bytes,
+                        key.write_bytes * n,
+                        "write-byte model drifted ({ctx})"
+                    );
+                }
             }
-            sm.add_state("S");
-            sm.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger: Trigger::Start(TaskPat::named("t0")),
-                guard: None,
-                body: (0..VARS)
-                    .map(|v| {
-                        Stmt::Assign(
-                            format!("v{v}"),
-                            Expr::bin(BinOp::Add, Expr::var(&format!("v{v}")), Expr::int(1)),
-                        )
-                    })
-                    .collect(),
-                emit: None,
-            });
-            suite.push(sm);
-        }
-
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
-        assert_eq!(key.machines, MACHINES);
-        assert_eq!(key.emitters, 0);
-        // Every machine degrades to whole-block commits, so the warm-
-        // cache bound keeps exactly the 2-entry commit protocol reads.
-        assert_eq!(key.degraded_machines, MACHINES);
-        assert_eq!(key.cached_reads, MACHINES * 5);
-        assert_eq!(key.cold_extra_reads, 2 + MACHINES);
-
-        // Both cache modes must match their static model exactly; the
-        // write model is cache-independent (write-through).
-        for (cache, model_reads) in [
-            (CacheMode::Disabled, key.reads),
-            (CacheMode::Enabled, key.cached_reads),
-        ] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let engine = MonitorEngine::install_with(
-                &mut dev,
-                suite.clone(),
-                &app,
-                InstallOptions {
-                    cache,
-                    ..InstallOptions::default()
-                },
-            )
-            .unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
-
-            let reads0 = dev.fram().read_ops();
-            let writes0 = dev.fram().write_ops();
-            for seq in 1..=EVENTS {
-                engine
-                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                    .unwrap();
-            }
-            let reads = (dev.fram().read_ops() - reads0) as usize;
-            let writes = (dev.fram().write_ops() - writes0) as usize;
-            assert_eq!(
-                reads,
-                model_reads * EVENTS as usize,
-                "read model drifted ({cache:?})"
-            );
-            assert_eq!(
-                writes,
-                key.writes * EVENTS as usize,
-                "write model drifted ({cache:?})"
-            );
         }
     }
 
@@ -3500,106 +3596,69 @@ mod tests {
     /// each handler touches a small slice of its block, every machine
     /// takes the sparse path and the static per-key bound — one span
     /// read plus `|writes| + 3` journalled writes per machine — must
-    /// equal the engine's billing exactly.
+    /// equal the engine's billing exactly, at 8 machines and past 64.
     #[test]
     fn bounds_model_matches_engine_delta() {
-        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
-
-        const MACHINES: usize = 8;
-        const VARS: usize = 12;
         const EVENTS: u64 = 20;
+        for machines in PIN_SIZES {
+            // Each handler increments only v0: 1 of 12 slots written,
+            // far below the ¾ degrade threshold, so all machines stay
+            // sparse.
+            let (suite, app) = dispatch_suite(machines, 1);
+            let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+            let key = start_t0_key(&compiled, artemis_ir::LayoutKind::Packed);
+            assert_eq!(key.machines, machines);
+            assert_eq!(key.delta_machines, machines, "all machines must go sparse");
+            assert_eq!(key.degraded_machines, 0);
+            // Arming (2r+8w) + worklist setup (4r) + per machine 1 span
+            // read and |W|+2+3 = 6 sparse-commit writes + 1 readback read.
+            assert_eq!(key.reads, 2 + 4 + machines + 1);
+            assert_eq!(key.writes, 8 + machines * 6);
+            // Every commit on this key is sparse: warm deliveries are
+            // WRITE-ONLY (the headline cache bound), and a reboot's
+            // refill is flag + seq + one whole-block fill per armed
+            // machine.
+            assert_eq!(key.cached_reads, 0);
+            assert_eq!(key.cold_extra_reads, 2 + machines);
+            assert_eq!(key.cached_ops(), key.writes);
 
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
-        // Each handler increments only v0: 1 of 12 slots written, far
-        // below the ¾ degrade threshold, so all machines stay sparse.
-        let mut suite = MonitorSuite::new();
-        for m in 0..MACHINES {
-            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-            for v in 0..VARS {
-                sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
+            // `DiffMode::Disabled` pins the slot-granular commit format
+            // the static model prices; the dirty-diff default can only
+            // shave sub-writes off it (see
+            // `diff_commits_undercut_the_model`).
+            for (layout, kind) in [
+                (LayoutMode::Packed, artemis_ir::LayoutKind::Packed),
+                (LayoutMode::Tagged, artemis_ir::LayoutKind::Tagged),
+            ] {
+                let key = start_t0_key(&compiled, kind);
+                for (cache, model_reads, model_read_bytes) in [
+                    (CacheMode::Disabled, key.reads, key.read_bytes),
+                    (CacheMode::Enabled, key.cached_reads, key.cached_read_bytes),
+                ] {
+                    let opts = InstallOptions {
+                        cache,
+                        layout,
+                        diff: DiffMode::Disabled,
+                        ..InstallOptions::default()
+                    };
+                    let n = EVENTS as usize;
+                    let (reads, writes, read_bytes, write_bytes) =
+                        tally_start_events(&suite, &app, opts, EVENTS);
+                    let ctx = format!("{machines} machines, {layout:?}, {cache:?}");
+                    assert_eq!(reads, model_reads * n, "delta read model drifted ({ctx})");
+                    assert_eq!(writes, key.writes * n, "delta write model drifted ({ctx})");
+                    assert_eq!(
+                        read_bytes,
+                        model_read_bytes * n,
+                        "delta read-byte model drifted ({ctx})"
+                    );
+                    assert_eq!(
+                        write_bytes,
+                        key.write_bytes * n,
+                        "delta write-byte model drifted ({ctx})"
+                    );
+                }
             }
-            sm.add_state("S");
-            sm.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger: Trigger::Start(TaskPat::named("t0")),
-                guard: None,
-                body: vec![Stmt::Assign(
-                    "v0".into(),
-                    Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-                )],
-                emit: None,
-            });
-            suite.push(sm);
-        }
-
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
-        assert_eq!(key.machines, MACHINES);
-        assert_eq!(key.delta_machines, MACHINES, "all machines must go sparse");
-        assert_eq!(key.degraded_machines, 0);
-        // Arming (2r+8w) + worklist setup (4r) + per machine 1 span
-        // read and |W|+2+3 = 6 sparse-commit writes + 1 readback read.
-        assert_eq!(key.reads, 2 + 4 + MACHINES + 1);
-        assert_eq!(key.writes, 8 + MACHINES * 6);
-        // Every commit on this key is sparse: warm deliveries are
-        // WRITE-ONLY (the headline cache bound), and a reboot's refill
-        // is flag + seq + one whole-block fill per armed machine.
-        assert_eq!(key.cached_reads, 0);
-        assert_eq!(key.cold_extra_reads, 2 + MACHINES);
-        assert_eq!(key.cached_ops(), key.writes);
-
-        // `DiffMode::Disabled` pins the slot-granular commit format the
-        // static model prices; the dirty-diff default can only shave
-        // sub-writes off it (see `diff_commits_undercut_the_model`).
-        for (cache, model_reads) in [
-            (CacheMode::Disabled, key.reads),
-            (CacheMode::Enabled, key.cached_reads),
-        ] {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let engine = MonitorEngine::install_with(
-                &mut dev,
-                suite.clone(),
-                &app,
-                InstallOptions {
-                    cache,
-                    diff: DiffMode::Disabled,
-                    ..InstallOptions::default()
-                },
-            )
-            .unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
-
-            let reads0 = dev.fram().read_ops();
-            let writes0 = dev.fram().write_ops();
-            for seq in 1..=EVENTS {
-                engine
-                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                    .unwrap();
-            }
-            let reads = (dev.fram().read_ops() - reads0) as usize;
-            let writes = (dev.fram().write_ops() - writes0) as usize;
-            assert_eq!(
-                reads,
-                model_reads * EVENTS as usize,
-                "delta read model drifted ({cache:?})"
-            );
-            assert_eq!(
-                writes,
-                key.writes * EVENTS as usize,
-                "delta write model drifted ({cache:?})"
-            );
         }
     }
 
@@ -4072,124 +4131,101 @@ mod tests {
     }
 
     /// Reboot storm: every clean reboot re-pays only the cold-miss
-    /// refill, which the static bound caps at `cold_extra_reads` (flag
-    /// + seq + one whole-block fill per armed machine) on top of the
-    /// finalize probe — and nothing accumulates across reboots.
+    /// refill, which the static bound caps at `cold_extra_reads` (the
+    /// flag, the seq and one whole-block fill per armed machine) on top
+    /// of the finalize probe — and nothing accumulates across reboots,
+    /// at 8 machines and past 64.
     #[test]
     fn reboot_storm_cold_misses_stay_within_static_bound() {
-        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
-
-        const MACHINES: usize = 8;
-        const VARS: usize = 12;
         const REBOOTS: u64 = 50;
+        for machines in PIN_SIZES {
+            let (suite, app) = dispatch_suite(machines, 1);
+            let t0 = app.task_by_name("t0").unwrap();
+            let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+            let key = start_t0_key(&compiled, artemis_ir::LayoutKind::Packed);
+            assert_eq!(key.cached_reads, 0);
 
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
-        let mut suite = MonitorSuite::new();
-        for m in 0..MACHINES {
-            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-            for v in 0..VARS {
-                sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-            }
-            sm.add_state("S");
-            sm.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger: Trigger::Start(TaskPat::named("t0")),
-                guard: None,
-                body: vec![Stmt::Assign(
-                    "v0".into(),
-                    Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-                )],
-                emit: None,
-            });
-            suite.push(sm);
-        }
-
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
-        assert_eq!(key.cached_reads, 0);
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
-        // Warm delivery so each reboot below starts from a hot cache.
-        engine
-            .call_monitor(&mut dev, 1, &MonitorEvent::start(t0, t(0)))
-            .unwrap();
-
-        // The finalize pending-probe after a clean reboot costs 3 cold
-        // reads (journal flag + worklist count + done mask); the next
-        // delivery pays the cold refill, bounded by cold_extra_reads.
-        let per_reboot_bound = 3 + key.cold_extra_reads + key.cached_reads;
-        for r in 0..REBOOTS {
-            dev.power_cycle();
-            let reads0 = dev.fram().read_ops();
-            engine.monitor_finalize(&mut dev).unwrap();
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+            assert_eq!(engine.cache_mode(), CacheMode::Enabled);
+            engine.reset_monitor(&mut dev).unwrap();
+            // Warm delivery so each reboot below starts from a hot cache.
             engine
-                .call_monitor(&mut dev, 2 + r, &MonitorEvent::start(t0, t(1 + r)))
+                .call_monitor(&mut dev, 1, &MonitorEvent::start(t0, t(0)))
                 .unwrap();
-            let reads = (dev.fram().read_ops() - reads0) as usize;
-            assert_eq!(
-                reads,
-                4 + MACHINES,
-                "cold refill drifted on reboot {r}: finalize probe (3) \
-                 + seq (1) + one block fill per machine"
-            );
-            assert!(reads <= per_reboot_bound, "static cold bound violated");
+
+            // The finalize pending-probe after a clean reboot costs 3
+            // cold reads (journal flag + worklist count + done bitmap);
+            // the next delivery pays the cold refill, bounded by
+            // cold_extra_reads.
+            let per_reboot_bound = 3 + key.cold_extra_reads + key.cached_reads;
+            for r in 0..REBOOTS {
+                dev.power_cycle();
+                let reads0 = dev.fram().read_ops();
+                engine.monitor_finalize(&mut dev).unwrap();
+                engine
+                    .call_monitor(&mut dev, 2 + r, &MonitorEvent::start(t0, t(1 + r)))
+                    .unwrap();
+                let reads = (dev.fram().read_ops() - reads0) as usize;
+                assert_eq!(
+                    reads,
+                    4 + machines,
+                    "cold refill drifted on reboot {r} ({machines} machines): \
+                     finalize probe (3) + seq (1) + one block fill per machine"
+                );
+                assert!(reads <= per_reboot_bound, "static cold bound violated");
+            }
+            assert_eq!(engine.cache_stats().invalidations, REBOOTS);
         }
-        assert_eq!(engine.cache_stats().invalidations, REBOOTS);
     }
 
     /// The derived journal capacity is exactly the static worst-case
     /// commit: the default installs and runs, while overriding it one
-    /// byte smaller is rejected up front by the bounds pass.
+    /// byte smaller is rejected up front by the bounds pass — on a spec
+    /// suite and on a routed suite past 64 machines, whose multi-byte
+    /// done bitmap rides in every commit.
     #[test]
     fn derived_journal_capacity_is_tight() {
         let app = app();
         let spec = "accel { maxTries: 5 onFail: skipPath; }";
+        let cases = [
+            (artemis_ir::compile(spec, &app).unwrap(), app.clone()),
+            dispatch_suite(72, 1),
+        ];
+        for (suite, app) in cases {
+            let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+            let worst = artemis_ir::suite_bounds(&compiled).worst_commit_bytes;
+            let first = app
+                .task_by_name(suite.machines()[0].observed_tasks()[0])
+                .unwrap();
 
-        let suite = artemis_ir::compile(spec, &app).unwrap();
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let worst = artemis_ir::suite_bounds(&compiled).worst_commit_bytes;
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let engine = MonitorEngine::install(&mut dev, suite.clone(), &app).unwrap();
+            assert_eq!(engine.routing_mode(), RoutingMode::Routed);
+            engine.reset_monitor(&mut dev).unwrap();
+            engine
+                .call_monitor(&mut dev, 1, &MonitorEvent::start(first, t(0)))
+                .unwrap();
 
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
-        let accel = app.task_by_name("accel").unwrap();
-        engine
-            .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
-            .unwrap();
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let suite = artemis_ir::compile(spec, &app).unwrap();
-        let err = MonitorEngine::install_with(
-            &mut dev,
-            suite,
-            &app,
-            InstallOptions {
-                journal_capacity: Some(worst - 1),
-                ..InstallOptions::default()
-            },
-        )
-        .err()
-        .expect("a capacity below the static bound must be rejected");
-        match err {
-            InstallError::Analysis(d) => {
-                assert!(d.is_error());
-                assert_eq!(d.pass, "bounds");
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let err = MonitorEngine::install_with(
+                &mut dev,
+                suite,
+                &app,
+                InstallOptions {
+                    journal_capacity: Some(worst - 1),
+                    ..InstallOptions::default()
+                },
+            )
+            .err()
+            .expect("a capacity below the static bound must be rejected");
+            match err {
+                InstallError::Analysis(d) => {
+                    assert!(d.is_error());
+                    assert_eq!(d.pass, "bounds");
+                }
+                other => panic!("expected a bounds rejection, got {other}"),
             }
-            other => panic!("expected a bounds rejection, got {other}"),
         }
     }
 
@@ -4237,20 +4273,64 @@ mod tests {
         assert_eq!(scan.routing_mode(), RoutingMode::FullScan);
     }
 
+    /// Suites past one bitmap word install routed — with the shadow
+    /// cache, sparse deltas and diff commits in force — and deliver
+    /// correctly: there is no full-scan degrade at 64 machines.
     #[test]
-    fn oversized_suite_degrades_to_full_scan() {
-        let app = app();
-        let mut src = String::new();
-        for i in 0..=MAX_ROUTED_MACHINES {
-            src.push_str(&format!(
-                "machine m{i} task accel persistent {{ state S initial; \
-                 on startTask(accel) from S to S {{ }}; }}\n"
-            ));
+    fn wide_suites_install_routed_with_every_fast_path() {
+        for machines in [65, 128, 300] {
+            let (suite, app) = dispatch_suite(machines, 1);
+            let t0 = app.task_by_name("t0").unwrap();
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+            assert_eq!(engine.routing_mode(), RoutingMode::Routed);
+            assert_eq!(engine.cache_mode(), CacheMode::Enabled);
+            assert_eq!(engine.diff_mode(), DiffMode::Auto);
+            engine.reset_monitor(&mut dev).unwrap();
+
+            // Every machine steps exactly once per event, and a warm
+            // delivery stays write-only — which only sparse delta
+            // commits out of the shadow cache achieve (a whole-block
+            // commit re-reads its journal entries).
+            for seq in 1..=3u64 {
+                let reads0 = dev.fram().read_ops();
+                engine
+                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
+                    .unwrap();
+                assert_eq!(dev.fram().read_ops(), reads0, "{machines} machines");
+                assert!(!engine.monitor_finalize(&mut dev).unwrap());
+            }
+            for (state, vars) in engine.snapshot(&dev) {
+                assert_eq!(state, 0);
+                assert_eq!(vars[0], Value::Int(3), "{machines} machines");
+            }
+            assert_eq!(engine.exec_stats().machine_steps, 3 * machines as u64);
         }
-        let suite = artemis_ir::parse::parse_suite(&src).unwrap();
+    }
+
+    /// A routed suite beyond the `u16` worklist encoding is refused
+    /// with a typed error before anything is compiled or allocated —
+    /// never silently installed as a full scan.
+    #[test]
+    fn oversized_routed_suite_is_rejected() {
+        let app = app();
+        let mut suite = MonitorSuite::new();
+        for i in 0..=MAX_ROUTED_MACHINES {
+            let mut sm = artemis_ir::StateMachine::new(&format!("m{i}"), "accel");
+            sm.add_state("S");
+            suite.push(sm);
+        }
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-        assert_eq!(engine.routing_mode(), RoutingMode::FullScan);
+        let used = dev.fram().used_by(MemOwner::Monitor);
+        match MonitorEngine::install(&mut dev, suite, &app) {
+            Err(InstallError::TooManyMachines { machines, max }) => {
+                assert_eq!(machines, MAX_ROUTED_MACHINES + 1);
+                assert_eq!(max, MAX_ROUTED_MACHINES);
+            }
+            Err(other) => panic!("expected TooManyMachines, got {other}"),
+            Ok(_) => panic!("an oversized routed suite must not install"),
+        }
+        assert_eq!(dev.fram().used_by(MemOwner::Monitor), used);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use artemis_core::property::OnFail;
 use artemis_core::time::{SimDuration, SimInstant};
 use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
-use artemis_ir::OptLevel;
+use artemis_ir::{CompiledSuite, MonitorSuite, OptLevel};
 use artemis_monitor::{
     BatchMode, CacheMode, DeltaMode, DiffMode, ExecMode, InstallOptions, MonitorEngine,
     MonitorVerdict, RoutingMode,
@@ -21,6 +21,7 @@ use intermittent_sim::energy::Energy;
 use intermittent_sim::harvester::Harvester;
 use intermittent_sim::simulator::{RunLimit, Simulator};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const SPEC: &str = "\
     a { maxTries: 3 onFail: skipPath; }\n\
@@ -355,6 +356,17 @@ fn engine_run_opts(
     opts: InstallOptions,
 ) -> RunOutcome {
     let suite = artemis_ir::compile(spec, app).unwrap();
+    engine_run_suite(app, suite, events, dev, opts)
+}
+
+/// [`engine_run_opts`] over an already-built suite (e.g. IR text).
+fn engine_run_suite(
+    app: &AppGraph,
+    suite: MonitorSuite,
+    events: &[(Ev, Option<u32>)],
+    dev: &mut Device,
+    opts: InstallOptions,
+) -> RunOutcome {
     let engine = MonitorEngine::install_with(dev, suite, app, opts).unwrap();
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
@@ -410,6 +422,18 @@ fn engine_run_batch_cache(
     cache: CacheMode,
 ) -> RunOutcome {
     let suite = artemis_ir::compile(spec, app).unwrap();
+    engine_run_batch_suite(app, suite, events, dev, chunk, cache)
+}
+
+/// [`engine_run_batch_cache`] over an already-built suite.
+fn engine_run_batch_suite(
+    app: &AppGraph,
+    suite: MonitorSuite,
+    events: &[(Ev, Option<u32>)],
+    dev: &mut Device,
+    chunk: usize,
+    cache: CacheMode,
+) -> RunOutcome {
     let engine = MonitorEngine::install_with(
         dev,
         suite,
@@ -1453,4 +1477,403 @@ fn redelivered_completed_seq_only_replays_verdicts() {
         .unwrap();
     assert_eq!(after_reboot, first);
     assert_eq!(engine.snapshot(&dev), snap);
+}
+
+// ---------------------------------------------------------------------------
+// Wide suites: routing past one bitmap word.
+//
+// The routed completion bitmap holds one bit per installed machine, so
+// a suite of any size keeps worklists, sparse deltas, the shadow cache
+// and diff commits. The suites below put more than 64 machines on one
+// worklist (and on one merged batch worklist) and hold routed delivery
+// to the interpreter/full-scan oracle, under random power failures and
+// under crashes placed on the entries around the first word boundary
+// and at the end of the bitmap's last byte.
+// ---------------------------------------------------------------------------
+
+/// Machines of a generated wide suite guaranteed to be interested in
+/// `startTask(a)`: one more than a 64-bit word holds.
+const WIDE_FLOOR: usize = 65;
+
+/// One wide-suite machine in IR text. Shapes: 0 counts every start
+/// (`startTask(*)`), 1 flips between two states on every event
+/// (`anyEvent`), 2 counts `endTask(b)`, 3 counts `startTask(a)`. Each
+/// fires `skipTask` or `restartTask` on every `limit + 1`-th match and
+/// bumps the step counter `k` on every step, so a committed step always
+/// shows in the machine's FRAM image. Padded machines write 2 of 6
+/// slots (sparse delta commits); unpadded ones write both of their 2
+/// slots (whole-block commits).
+fn wide_machine(i: usize, shape: u8, limit: i64, skip: bool, pad: bool) -> String {
+    let action = if skip { "skipTask" } else { "restartTask" };
+    let pad = if pad {
+        "var p0: int = 0; var p1: int = 0; var p2: int = 0; var p3: int = 0; "
+    } else {
+        ""
+    };
+    let vars = format!("var n: int = 0; var k: int = 0; {pad}");
+    let fire = format!("{{ n := 0; k := (k + 1); }} fail {action};");
+    let count = "{ n := (n + 1); k := (k + 1); };";
+    let body = match shape {
+        1 => format!(
+            "state A initial; state B; \
+             on anyEvent from A to B {count} \
+             on anyEvent from B to A if (n >= {limit}) {fire} \
+             on anyEvent from B to A {{ k := (k + 1); }};"
+        ),
+        _ => {
+            let trigger = match shape {
+                0 => "startTask(*)",
+                2 => "endTask(b)",
+                _ => "startTask(a)",
+            };
+            format!(
+                "state S initial; \
+                 on {trigger} from S to S if (n >= {limit}) {fire} \
+                 on {trigger} from S to S {count}"
+            )
+        }
+    };
+    let task = if shape == 2 { "b" } else { "a" };
+    format!("machine w{i} task {task} persistent {{ {vars}{body} }}\n")
+}
+
+/// Random wide suites of 65–199 machines. `endTask(b)`-only machines
+/// (shape 2) may take at most `n − 65` odd positions, so at least 65
+/// machines always share the `startTask(a)` worklist.
+fn wide_suite_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        (0u8..4, 0i64..4, any::<bool>(), any::<bool>()),
+        WIDE_FLOOR..200,
+    )
+    .prop_map(|machines| {
+        let n = machines.len();
+        machines
+            .iter()
+            .enumerate()
+            .map(|(i, &(shape, limit, skip, pad))| {
+                let end_ok = i % 2 == 1 && i < 2 * (n - WIDE_FLOOR);
+                let shape = if shape == 2 && !end_ok { 0 } else { shape };
+                wide_machine(i, shape, limit, skip, pad)
+            })
+            .collect()
+    })
+}
+
+/// Parses a wide suite and checks the premise the wide tests rest on:
+/// one worklist longer than a bitmap word.
+fn wide_suite(app: &AppGraph, ir: &str) -> MonitorSuite {
+    let suite = artemis_ir::parse::parse_suite(ir).unwrap();
+    let compiled = artemis_ir::CompiledSuite::compile(&suite, app).unwrap();
+    let start_a = compiled
+        .routing()
+        .interested(artemis_core::event::EventKind::StartTask, 0)
+        .len();
+    assert!(
+        start_a >= WIDE_FLOOR,
+        "only {start_a} machines on the startTask(a) worklist"
+    );
+    suite
+}
+
+/// The reference the wide tests compare against: the tree-walking
+/// interpreter with full-scan dispatch, on continuous power.
+fn wide_oracle(app: &AppGraph, suite: MonitorSuite, events: &[(Ev, Option<u32>)]) -> RunOutcome {
+    let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
+    engine_run_suite(
+        app,
+        suite,
+        events,
+        &mut dev,
+        InstallOptions {
+            mode: ExecMode::Interpreter,
+            routing: RoutingMode::FullScan,
+            ..base_opts()
+        },
+    )
+}
+
+/// A device that browns out after `budget_nj` and recharges in 100 ms.
+fn intermittent_device(budget_nj: u64) -> Device {
+    DeviceBuilder::msp430fr5994()
+        .trace_disabled()
+        .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
+        .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
+        .build()
+}
+
+// The capacitor budgets cover a wide install (~170 nJ per machine)
+// while an event that arms every machine (~150 nJ per machine) still
+// browns out mid-worklist.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Routed compiled delivery of a wide suite on an intermittent
+    /// device vs the interpreter/full-scan oracle on continuous power:
+    /// identical verdicts and FRAM-visible machine state, with the
+    /// worklist walk resuming across every bitmap byte and word.
+    #[test]
+    fn wide_routed_equals_interpreter_full_scan_under_random_power_failures(
+        ir in wide_suite_strategy(),
+        events in rich_ev_strategy(),
+        budget_nj in 40_000u64..120_000,
+    ) {
+        let app = rich_app();
+        let (vo, so) = wide_oracle(&app, wide_suite(&app, &ir), &events);
+        let mut dev = intermittent_device(budget_nj);
+        let (vr, sr) = engine_run_suite(&app, wide_suite(&app, &ir), &events, &mut dev, base_opts());
+        prop_assert_eq!(vr, vo, "verdict divergence, budget {} nJ", budget_nj);
+        prop_assert_eq!(sr, so, "state divergence, budget {} nJ", budget_nj);
+    }
+
+    /// Group-commit batches over a wide suite — merged worklists of more
+    /// than 64 entries — on an intermittent device vs the
+    /// interpreter/full-scan oracle on continuous power.
+    #[test]
+    fn wide_batched_equals_interpreter_full_scan_under_random_power_failures(
+        ir in wide_suite_strategy(),
+        events in burst_ev_strategy(),
+        chunk in 2usize..5,
+        budget_nj in 40_000u64..120_000,
+    ) {
+        let app = rich_app();
+        let (vo, so) = wide_oracle(&app, wide_suite(&app, &ir), &events);
+        let mut dev = intermittent_device(budget_nj);
+        let (vb, sb) = engine_run_batch_suite(
+            &app, wide_suite(&app, &ir), &events, &mut dev, chunk, env_cache_mode());
+        prop_assert_eq!(vb, vo, "verdicts, chunk {}, budget {} nJ", chunk, budget_nj);
+        prop_assert_eq!(sb, so, "state, chunk {}, budget {} nJ", chunk, budget_nj);
+    }
+}
+
+/// Machines of the crash-sweep suite: nine full bitmap bytes, so the
+/// last entry ends the bitmap's last byte.
+const WIDE_CRASH_MACHINES: usize = 72;
+
+/// Worklist entries the sweep crashes on: the last entry of the first
+/// word, the first two of the second, and the last entry overall.
+const WIDE_CRASH_ENTRIES: [usize; 4] = [63, 64, 65, WIDE_CRASH_MACHINES - 1];
+
+/// The crash-sweep suite, compiled once and shared by every run of the
+/// sweep (each run installs it on a fresh device).
+struct WideCrashSuite {
+    suite: MonitorSuite,
+    compiled: Arc<CompiledSuite>,
+}
+
+/// Every machine on `startTask(*)`, alternating sparse-delta and
+/// whole-block commits, with staggered firing periods so the crashed
+/// event carries verdicts from both sides of each crash point.
+fn wide_crash_suite(app: &AppGraph) -> WideCrashSuite {
+    let ir: String = (0..WIDE_CRASH_MACHINES)
+        .map(|i| wide_machine(i, 0, (i % 4) as i64, i % 3 == 0, i % 2 == 0))
+        .collect();
+    let suite = artemis_ir::parse::parse_suite(&ir).unwrap();
+    let compiled = CompiledSuite::compile_with(&suite, app, env_opt_level()).unwrap();
+    WideCrashSuite {
+        suite,
+        compiled: Arc::new(compiled),
+    }
+}
+
+/// Start events alternating between the two tasks, 1 ms apart.
+fn wide_crash_events() -> Vec<MonitorEvent> {
+    (1..=6u64)
+        .map(|s| MonitorEvent::start(TaskId((s % 2) as u32), SimInstant::from_micros(s * 1_000)))
+        .collect()
+}
+
+/// How one crash-sweep run delivers the event stream: per event, or in
+/// group-commit batches. `crash` indexes the delivery the drained
+/// capacitor browns out in.
+struct WidePlan {
+    deliveries: &'static [std::ops::Range<usize>],
+    crash: usize,
+    opts: InstallOptions,
+}
+
+impl WidePlan {
+    fn per_event(cache: CacheMode) -> Self {
+        WidePlan {
+            deliveries: &[0..1, 1..2, 2..3, 3..4, 4..5, 5..6],
+            crash: 3,
+            opts: InstallOptions {
+                cache,
+                ..base_opts()
+            },
+        }
+    }
+
+    fn batched(cache: CacheMode) -> Self {
+        WidePlan {
+            deliveries: &[0..3, 3..5, 5..6],
+            crash: 1,
+            opts: InstallOptions {
+                cache,
+                batch: BatchMode::Enabled { max_events: 3 },
+                ..base_opts()
+            },
+        }
+    }
+}
+
+/// Per-event verdicts of one crash-sweep run.
+type WideVerdicts = Vec<Vec<MonitorVerdict>>;
+
+/// Delivers `events[range]` under sequence numbers starting at
+/// `range.start + 1`.
+fn wide_deliver(
+    engine: &MonitorEngine,
+    dev: &mut Device,
+    events: &[MonitorEvent],
+    range: std::ops::Range<usize>,
+) -> Result<WideVerdicts, intermittent_sim::Interrupt> {
+    engine.deliver_batch(dev, range.start as u64 + 1, &events[range])
+}
+
+/// Outcome of one crash-sweep run: the completed worklist entries at
+/// the first power failure (`None` if the crash delivery finished),
+/// the per-event verdicts, and the final FRAM-visible machine state.
+type WideCrash = (Option<usize>, WideVerdicts, Vec<(u32, Vec<Value>)>);
+
+/// One crash-sweep run: the deliveries before `plan.crash` run on a
+/// large capacitor, which is then drained to `left` compute cycles'
+/// worth of charge (`None`: no drain) so the crash delivery browns out
+/// part-way; the run then recovers by reboot, finalize and redelivery
+/// and finishes the stream. Also returns the charge an uninterrupted
+/// crash delivery used, in compute cycles (0 after a crash).
+fn wide_crash_run(wide: &WideCrashSuite, plan: &WidePlan, left: Option<u64>) -> (WideCrash, u64) {
+    let app = rich_app();
+    let events = wide_crash_events();
+    let mut dev = intermittent_device(2_000_000);
+    let per_cycle = dev.cost_model().compute(1).energy.as_pico_joules();
+    let engine = MonitorEngine::install_precompiled_shared(
+        &mut dev,
+        wide.suite.clone(),
+        Arc::clone(&wide.compiled),
+        &app,
+        plan.opts,
+    )
+    .unwrap();
+    assert_eq!(engine.routing_mode(), RoutingMode::Routed);
+    engine.reset_monitor(&mut dev).unwrap();
+
+    let mut verdicts = Vec::new();
+    for range in &plan.deliveries[..plan.crash] {
+        verdicts.extend(wide_deliver(&engine, &mut dev, &events, range.clone()).unwrap());
+    }
+    let before = engine.snapshot(&dev);
+    let charge = dev.energy_level().as_pico_joules() / per_cycle;
+    if let Some(left) = left {
+        dev.compute(charge.saturating_sub(left)).unwrap();
+    }
+    let crash = plan.deliveries[plan.crash].clone();
+    let (completed, used) = match wide_deliver(&engine, &mut dev, &events, crash.clone()) {
+        Ok(v) => {
+            verdicts.extend(v);
+            (
+                None,
+                charge - dev.energy_level().as_pico_joules() / per_cycle,
+            )
+        }
+        Err(intermittent_sim::Interrupt::PowerFailure) => {
+            // Every step bumps its machine's `k`, and entries complete
+            // in order: the moved machines are the completed prefix.
+            let after = engine.snapshot(&dev);
+            let moved = before.iter().zip(&after).filter(|(b, a)| b != a).count();
+            assert!(
+                after.iter().zip(&before).skip(moved).all(|(a, b)| a == b),
+                "completed entries are not a prefix of the worklist"
+            );
+            dev.power_cycle();
+            engine.monitor_finalize(&mut dev).unwrap();
+            verdicts.extend(wide_deliver(&engine, &mut dev, &events, crash).unwrap());
+            (Some(moved), 0)
+        }
+        Err(other) => panic!("unexpected interrupt {other:?}"),
+    };
+    for range in &plan.deliveries[plan.crash + 1..] {
+        verdicts.extend(wide_deliver(&engine, &mut dev, &events, range.clone()).unwrap());
+    }
+    ((completed, verdicts, engine.snapshot(&dev)), used)
+}
+
+/// Least charge (in `lo..hi` compute cycles) whose first power failure
+/// leaves at least `entries` worklist entries complete. Completed
+/// entries never shrink as the charge grows, so a binary search finds
+/// it.
+fn wide_crash_boundary(
+    wide: &WideCrashSuite,
+    plan: &WidePlan,
+    entries: usize,
+    mut lo: u64,
+    mut hi: u64,
+) -> u64 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let ((completed, ..), _) = wide_crash_run(wide, plan, Some(mid));
+        if completed.is_none_or(|c| c >= entries) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Deterministic crash windows on a 72-machine worklist: for each of
+/// entries 63, 64, 65 and 71 the sweep finds the charge window in which
+/// the first power failure lands while that entry is pending, and
+/// crashes at five points across it (the load, the step, and the
+/// writes of its commit). Every run must recover to exactly the
+/// interpreter/full-scan oracle's verdicts and FRAM-visible state —
+/// per-event and batched, with the shadow cache on and off.
+#[test]
+fn wide_worklist_crash_windows_preserve_verdicts_and_state() {
+    let app = rich_app();
+    let events = wide_crash_events();
+    let wide = wide_crash_suite(&app);
+    let (oracle_verdicts, oracle_state) = {
+        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
+        let engine = MonitorEngine::install_with(
+            &mut dev,
+            wide.suite.clone(),
+            &app,
+            InstallOptions {
+                mode: ExecMode::Interpreter,
+                routing: RoutingMode::FullScan,
+                ..base_opts()
+            },
+        )
+        .unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+        let v = wide_deliver(&engine, &mut dev, &events, 0..events.len()).unwrap();
+        (v, engine.snapshot(&dev))
+    };
+
+    for plan in [
+        WidePlan::per_event(CacheMode::Enabled),
+        WidePlan::per_event(CacheMode::Disabled),
+        WidePlan::batched(CacheMode::Enabled),
+        WidePlan::batched(CacheMode::Disabled),
+    ] {
+        let ctx = format!("{:?}, {:?}", plan.opts.cache, plan.opts.batch);
+        let ((none, verdicts, state), used) = wide_crash_run(&wide, &plan, None);
+        assert_eq!(none, None, "undrained run must not crash ({ctx})");
+        assert_eq!(verdicts, oracle_verdicts, "undrained verdicts ({ctx})");
+        assert_eq!(state, oracle_state, "undrained state ({ctx})");
+
+        for entry in WIDE_CRASH_ENTRIES {
+            let start = wide_crash_boundary(&wide, &plan, entry, 0, used + 1);
+            let end = wide_crash_boundary(&wide, &plan, entry + 1, start, used + 1);
+            assert!(start < end, "no crash window for entry {entry} ({ctx})");
+            for q in 0..=4u64 {
+                let left = start + (end - 1 - start) * q / 4;
+                let ((completed, verdicts, state), _) = wide_crash_run(&wide, &plan, Some(left));
+                let at = format!("entry {entry}, {left} cycles left ({ctx})");
+                assert_eq!(completed, Some(entry), "crash missed its window at {at}");
+                assert_eq!(verdicts, oracle_verdicts, "verdict divergence at {at}");
+                assert_eq!(state, oracle_state, "state divergence at {at}");
+            }
+        }
+    }
 }
