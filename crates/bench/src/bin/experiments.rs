@@ -10,12 +10,12 @@ use artemis_bench::{analyze, experiments};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: experiments [--json] [--emit] \
-         <fig12|fig13|fig14|fig15|fig16|table2|ablation|scaling|dispatch|delta|batch|cache|bytes|energy|opt|fleet|analyze|all>\n\
+         <fig12|fig13|fig14|fig15|fig16|table2|ablation|scaling|dispatch|batch|energy|opt|fleet|analyze|all>\n\
          Regenerates the evaluation figures/tables of the ARTEMIS paper.\n\
          analyze  lint shipped specs/examples with the static analyser\n\
          \x20        (exits non-zero on any error-severity finding)\n\
-         cache    shadow-cache FRAM-traffic comparison (cached vs uncached)\n\
-         bytes    per-event FRAM bytes across the layout/commit lattice\n\
+         dispatch per-event FRAM traffic: production vs reference engine\n\
+         batch    per-event FRAM traffic: group-commit batches vs per-event\n\
          energy   install-time energy feasibility verdicts vs measured\n\
          \x20        forward progress across a capacitor sweep\n\
          opt      bytecode optimizer sweep: executed instructions/event and\n\
@@ -38,8 +38,9 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--emit" => emit = true,
             "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "table2" | "ablation" | "scaling"
-            | "dispatch" | "delta" | "batch" | "cache" | "bytes" | "energy" | "opt" | "fleet"
-            | "analyze" | "all" => which = Some(arg),
+            | "dispatch" | "batch" | "energy" | "opt" | "fleet" | "analyze" | "all" => {
+                which = Some(arg)
+            }
             _ => return usage(),
         }
     }
@@ -63,10 +64,7 @@ fn main() -> ExitCode {
         "ablation" => vec![experiments::ablation_deployment()],
         "scaling" => vec![experiments::scaling()],
         "dispatch" => vec![experiments::dispatch()],
-        "delta" => vec![experiments::delta()],
         "batch" => vec![experiments::batch()],
-        "cache" => vec![experiments::cache()],
-        "bytes" => vec![experiments::bytes()],
         "energy" => vec![experiments::energy()],
         "opt" => vec![experiments::opt()],
         "fleet" => vec![experiments::fleet()],

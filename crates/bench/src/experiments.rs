@@ -588,20 +588,18 @@ pub fn ablation_scalability() -> Report {
 /// every machine's persistent step counter.
 pub fn scaling() -> Report {
     use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{ExecMode, MonitorEngine, RoutingMode};
+    use artemis_monitor::MonitorEngine;
     use intermittent_sim::DeviceBuilder;
 
     const EVENTS: u64 = 200;
 
     let mut r = Report::new(
         "scaling",
-        "per-event monitor cost vs installed properties (1 matching): routed vs full scan",
+        "per-event monitor cost vs installed properties (1 matching): routed production engine",
         &[
             "properties",
             "routed time/event (us)",
             "routed energy/event (nJ)",
-            "full-scan time/event (us)",
-            "full-scan energy/event (nJ)",
         ],
     );
 
@@ -609,7 +607,6 @@ pub fn scaling() -> Report {
     // routing keeps serving it (the bitmap grows a bit per machine).
     const SIZES: [usize; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
     let mut routed_costs = Vec::new();
-    let mut scanned_costs = Vec::new();
     for n_props in SIZES {
         // n tasks, each with a maxTries property; events target task 0,
         // so the other n-1 properties are never interested.
@@ -624,47 +621,32 @@ pub fn scaling() -> Report {
             .map(|i| format!("t{i} {{ maxTries: 1000 onFail: skipPath; }}\n"))
             .collect();
 
-        let mut row = vec![n_props.to_string()];
-        for routing in [RoutingMode::Routed, RoutingMode::FullScan] {
-            let suite = artemis_ir::compile(&spec, &app).expect("spec");
-            let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-            let engine = MonitorEngine::install_with_routing(
-                &mut dev,
-                suite,
-                &app,
-                ExecMode::Compiled,
-                routing,
-            )
-            .expect("installs");
-            engine.reset_monitor(&mut dev).expect("reset");
+        let suite = artemis_ir::compile(&spec, &app).expect("spec");
+        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).expect("installs");
+        engine.reset_monitor(&mut dev).expect("reset");
 
-            let before_t = dev.stats().time(CostCategory::Monitor);
-            let before_e = dev.stats().energy(CostCategory::Monitor);
-            for seq in 1..=EVENTS {
-                let ev = MonitorEvent::start(tasks[0], artemis_core::SimInstant::from_micros(seq));
-                engine.call_monitor(&mut dev, seq, &ev).expect("event");
-            }
-            let dt = dev.stats().time(CostCategory::Monitor) - before_t;
-            let de = dev.stats().energy(CostCategory::Monitor) - before_e;
-            let nj = de.as_joules_f64() * 1e9 / EVENTS as f64;
-            match routing {
-                RoutingMode::Routed => routed_costs.push(nj),
-                RoutingMode::FullScan => scanned_costs.push(nj),
-            }
-            row.push(format!("{:.1}", dt.as_secs_f64() * 1e6 / EVENTS as f64));
-            row.push(format!("{nj:.1}"));
+        let before_t = dev.stats().time(CostCategory::Monitor);
+        let before_e = dev.stats().energy(CostCategory::Monitor);
+        for seq in 1..=EVENTS {
+            let ev = MonitorEvent::start(tasks[0], artemis_core::SimInstant::from_micros(seq));
+            engine.call_monitor(&mut dev, seq, &ev).expect("event");
         }
-        r.row(row);
+        let dt = dev.stats().time(CostCategory::Monitor) - before_t;
+        let de = dev.stats().energy(CostCategory::Monitor) - before_e;
+        let nj = de.as_joules_f64() * 1e9 / EVENTS as f64;
+        routed_costs.push(nj);
+        r.row(vec![
+            n_props.to_string(),
+            format!("{:.1}", dt.as_secs_f64() * 1e6 / EVENTS as f64),
+            format!("{nj:.1}"),
+        ]);
     }
     let last = routed_costs.len() - 1;
     let largest = SIZES[last];
     r.note(format!(
         "routed {largest}-prop / 1-prop energy ratio: {:.2}x (acceptance target: <= 2x)",
         routed_costs[last] / routed_costs[0]
-    ));
-    r.note(format!(
-        "full-scan {largest}-prop / 1-prop energy ratio: {:.2}x (the O(installed) baseline)",
-        scanned_costs[last] / scanned_costs[0]
     ));
     r
 }
@@ -813,188 +795,14 @@ pub(crate) fn guarded_sparse_suite() -> (
     (suite, app, t0)
 }
 
-/// **Delta benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of the three commit strategies: sparse delta records (load
-/// the readable slots, journal only the written ones), whole-block
-/// commits, and the interpreter's per-cell layout. Three workloads:
-/// the sparse-handler dispatch suite (one of twelve variables written
-/// — the case delta commits exist for), the dense dispatch suite
-/// (every variable written — every machine auto-degrades to
-/// whole-block), and the 32-property scaling suite (single-variable
-/// blocks — auto-degrade keeps parity with whole-block commits).
-pub fn delta() -> Report {
-    use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{DeltaMode, ExecMode, InstallOptions, MonitorEngine};
-    use intermittent_sim::DeviceBuilder;
-
-    const EVENTS: u64 = 200;
-
-    struct Sample {
-        reads: u64,
-        writes: u64,
-        read_bytes: u64,
-        write_bytes: u64,
-        time: SimDuration,
-    }
-    impl Sample {
-        fn ops_per_event(&self) -> f64 {
-            (self.reads + self.writes) as f64 / EVENTS as f64
-        }
-    }
-
-    let run = |suite: &artemis_ir::fsm::MonitorSuite,
-               app: &artemis_core::app::AppGraph,
-               t0: artemis_core::app::TaskId,
-               opts: InstallOptions|
-     -> Sample {
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let engine =
-            MonitorEngine::install_with(&mut dev, suite.clone(), app, opts).expect("installs");
-        engine.reset_monitor(&mut dev).expect("reset");
-        let reads0 = dev.fram().read_ops();
-        let writes0 = dev.fram().write_ops();
-        let rbytes0 = dev.fram().read_bytes();
-        let wbytes0 = dev.fram().write_bytes();
-        let time0 = dev.stats().time(CostCategory::Monitor);
-        for seq in 1..=EVENTS {
-            let ev = MonitorEvent::start(t0, artemis_core::SimInstant::from_micros(seq));
-            engine.call_monitor(&mut dev, seq, &ev).expect("event");
-        }
-        Sample {
-            reads: dev.fram().read_ops() - reads0,
-            writes: dev.fram().write_ops() - writes0,
-            read_bytes: dev.fram().read_bytes() - rbytes0,
-            write_bytes: dev.fram().write_bytes() - wbytes0,
-            time: dev.stats().time(CostCategory::Monitor) - time0,
-        }
-    };
-
-    // The shadow cache is pinned off: this table is the uncached
-    // baseline the `cache` benchmark reports its read elimination
-    // against.
-    let uncached = InstallOptions {
-        cache: artemis_monitor::CacheMode::Disabled,
-        ..InstallOptions::default()
-    };
-    let interpreter = InstallOptions {
-        mode: ExecMode::Interpreter,
-        ..uncached
-    };
-    let whole_block = InstallOptions {
-        delta: DeltaMode::Disabled,
-        ..uncached
-    };
-    let delta_on = uncached;
-
-    let mut r = Report::new(
-        "delta",
-        "per-event FRAM ops: sparse delta vs whole-block vs interpreter",
-        &[
-            "workload",
-            "mode",
-            "FRAM reads",
-            "FRAM writes",
-            "reads/event",
-            "ops/event",
-            "time/event (us)",
-            "read B/event",
-            "write B/event",
-        ],
-    );
-
-    // The 32-property scaling workload: events target task 0, one
-    // matching single-variable property among 32 installed.
-    let scaling_suite = || {
-        let mut b = artemis_core::app::AppGraphBuilder::new();
-        let mut tasks = Vec::new();
-        for i in 0..32 {
-            tasks.push(b.task(&format!("t{i}")));
-        }
-        b.path(&tasks);
-        let app = b.build().expect("graph");
-        let spec: String = (0..32)
-            .map(|i| format!("t{i} {{ maxTries: 1000 onFail: skipPath; }}\n"))
-            .collect();
-        let suite = artemis_ir::compile(&spec, &app).expect("spec");
-        let t0 = tasks[0];
-        (suite, app, t0)
-    };
-
-    let mut dispatch_samples = Vec::new();
-    for (workload, (suite, app, t0), modes) in [
-        (
-            "dispatch",
-            sparse_dispatch_suite(),
-            &[
-                ("interpreter", interpreter),
-                ("whole-block", whole_block),
-                ("delta", delta_on),
-            ][..],
-        ),
-        (
-            "dispatch-dense",
-            dispatch_suite(),
-            &[("whole-block", whole_block), ("delta", delta_on)][..],
-        ),
-        (
-            "scaling-32",
-            scaling_suite(),
-            &[("whole-block", whole_block), ("delta", delta_on)][..],
-        ),
-    ] {
-        for (name, opts) in modes {
-            let s = run(&suite, &app, t0, *opts);
-            if workload == "dispatch" {
-                dispatch_samples.push(s.ops_per_event());
-            }
-            r.row(vec![
-                workload.to_string(),
-                name.to_string(),
-                s.reads.to_string(),
-                s.writes.to_string(),
-                format!("{:.1}", s.reads as f64 / EVENTS as f64),
-                format!("{:.1}", s.ops_per_event()),
-                format!("{:.2}", s.time.as_secs_f64() * 1e6 / EVENTS as f64),
-                format!("{:.1}", s.read_bytes as f64 / EVENTS as f64),
-                format!("{:.1}", s.write_bytes as f64 / EVENTS as f64),
-            ]);
-        }
-    }
-
-    r.note(format!(
-        "dispatch delta vs whole-block FRAM op reduction: {:.2}x \
-         (acceptance target: >= 2x vs the whole-block baseline)",
-        dispatch_samples[1] / dispatch_samples[2]
-    ));
-    // Surface the compile-time per-key degrade decision for each
-    // dispatch-shaped workload (the scaling suite's blocks are
-    // single-variable, so they always degrade).
-    for (workload, (suite, app, _)) in [
-        ("dispatch", sparse_dispatch_suite()),
-        ("dispatch-dense", dispatch_suite()),
-    ] {
-        let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds.worst_event().expect("has event keys");
-        r.note(format!(
-            "{workload} access sets: {} sparse-delta machine(s), {} degraded to whole-block",
-            key.delta_machines, key.degraded_machines
-        ));
-    }
-    r.note(format!(
-        "{DISPATCH_MACHINES} machines x {DISPATCH_VARS} vars; dispatch writes 1 slot/event, \
-         dispatch-dense writes all {DISPATCH_VARS} (>= 3/4 of the block, so commits degrade)"
-    ));
-    r
-}
-
 /// **Batch benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of group-commit batch delivery versus the per-event sparse
-/// delta path on the sparse-handler dispatch suite. One sparse
-/// transaction arms the whole batch, each machine steps every event in
-/// volatile scratch and commits its coalesced net effect once, so the
-/// arming and per-machine commit overheads amortise across the batch:
-/// larger batches spend fewer FRAM ops per event.
+/// traffic of the production engine on the sparse-handler dispatch
+/// suite, delivered event by event and in group-commit batches. One
+/// sparse transaction arms the whole batch, each machine steps every
+/// event in volatile scratch and commits its coalesced net effect once,
+/// so the arming and per-machine commit overheads amortise across the
+/// batch: larger batches spend fewer FRAM ops per event. The shadow
+/// cache keeps every steady-state delivery write-only.
 pub fn batch() -> Report {
     use artemis_core::event::MonitorEvent;
     use artemis_monitor::{BatchMode, InstallOptions, MonitorEngine};
@@ -1020,17 +828,13 @@ pub fn batch() -> Report {
     let (suite, app, t0) = sparse_dispatch_suite();
 
     // Feed the same 200-event stream either through the per-event
-    // entry point (batch capacity 0 = the PR-4 delta baseline) or
-    // through `deliver_batch` in full chunks of `b`.
+    // entry point or through `deliver_batch` in full chunks of `b`.
     let run = |batch: Option<usize>| -> Sample {
-        // Cache pinned off: this table is the uncached baseline the
-        // `cache` benchmark compares against.
         let opts = InstallOptions {
             batch: match batch {
                 Some(b) => BatchMode::Enabled { max_events: b },
                 None => BatchMode::Disabled,
             },
-            cache: artemis_monitor::CacheMode::Disabled,
             ..InstallOptions::default()
         };
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
@@ -1072,7 +876,7 @@ pub fn batch() -> Report {
 
     let mut r = Report::new(
         "batch",
-        "per-event FRAM ops: group-commit batches vs per-event delta",
+        "per-event FRAM ops: group-commit batches vs per-event delivery",
         &[
             "mode",
             "FRAM reads",
@@ -1099,7 +903,7 @@ pub fn batch() -> Report {
     };
 
     let baseline = run(None);
-    emit("per-event delta".to_string(), &baseline);
+    emit("per-event".to_string(), &baseline);
     let mut samples = Vec::new();
     for b in SIZES {
         let s = run(Some(b));
@@ -1116,25 +920,44 @@ pub fn batch() -> Report {
             .ops_per_event()
     };
     r.note(format!(
-        "batch-4 vs per-event delta FRAM op reduction: {:.2}x \
+        "batch-4 vs per-event FRAM op reduction: {:.2}x \
          (acceptance target: >= 1.5x on the sparse dispatch workload)",
         baseline.ops_per_event() / at(4)
     ));
     r.note(format!(
-        "batch-1 vs per-event delta: {:.1} vs {:.1} ops/event \
+        "batch-1 vs per-event: {:.1} vs {:.1} ops/event \
          (acceptance target: within noise — batching must not tax unbatched traffic)",
         at(1),
         baseline.ops_per_event()
     ));
+    r.note(format!(
+        "steady-state FRAM reads/event: {:.1} per-event, {:.1} batch-8 (acceptance \
+         target: = 0 — the shadow cache makes delivery write-only)",
+        baseline.reads as f64 / EVENTS as f64,
+        samples
+            .iter()
+            .find(|(b, _)| *b == 8)
+            .map_or(0.0, |(_, s)| s.reads as f64 / EVENTS as f64)
+    ));
 
     let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
+    let key = artemis_ir::suite_bounds(&compiled);
+    let key = key.worst_event().expect("has event keys");
+    r.note(format!(
+        "per-event static bound: {} warm ops/event (measured {:.1}; dirty-diff commits \
+         undercut the slot-granular model), cold-miss refill after a reboot <= {} extra \
+         reads (flag + seq + one block fill per armed machine)",
+        key.cached_ops(),
+        baseline.ops_per_event(),
+        key.cold_extra_reads
+    ));
     for (b, s) in &samples {
         let bound = artemis_ir::batch_bounds(&compiled, *b);
-        debug_assert!(bound.ops_per_event_ceil() as f64 >= s.ops_per_event());
+        debug_assert!(bound.cached_ops_per_event_ceil() as f64 >= s.ops_per_event());
         r.note(format!(
-            "batch-{b} static bound: {} ops/event ceiling, {} B worst commit \
+            "batch-{b} static bound: {} warm ops/event ceiling, {} B worst commit \
              (measured {:.1} ops/event stays under it)",
-            bound.ops_per_event_ceil(),
+            bound.cached_ops_per_event_ceil(),
             bound.worst_commit_bytes,
             s.ops_per_event()
         ));
@@ -1143,14 +966,15 @@ pub fn batch() -> Report {
 }
 
 /// **Dispatch benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of the two execution modes on a monitor-heavy workload:
-/// every event drives every variable of every machine, the worst case
-/// for the interpreter's one-cell-per-variable layout. The compiled
-/// mode loads each machine as one block and commits it as one journal
-/// entry, so its op count is flat in the variable count.
+/// traffic of the two engines on a monitor-heavy workload: every event
+/// drives every variable of every machine, the worst case for the
+/// reference engine's one-cell-per-variable layout. The production
+/// engine loads each machine as one block (from its shadow cache when
+/// warm) and commits it as one journal entry, so its op count is flat
+/// in the variable count.
 pub fn dispatch() -> Report {
     use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{CacheMode, ExecMode, InstallOptions, MonitorEngine};
+    use artemis_monitor::{InstallOptions, MonitorEngine};
     use intermittent_sim::DeviceBuilder;
 
     const EVENTS: u64 = 200;
@@ -1159,7 +983,7 @@ pub fn dispatch() -> Report {
 
     let mut r = Report::new(
         "dispatch",
-        "per-event FRAM ops: compiled bytecode vs interpreter",
+        "per-event FRAM ops: production engine vs reference engine",
         &[
             "mode",
             "events",
@@ -1173,17 +997,11 @@ pub fn dispatch() -> Report {
         ],
     );
     let mut ops_per_event = Vec::new();
-    for (name, mode) in [
-        ("interpreter", ExecMode::Interpreter),
-        ("compiled", ExecMode::Compiled),
+    for (name, opts) in [
+        ("reference", InstallOptions::reference()),
+        ("production", InstallOptions::default()),
     ] {
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        // Cache pinned off: this table is the uncached baseline.
-        let opts = InstallOptions {
-            mode,
-            cache: CacheMode::Disabled,
-            ..InstallOptions::default()
-        };
         let engine =
             MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).expect("installs");
         engine.reset_monitor(&mut dev).expect("reset");
@@ -1230,226 +1048,10 @@ pub fn dispatch() -> Report {
         .worst_event()
         .expect("the stress suite has at least one event key");
     r.note(format!(
-        "static per-event bound (analysis::bounds, worst key): {} FRAM ops \
-         >= measured compiled {:.1}",
-        key.ops(),
-        ops_per_event[1]
-    ));
-    r
-}
-
-/// **Cache benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic with and without the volatile shadow cache, on the
-/// sparse-handler dispatch workload (the PR-4 "71 ops/event" and PR-5
-/// "9 ops/event at batch-8" baselines). With the cache enabled the
-/// engine steps from RAM and FRAM sees only the crash-atomic sparse
-/// commits: steady-state delivery is write-only, so the whole read
-/// column of the uncached rows disappears.
-pub fn cache() -> Report {
-    use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{
-        BatchMode, CacheMode, CacheStats, DiffMode, InstallOptions, MonitorEngine,
-    };
-    use intermittent_sim::DeviceBuilder;
-
-    const EVENTS: u64 = 200;
-
-    struct Sample {
-        reads: u64,
-        writes: u64,
-        read_bytes: u64,
-        write_bytes: u64,
-        stats: CacheStats,
-        time: SimDuration,
-    }
-    impl Sample {
-        fn reads_per_event(&self) -> f64 {
-            self.reads as f64 / EVENTS as f64
-        }
-        fn ops_per_event(&self) -> f64 {
-            (self.reads + self.writes) as f64 / EVENTS as f64
-        }
-    }
-
-    let (suite, app, t0) = sparse_dispatch_suite();
-
-    let run = |cache: CacheMode, batch: Option<usize>, diff: DiffMode| -> Sample {
-        let opts = InstallOptions {
-            cache,
-            diff,
-            batch: match batch {
-                Some(b) => BatchMode::Enabled { max_events: b },
-                None => BatchMode::Disabled,
-            },
-            ..InstallOptions::default()
-        };
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let engine =
-            MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).expect("installs");
-        engine.reset_monitor(&mut dev).expect("reset");
-        let reads0 = dev.fram().read_ops();
-        let writes0 = dev.fram().write_ops();
-        let rbytes0 = dev.fram().read_bytes();
-        let wbytes0 = dev.fram().write_bytes();
-        let time0 = dev.stats().time(CostCategory::Monitor);
-        let event = |seq: u64| MonitorEvent::start(t0, artemis_core::SimInstant::from_micros(seq));
-        match batch {
-            None => {
-                for seq in 1..=EVENTS {
-                    engine
-                        .call_monitor(&mut dev, seq, &event(seq))
-                        .expect("event");
-                }
-            }
-            Some(b) => {
-                let mut seq = 1;
-                while seq <= EVENTS {
-                    let n = (b as u64).min(EVENTS - seq + 1);
-                    let chunk: Vec<MonitorEvent> = (0..n).map(|i| event(seq + i)).collect();
-                    engine.deliver_batch(&mut dev, seq, &chunk).expect("batch");
-                    seq += n;
-                }
-            }
-        }
-        Sample {
-            reads: dev.fram().read_ops() - reads0,
-            writes: dev.fram().write_ops() - writes0,
-            read_bytes: dev.fram().read_bytes() - rbytes0,
-            write_bytes: dev.fram().write_bytes() - wbytes0,
-            stats: engine.cache_stats(),
-            time: dev.stats().time(CostCategory::Monitor) - time0,
-        }
-    };
-
-    let mut r = Report::new(
-        "cache",
-        "per-event FRAM ops: volatile shadow cache vs uncached delivery",
-        &[
-            "mode",
-            "cache",
-            "FRAM reads",
-            "FRAM writes",
-            "reads/event",
-            "ops/event",
-            "hits",
-            "misses",
-            "invalidations",
-            "time/event (us)",
-            "read B/event",
-            "write B/event",
-        ],
-    );
-
-    let mut samples = Vec::new();
-    // The first four rows pin the slot-granular commit format
-    // (`DiffMode::Disabled`) so the cache-aware static bound stays
-    // exactly tight; the diff rows below show what the byte-granular
-    // dirty-diff path saves on top.
-    for (mode, batch) in [("per-event", None), ("batch-8", Some(8))] {
-        for cache in [CacheMode::Disabled, CacheMode::Enabled] {
-            let s = run(cache, batch, DiffMode::Disabled);
-            r.row(vec![
-                mode.to_string(),
-                format!("{cache:?}").to_lowercase(),
-                s.reads.to_string(),
-                s.writes.to_string(),
-                format!("{:.1}", s.reads_per_event()),
-                format!("{:.1}", s.ops_per_event()),
-                s.stats.hits.to_string(),
-                s.stats.misses.to_string(),
-                s.stats.invalidations.to_string(),
-                format!("{:.2}", s.time.as_secs_f64() * 1e6 / EVENTS as f64),
-                format!("{:.1}", s.read_bytes as f64 / EVENTS as f64),
-                format!("{:.1}", s.write_bytes as f64 / EVENTS as f64),
-            ]);
-            samples.push(((mode, cache == CacheMode::Enabled), s));
-        }
-    }
-
-    // Dirty-diff commits (the default): the warm shadow is the
-    // authoritative old image, so the sparse commit carries only the
-    // bytes that actually changed, merged into minimal runs.
-    let mut diff_samples = Vec::new();
-    for (mode, batch) in [("per-event", None), ("batch-8", Some(8))] {
-        let s = run(CacheMode::Enabled, batch, DiffMode::Auto);
-        r.row(vec![
-            mode.to_string(),
-            "enabled+diff".to_string(),
-            s.reads.to_string(),
-            s.writes.to_string(),
-            format!("{:.1}", s.reads_per_event()),
-            format!("{:.1}", s.ops_per_event()),
-            s.stats.hits.to_string(),
-            s.stats.misses.to_string(),
-            s.stats.invalidations.to_string(),
-            format!("{:.2}", s.time.as_secs_f64() * 1e6 / EVENTS as f64),
-            format!("{:.1}", s.read_bytes as f64 / EVENTS as f64),
-            format!("{:.1}", s.write_bytes as f64 / EVENTS as f64),
-        ]);
-        diff_samples.push((mode, s));
-    }
-
-    let at = |mode: &str, cached: bool| -> &Sample {
-        &samples
-            .iter()
-            .find(|((m, c), _)| *m == mode && *c == cached)
-            .expect("swept configuration")
-            .1
-    };
-    r.note(format!(
-        "steady-state FRAM reads/event with the cache enabled: {:.1} per-event, {:.1} \
-         batch-8 (acceptance target: = 0 — delivery is write-only)",
-        at("per-event", true).reads_per_event(),
-        at("batch-8", true).reads_per_event()
-    ));
-    r.note(format!(
-        "per-event (B=1): {:.1} -> {:.1} ops/event ({:.1} of the uncached total were \
-         reads; acceptance: strictly below the PR-4 baseline of 71)",
-        at("per-event", false).ops_per_event(),
-        at("per-event", true).ops_per_event(),
-        at("per-event", false).reads_per_event()
-    ));
-    r.note(format!(
-        "batch-8: {:.1} -> {:.1} ops/event (acceptance: strictly below the PR-5 \
-         baseline of 9)",
-        at("batch-8", false).ops_per_event(),
-        at("batch-8", true).ops_per_event()
-    ));
-    let diff_at = |mode: &str| -> &Sample {
-        &diff_samples
-            .iter()
-            .find(|(m, _)| *m == mode)
-            .expect("diff configuration")
-            .1
-    };
-    r.note(format!(
-        "dirty-diff commits (default DiffMode::Auto): {:.1} -> {:.1} ops/event \
-         per-event, {:.1} -> {:.1} batch-8 — adjacent changed runs merge, so the \
-         diff path never stages more sub-writes than slot-granular",
-        at("per-event", true).ops_per_event(),
-        diff_at("per-event").ops_per_event(),
-        at("batch-8", true).ops_per_event(),
-        diff_at("batch-8").ops_per_event()
-    ));
-
-    let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-    let bounds = artemis_ir::suite_bounds(&compiled);
-    let key = bounds.worst_event().expect("has event keys");
-    r.note(format!(
-        "static cache-aware per-event bound: {} warm ops (= write bound; measured \
-         {:.1}), cold-miss refill after a reboot <= {} extra reads (flag + seq + one \
-         block fill per armed machine)",
+        "static per-event bound (analysis::bounds, worst key): {} warm FRAM ops \
+         >= measured production {:.1}",
         key.cached_ops(),
-        at("per-event", true).ops_per_event(),
-        key.cold_extra_reads
-    ));
-    let b8 = artemis_ir::batch_bounds(&compiled, 8);
-    r.note(format!(
-        "batch-8 static bound: {} warm ops/event ceiling (measured {:.1}), cold-miss \
-         refill <= {} extra reads per reboot",
-        b8.cached_ops_per_event_ceil(),
-        at("batch-8", true).ops_per_event(),
-        b8.cold_extra_reads
+        ops_per_event[1]
     ));
     r
 }
@@ -1475,276 +1077,6 @@ pub fn cache() -> Report {
 ///   brown-out, the *replay* of that task is the priced attempt;
 /// - **Marginal** verdicts claim neither — that is what the margin is
 ///   for.
-///
-/// **Bytes benchmark (this PR's headline)** — per-event FRAM *bytes*
-/// across the commit-format lattice on the sparse dispatch workload
-/// (one counter of a twelve-variable block written per event). The
-/// sweep isolates the two byte levers this PR adds:
-///
-/// - **layout**: `tagged` stores every slot as a 9-byte tagged cell
-///   and the state as a u32; `packed` derives each slot's width from
-///   verifier-known value ranges and bit-packs the done flags.
-/// - **commit**: `slot` journals the state word plus every written
-///   slot; `diff` (warm cache only) diffs the new image against the
-///   shadow's authoritative old image and journals minimal
-///   `[addr][len][data]` runs.
-///
-/// The headline ratio compares the slot-granular tagged baseline (the
-/// pre-packing engine format, cache off — the differential oracle
-/// configuration) against the packed + diff warm path. Time and energy
-/// columns price the same runs through the device cost model (FRAM
-/// access = 25 µs + 1 µs/B; 5 nJ read / 7 nJ write base — see
-/// EXPERIMENTS.md "Cost model constants").
-pub fn bytes() -> Report {
-    use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{
-        BatchMode, CacheMode, DiffMode, InstallOptions, LayoutMode, MonitorEngine,
-    };
-    use intermittent_sim::DeviceBuilder;
-
-    const EVENTS: u64 = 200;
-
-    struct Sample {
-        reads: u64,
-        writes: u64,
-        read_bytes: u64,
-        write_bytes: u64,
-        time: SimDuration,
-        energy: intermittent_sim::Energy,
-    }
-    impl Sample {
-        fn bytes_per_event(&self) -> f64 {
-            (self.read_bytes + self.write_bytes) as f64 / EVENTS as f64
-        }
-    }
-
-    let (suite, app, t0) = sparse_dispatch_suite();
-
-    let run =
-        |layout: LayoutMode, cache: CacheMode, diff: DiffMode, batch: Option<usize>| -> Sample {
-            let opts = InstallOptions {
-                layout,
-                cache,
-                diff,
-                batch: match batch {
-                    Some(b) => BatchMode::Enabled { max_events: b },
-                    None => BatchMode::Disabled,
-                },
-                ..InstallOptions::default()
-            };
-            let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-            let engine =
-                MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).expect("installs");
-            engine.reset_monitor(&mut dev).expect("reset");
-            let reads0 = dev.fram().read_ops();
-            let writes0 = dev.fram().write_ops();
-            let rbytes0 = dev.fram().read_bytes();
-            let wbytes0 = dev.fram().write_bytes();
-            let time0 = dev.stats().time(CostCategory::Monitor);
-            let energy0 = dev.stats().energy(CostCategory::Monitor);
-            let event =
-                |seq: u64| MonitorEvent::start(t0, artemis_core::SimInstant::from_micros(seq));
-            match batch {
-                None => {
-                    for seq in 1..=EVENTS {
-                        engine
-                            .call_monitor(&mut dev, seq, &event(seq))
-                            .expect("event");
-                    }
-                }
-                Some(b) => {
-                    let mut seq = 1;
-                    while seq <= EVENTS {
-                        let n = (b as u64).min(EVENTS - seq + 1);
-                        let chunk: Vec<MonitorEvent> = (0..n).map(|i| event(seq + i)).collect();
-                        engine.deliver_batch(&mut dev, seq, &chunk).expect("batch");
-                        seq += n;
-                    }
-                }
-            }
-            Sample {
-                reads: dev.fram().read_ops() - reads0,
-                writes: dev.fram().write_ops() - writes0,
-                read_bytes: dev.fram().read_bytes() - rbytes0,
-                write_bytes: dev.fram().write_bytes() - wbytes0,
-                time: dev.stats().time(CostCategory::Monitor) - time0,
-                energy: dev.stats().energy(CostCategory::Monitor) - energy0,
-            }
-        };
-
-    let mut r = Report::new(
-        "bytes",
-        "per-event FRAM bytes: packed machine layout + dirty-diff commits",
-        &[
-            "layout",
-            "commit",
-            "cache",
-            "read B/event",
-            "write B/event",
-            "B/event",
-            "ops/event",
-            "time/event (us)",
-            "nJ/event",
-        ],
-    );
-
-    type BytesConfig = (
-        &'static str,
-        &'static str,
-        &'static str,
-        LayoutMode,
-        CacheMode,
-        DiffMode,
-        Option<usize>,
-    );
-    let configs: [BytesConfig; 7] = [
-        // The pre-packing engine format, cache off: the differential
-        // oracle and the headline baseline.
-        (
-            "tagged",
-            "slot",
-            "off",
-            LayoutMode::Tagged,
-            CacheMode::Disabled,
-            DiffMode::Disabled,
-            None,
-        ),
-        (
-            "tagged",
-            "slot",
-            "warm",
-            LayoutMode::Tagged,
-            CacheMode::Enabled,
-            DiffMode::Disabled,
-            None,
-        ),
-        (
-            "packed",
-            "slot",
-            "off",
-            LayoutMode::Packed,
-            CacheMode::Disabled,
-            DiffMode::Disabled,
-            None,
-        ),
-        (
-            "packed",
-            "slot",
-            "warm",
-            LayoutMode::Packed,
-            CacheMode::Enabled,
-            DiffMode::Disabled,
-            None,
-        ),
-        // The default engine configuration and headline row.
-        (
-            "packed",
-            "diff",
-            "warm",
-            LayoutMode::Packed,
-            CacheMode::Enabled,
-            DiffMode::Auto,
-            None,
-        ),
-        (
-            "packed",
-            "slot",
-            "warm batch-8",
-            LayoutMode::Packed,
-            CacheMode::Enabled,
-            DiffMode::Disabled,
-            Some(8),
-        ),
-        (
-            "packed",
-            "diff",
-            "warm batch-8",
-            LayoutMode::Packed,
-            CacheMode::Enabled,
-            DiffMode::Auto,
-            Some(8),
-        ),
-    ];
-
-    let mut samples = Vec::new();
-    for (layout, commit, cache, lm, cm, dm, batch) in configs {
-        let s = run(lm, cm, dm, batch);
-        r.row(vec![
-            layout.to_string(),
-            commit.to_string(),
-            cache.to_string(),
-            format!("{:.1}", s.read_bytes as f64 / EVENTS as f64),
-            format!("{:.1}", s.write_bytes as f64 / EVENTS as f64),
-            format!("{:.1}", s.bytes_per_event()),
-            format!("{:.1}", (s.reads + s.writes) as f64 / EVENTS as f64),
-            format!("{:.2}", s.time.as_secs_f64() * 1e6 / EVENTS as f64),
-            format!("{:.1}", s.energy.as_nano_joules() as f64 / EVENTS as f64),
-        ]);
-        samples.push(((layout, commit, cache), s));
-    }
-
-    let at = |layout: &str, commit: &str, cache: &str| -> &Sample {
-        &samples
-            .iter()
-            .find(|((l, c, k), _)| *l == layout && *c == commit && *k == cache)
-            .expect("swept configuration")
-            .1
-    };
-    let baseline = at("tagged", "slot", "off");
-    let headline = at("packed", "diff", "warm");
-    r.note(format!(
-        "packed + diff (warm) vs tagged slot-granular baseline: {:.1} -> {:.1} \
-         FRAM B/event = {:.2}x reduction (acceptance target: >= 1.5x)",
-        baseline.bytes_per_event(),
-        headline.bytes_per_event(),
-        baseline.bytes_per_event() / headline.bytes_per_event()
-    ));
-
-    // Pin the slot-granular rows against the layout-aware static byte
-    // bounds: exactly tight, per layout, in both cache modes.
-    let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-    for (layout, kind) in [
-        ("tagged", artemis_ir::LayoutKind::Tagged),
-        ("packed", artemis_ir::LayoutKind::Packed),
-    ] {
-        let bounds = artemis_ir::suite_bounds_for(&compiled, kind);
-        let key = bounds.worst_event().expect("has event keys");
-        let cold = at(layout, "slot", "off");
-        let warm = at(layout, "slot", "warm");
-        r.note(format!(
-            "{layout} slot-granular static byte bound: {} read + {} write B/event \
-             (measured cold {:.1} + {:.1}, warm {:.1} + {:.1}; bound == measured on \
-             the cold row, warm deliveries are write-only)",
-            key.read_bytes,
-            key.write_bytes,
-            cold.read_bytes as f64 / EVENTS as f64,
-            cold.write_bytes as f64 / EVENTS as f64,
-            warm.read_bytes as f64 / EVENTS as f64,
-            warm.write_bytes as f64 / EVENTS as f64,
-        ));
-    }
-    r.note(
-        "cost model: FRAM access = 25 us + 1 us/B (5 nJ read / 7 nJ write base + \
-         0.7/1.0 nJ per byte), so the byte cut compounds into the time and energy \
-         columns; diff rows additionally drop whole sub-writes (merged runs skip \
-         the unchanged state word)"
-            .to_string(),
-    );
-    r.note(format!(
-        "{DISPATCH_MACHINES} machines x {DISPATCH_VARS} int vars, one counter \
-         incremented per event; packed narrows the unbounded counter to 8 B, the \
-         eleven untouched slots to 1 B each, the state word to 1 B and the done \
-         flags to one bitmap byte"
-    ));
-    r
-}
-
-/// The whole run can still complete with infeasible tasks aboard:
-/// `maxTries`/`skipPath` escalations route around them (Figure 13's
-/// non-termination shield), so the run-outcome column shows the
-/// runtime surviving exactly the tasks the analysis condemned. A
-/// budget below a single peripheral op (accel's 300 µJ sample) instead
-/// aborts with the simulator's `ImpossibleDemand` fault — also a DNF.
 pub fn energy() -> Report {
     use artemis_ir::analysis::Verdict;
 
@@ -2098,7 +1430,7 @@ pub(crate) struct OptMicro {
 pub(crate) fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
     use artemis_core::event::MonitorEvent;
     use artemis_core::EventKind;
-    use artemis_monitor::{CacheMode, InstallOptions, MonitorEngine};
+    use artemis_monitor::{InstallOptions, MonitorEngine};
     use intermittent_sim::DeviceBuilder;
 
     const EVENTS: u64 = 200;
@@ -2123,10 +1455,8 @@ pub(crate) fn opt_micro(level: artemis_ir::OptLevel) -> OptMicro {
         });
 
     let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    // Cache pinned off: like `dispatch`, this is the uncached baseline.
     let opts = InstallOptions {
         opt: level,
-        cache: CacheMode::Disabled,
         ..InstallOptions::default()
     };
     let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).expect("installs");
@@ -2264,10 +1594,7 @@ pub fn all() -> Vec<Report> {
         ablation_scalability(),
         scaling(),
         dispatch(),
-        delta(),
         batch(),
-        cache(),
-        bytes(),
         energy(),
         fleet_smoke(),
     ]
@@ -2440,11 +1767,9 @@ mod tests {
     fn scaling_routed_cost_stays_flat() {
         let r = scaling();
         let routed = |i: usize| -> f64 { r.rows[i][2].parse().unwrap() };
-        let scanned = |i: usize| -> f64 { r.rows[i][4].parse().unwrap() };
         let last = r.rows.len() - 1;
         let largest = &r.rows[last][0];
         let routed_ratio = routed(last) / routed(0);
-        let scanned_ratio = scanned(last) / scanned(0);
         assert!(
             routed_ratio <= 2.0,
             "routed per-event cost must stay flat: 1 prop {} nJ, {largest} props {} nJ \
@@ -2452,66 +1777,33 @@ mod tests {
             routed(0),
             routed(last)
         );
-        assert!(
-            scanned_ratio > routed_ratio * 2.0,
-            "full scan must show the O(installed) growth routing removes \
-             (routed {routed_ratio:.2}x vs full-scan {scanned_ratio:.2}x)"
-        );
     }
 
     #[test]
     fn dispatch_compiled_cuts_fram_ops_3x() {
         let r = dispatch();
         let ops = |i: usize| -> f64 { r.rows[i][5].parse().unwrap() };
-        let (interp, compiled) = (ops(0), ops(1));
-        let ratio = interp / compiled;
+        let (reference, production) = (ops(0), ops(1));
+        let ratio = reference / production;
         assert!(
             ratio >= 3.0,
-            "compiled path must cut FRAM ops >= 3x: interpreter {interp} vs compiled {compiled} ({ratio:.2}x)"
+            "the production engine must cut FRAM ops >= 3x: reference {reference} vs \
+             production {production} ({ratio:.2}x)"
         );
     }
 
+    /// The production engine's sparse delta commits keep the sparse
+    /// dispatch workload at no more than half the 156 ops/event its
+    /// whole-block commits cost before delta commits existed.
     #[test]
     fn delta_cuts_dispatch_fram_ops_2x() {
-        let r = delta();
-        let ops = |workload: &str, mode: &str| -> f64 {
-            r.rows
-                .iter()
-                .find(|row| row[0] == workload && row[1] == mode)
-                .unwrap_or_else(|| panic!("missing row {workload}/{mode}"))[5]
-                .parse()
-                .unwrap()
-        };
-        let wb = ops("dispatch", "whole-block");
-        let dl = ops("dispatch", "delta");
+        let r = batch();
+        let per_event: f64 = r.rows[0][4].parse().unwrap();
+        assert_eq!(r.rows[0][0], "per-event");
         assert!(
-            dl * 2.0 <= wb,
-            "delta commits must cut dispatch FRAM ops >= 2x: \
-             whole-block {wb} vs delta {dl} ({:.2}x)",
-            wb / dl
-        );
-        // The pre-PR whole-block baseline was 156 ops/event; the 2x
-        // target is against that absolute figure too.
-        assert!(
-            dl <= 78.0,
-            "delta dispatch cost must be <= 78 ops/event (2x vs the 156 baseline), got {dl}"
-        );
-
-        // Dense handlers degrade to whole-block commits: the delta
-        // engine must never cost more than the whole-block engine.
-        let dense_wb = ops("dispatch-dense", "whole-block");
-        let dense_dl = ops("dispatch-dense", "delta");
-        assert!(
-            dense_dl <= dense_wb,
-            "degraded delta path must not regress the dense workload: \
-             whole-block {dense_wb} vs delta {dense_dl}"
-        );
-        let scaling_wb = ops("scaling-32", "whole-block");
-        let scaling_dl = ops("scaling-32", "delta");
-        assert!(
-            scaling_dl <= scaling_wb,
-            "auto-degrade must keep parity on single-variable blocks: \
-             whole-block {scaling_wb} vs delta {scaling_dl}"
+            per_event * 2.0 <= 156.0,
+            "delta commits must cut dispatch FRAM ops >= 2x vs the 156 ops/event \
+             whole-block figure, got {per_event}"
         );
     }
 
@@ -2526,11 +1818,11 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        let baseline = ops("per-event delta");
+        let baseline = ops("per-event");
         let b4 = ops("batch-4");
         assert!(
             b4 * 1.5 <= baseline,
-            "batch-4 must cut FRAM ops >= 1.5x vs per-event delta: \
+            "batch-4 must cut FRAM ops >= 1.5x vs per-event: \
              {baseline} vs {b4} ({:.2}x)",
             baseline / b4
         );
@@ -2539,174 +1831,77 @@ mod tests {
         let b1 = ops("batch-1");
         assert!(
             b1 <= baseline * 1.1,
-            "batch-1 must stay within noise of per-event delta: {baseline} vs {b1}"
+            "batch-1 must stay within noise of per-event: {baseline} vs {b1}"
         );
         // Larger batches amortise more.
         assert!(ops("batch-8") < b4, "batch-8 must beat batch-4");
         assert!(b4 < ops("batch-2"), "batch-4 must beat batch-2");
     }
 
-    /// The shadow cache's acceptance criteria: steady-state delivery
-    /// is write-only (reads/event = 0 in both cached rows), the cached
-    /// totals beat the PR-4 (71 ops/event at B=1) and PR-5 (9 at B=8)
-    /// uncached baselines strictly, and the cache-aware static bound
-    /// is exactly tight on the warm per-event path.
+    /// The shadow cache's acceptance criteria on the production
+    /// engine: steady-state delivery is write-only (reads/event = 0 per
+    /// event and at batch-8), the totals stay strictly below the
+    /// uncached 71 ops/event (B=1) and 9 ops/event (B=8) figures, and
+    /// the warm static bound dominates the measured cost.
     #[test]
     fn cache_eliminates_steady_state_reads() {
-        let r = cache();
-        let row = |mode: &str, cache: &str| -> &Vec<String> {
+        let r = batch();
+        let row = |mode: &str| -> &Vec<String> {
             r.rows
                 .iter()
-                .find(|row| row[0] == mode && row[1] == cache)
-                .unwrap_or_else(|| panic!("missing row {mode}/{cache}"))
+                .find(|row| row[0] == mode)
+                .unwrap_or_else(|| panic!("missing row {mode}"))
         };
-        let reads = |mode: &str, cache: &str| -> f64 { row(mode, cache)[4].parse().unwrap() };
-        let ops = |mode: &str, cache: &str| -> f64 { row(mode, cache)[5].parse().unwrap() };
+        let reads = |mode: &str| -> f64 { row(mode)[3].parse().unwrap() };
+        let ops = |mode: &str| -> f64 { row(mode)[4].parse().unwrap() };
 
         // Write-only steady state: not one FRAM read per event.
-        assert_eq!(reads("per-event", "enabled"), 0.0);
-        assert_eq!(reads("batch-8", "enabled"), 0.0);
+        assert_eq!(reads("per-event"), 0.0);
+        assert_eq!(reads("batch-8"), 0.0);
+        assert!(ops("per-event") < 71.0, "per-event: {}", ops("per-event"));
+        assert!(ops("batch-8") < 9.0, "batch-8: {}", ops("batch-8"));
 
-        // Strictly below both uncached baselines.
-        let (b1_off, b1_on) = (ops("per-event", "disabled"), ops("per-event", "enabled"));
-        let (b8_off, b8_on) = (ops("batch-8", "disabled"), ops("batch-8", "enabled"));
-        assert!(
-            b1_on < b1_off && b1_on < 71.0,
-            "cached B=1 must beat the 71 ops/event baseline: {b1_off} -> {b1_on}"
-        );
-        assert!(
-            b8_on < b8_off && b8_on < 9.0,
-            "cached B=8 must beat the 9 ops/event baseline: {b8_off} -> {b8_on}"
-        );
-
-        // The cache-aware static bound is exactly the warm cost.
         let (suite, app, _t0) = sparse_dispatch_suite();
         let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
-        assert_eq!(
-            key.cached_ops() as f64,
-            b1_on,
-            "warm bound must be exactly tight"
-        );
-        let b8_bound = artemis_ir::batch_bounds(&compiled, 8);
-        assert!(
-            b8_bound.cached_ops_per_event_ceil() as f64 >= b8_on,
-            "batch warm bound {} must dominate measured {b8_on}",
-            b8_bound.cached_ops_per_event_ceil()
-        );
-        // And a warm run never misses: every lookup is served from RAM.
-        let misses: u64 = row("per-event", "enabled")[7].parse().unwrap();
-        assert_eq!(misses, 0, "warm run must not take a single cold miss");
-
-        // The dirty-diff path can only shave ops off the slot-granular
-        // commit (run merging never adds sub-writes), and the
-        // slot-granular bound stays sound for it.
-        let b1_diff = ops("per-event", "enabled+diff");
-        let b8_diff = ops("batch-8", "enabled+diff");
-        assert!(
-            b1_diff <= b1_on,
-            "diff commits must not exceed slot-granular: {b1_on} -> {b1_diff}"
-        );
-        assert!(
-            b8_diff <= b8_on,
-            "batch diff commits must not exceed slot-granular: {b8_on} -> {b8_diff}"
-        );
-        assert!(
-            key.cached_ops() as f64 >= b1_diff,
-            "warm bound must dominate the diff path"
-        );
-        assert_eq!(reads("per-event", "enabled+diff"), 0.0);
-        assert_eq!(reads("batch-8", "enabled+diff"), 0.0);
+        assert_eq!(key.cached_reads, 0);
+        assert!(key.cached_ops() as f64 >= ops("per-event"));
+        let b8 = artemis_ir::batch_bounds(&compiled, 8);
+        assert!(b8.cached_ops_per_event_ceil() as f64 >= ops("batch-8"));
     }
 
-    /// The PR's acceptance criteria on the byte sweep: packed + diff
-    /// cuts FRAM bytes/event >= 1.5x against the slot-granular tagged
-    /// baseline, the layout-aware static byte bounds are exactly tight
-    /// on the slot-granular rows (cold reads+writes, warm writes), and
-    /// the diff rows only ever undercut their slot twins.
+    /// The packed layout + dirty-diff commits of the production engine
+    /// cut FRAM bytes/event >= 1.5x against the 858 B/event the tagged
+    /// slot-granular format cost on the sparse dispatch workload, warm
+    /// deliveries are read-free, and the static byte bounds dominate.
     #[test]
     fn bytes_packed_diff_meets_acceptance() {
-        const EVENTS: f64 = 200.0;
-        let r = bytes();
-        let row = |layout: &str, commit: &str, cache: &str| -> &Vec<String> {
+        let r = batch();
+        let col = |mode: &str, i: usize| -> f64 {
             r.rows
                 .iter()
-                .find(|row| row[0] == layout && row[1] == commit && row[2] == cache)
-                .unwrap_or_else(|| panic!("missing row {layout}/{commit}/{cache}"))
+                .find(|row| row[0] == mode)
+                .unwrap_or_else(|| panic!("missing row {mode}"))[i]
+                .parse()
+                .unwrap()
         };
-        let col = |layout: &str, commit: &str, cache: &str, i: usize| -> f64 {
-            row(layout, commit, cache)[i].parse().unwrap()
-        };
-        let total = |layout: &str, commit: &str, cache: &str| col(layout, commit, cache, 5);
-
-        // Headline: >= 1.5x FRAM bytes/event reduction, packed + diff
-        // warm vs the tagged slot-granular baseline.
-        let baseline = total("tagged", "slot", "off");
-        let headline = total("packed", "diff", "warm");
+        let (read_b, write_b) = (col("per-event", 6), col("per-event", 7));
+        assert_eq!(read_b, 0.0, "warm deliveries must be read-free");
         assert!(
-            headline * 1.5 <= baseline,
-            "packed+diff must cut FRAM bytes >= 1.5x: {baseline} -> {headline} \
-             ({:.2}x)",
-            baseline / headline
+            (read_b + write_b) * 1.5 <= 858.0,
+            "packed+diff must cut FRAM bytes >= 1.5x vs 858 B/event, got {}",
+            read_b + write_b
         );
 
-        // The static byte bound is exactly tight on both slot-granular
-        // layouts: cold rows measure bound reads + writes, warm rows
-        // are write-only at exactly the bound's write bytes.
         let (suite, app, _t0) = sparse_dispatch_suite();
         let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-        for (layout, kind) in [
-            ("tagged", artemis_ir::LayoutKind::Tagged),
-            ("packed", artemis_ir::LayoutKind::Packed),
-        ] {
-            let bounds = artemis_ir::suite_bounds_for(&compiled, kind);
-            let key = bounds.worst_event().expect("has event keys");
-            assert_eq!(
-                col(layout, "slot", "off", 3) * EVENTS,
-                (key.read_bytes * 200) as f64,
-                "{layout} cold read-byte bound must be exactly tight"
-            );
-            assert_eq!(
-                col(layout, "slot", "off", 4) * EVENTS,
-                (key.write_bytes * 200) as f64,
-                "{layout} cold write-byte bound must be exactly tight"
-            );
-            assert_eq!(
-                col(layout, "slot", "warm", 3),
-                0.0,
-                "{layout} warm deliveries must be read-free"
-            );
-            assert_eq!(
-                col(layout, "slot", "warm", 4) * EVENTS,
-                (key.write_bytes * 200) as f64,
-                "{layout} warm write-byte bound must be exactly tight"
-            );
-        }
-
-        // Packing alone shrinks every slot row; diffing shrinks further
-        // and stays under the slot-granular bound (run-merge never adds
-        // header bytes it does not save).
-        assert!(total("packed", "slot", "off") < total("tagged", "slot", "off"));
-        assert!(total("packed", "slot", "warm") < total("tagged", "slot", "warm"));
-        assert!(total("packed", "diff", "warm") < total("packed", "slot", "warm"));
-        assert!(total("packed", "diff", "warm batch-8") <= total("packed", "slot", "warm batch-8"));
-
-        // Time and energy track the byte mix through the cost model:
-        // every FRAM access pays 25 us + 1 us/B, so per-event time must
-        // dominate that floor on every row.
-        for r2 in &r.rows {
-            let ops: f64 = r2[6].parse().unwrap();
-            let bytes: f64 = r2[5].parse().unwrap();
-            let us: f64 = r2[7].parse().unwrap();
-            let nj: f64 = r2[8].parse().unwrap();
-            assert!(
-                us + 1e-6 >= 25.0 * ops + bytes,
-                "time/event {us} must cover the FRAM floor of {} ({r2:?})",
-                25.0 * ops + bytes
-            );
-            assert!(nj > 0.0);
-        }
+        let bounds = artemis_ir::suite_bounds(&compiled);
+        let key = bounds.worst_event().expect("has event keys");
+        assert_eq!(key.cached_read_bytes, 0);
+        assert!(key.write_bytes as f64 >= write_b);
+        let b8 = artemis_ir::batch_bounds(&compiled, 8);
+        assert!(b8.write_bytes as f64 / 8.0 >= col("batch-8", 7));
     }
 
     /// Same soundness direction as
@@ -2721,7 +1916,7 @@ mod tests {
         for row in r.rows.iter().filter(|row| row[0].starts_with("batch-")) {
             let b: usize = row[0]["batch-".len()..].parse().unwrap();
             let measured: f64 = row[4].parse().unwrap();
-            let bound = artemis_ir::batch_bounds(&compiled, b).ops_per_event_ceil();
+            let bound = artemis_ir::batch_bounds(&compiled, b).cached_ops_per_event_ceil();
             assert!(
                 bound as f64 >= measured,
                 "batch-{b}: static bound {bound} must dominate measured {measured} ops/event"
@@ -2729,10 +1924,10 @@ mod tests {
         }
     }
 
-    /// The static resource-bound pass must dominate what the engine
-    /// actually does on the dispatch workload — the soundness direction
-    /// of the bound (the monitor crate pins exact equality for this
-    /// shape; here it must at least never under-estimate).
+    /// The static resource-bound pass must dominate what the production
+    /// engine actually does on the dispatch workload — the soundness
+    /// direction of the bound (the monitor crate pins exact equality
+    /// for this shape; here it must at least never under-estimate).
     #[test]
     fn dispatch_static_bound_dominates_measured() {
         let r = dispatch();
@@ -2743,9 +1938,9 @@ mod tests {
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
         assert!(
-            key.ops() as f64 >= measured,
-            "static bound {} must dominate measured compiled ops/event {measured}",
-            key.ops()
+            key.cached_ops() as f64 >= measured,
+            "static bound {} must dominate measured production ops/event {measured}",
+            key.cached_ops()
         );
     }
 

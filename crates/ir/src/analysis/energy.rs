@@ -43,8 +43,12 @@
 //!   `Harvester::FixedDelay`): **Infeasible** is an error and the
 //!   install is rejected before any FRAM is allocated.
 //! - the **ceiling** over-approximates a worst-case attempt: declared
-//!   body cost + runtime allowance + the full *uncached* worst-case
-//!   event cost (which dominates both cache modes, warm or cold). If
+//!   body cost + runtime allowance + the worst-case cost of any event
+//!   delivery, warm or cold — the uncached read pattern with each
+//!   armed machine's cold whole-block refill and a torn record's
+//!   replay on top ([`event_energy`]), which dominates a steady-state delivery, the
+//!   first delivery after a reboot, and a delivery resumed through
+//!   `monitorFinalize`. If
 //!   the ceiling fits under the budget less the configured margin, the
 //!   task is **Feasible**. Between the two — the ceiling crosses the
 //!   margin threshold but the floor still fits — the verdict is
@@ -76,14 +80,17 @@ use crate::compile::CompiledSuite;
 /// over-approximation; the margin semantics absorb the slack.
 pub const RUNTIME_ATTEMPT_OVERHEAD: Energy = Energy::from_nano_joules(2_500);
 
-/// Energy of one worst-case uncached event delivery under `cost`.
-/// Write accesses are priced at the energy meter's billing granularity
-/// ([`EventCost::billed_writes`]), which the monitor crate pins
-/// against the simulator's measured draw.
+/// Energy of one worst-case event delivery under `cost`, warm or
+/// cold: the uncached read pattern plus a torn record's replay reads
+/// ([`EventCost::replay_reads`]), the uncached read bytes plus the cold
+/// refill's whole-block and replay bytes
+/// ([`EventCost::cold_extra_read_bytes`]), and the write and cycle
+/// bounds. Write accesses are priced at the energy meter's billing
+/// granularity ([`EventCost::billed_writes`]).
 pub fn event_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(
-        cost.reads,
-        cost.read_bytes,
+        cost.reads + cost.replay_reads,
+        cost.read_bytes + cost.cold_extra_read_bytes,
         cost.billed_writes,
         cost.write_bytes,
         cost.cycles,
@@ -91,9 +98,9 @@ pub fn event_energy(cost: &EventCost, model: &CostModel) -> Energy {
 }
 
 /// Energy of one worst-case event delivery with the volatile shadow
-/// cache warm (`CacheMode::Enabled`, steady state). Writes and cycles
-/// are identical to the uncached case; only cacheable input reads
-/// disappear.
+/// cache warm (steady state). Writes and cycles are identical to the
+/// cold case; only cacheable input reads disappear. The monitor crate
+/// pins it against the simulator's measured draw.
 pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(
         cost.cached_reads,
@@ -105,16 +112,17 @@ pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
 }
 
 /// Energy of the arming commit alone — the write-only monitor floor
-/// every delivered event pays in either cache mode.
+/// every delivered event pays, warm or cold.
 pub fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.arming_writes, cost.arming_write_bytes, 0)
 }
 
-/// Energy of one worst-case uncached full batch under `bounds`.
+/// Energy of one worst-case full batch under `bounds`, warm or cold
+/// (the uncached read pattern plus the cold refill and replay reads).
 pub fn batch_energy(bounds: &BatchBounds, model: &CostModel) -> Energy {
     model.traffic_energy(
-        bounds.reads,
-        bounds.read_bytes,
+        bounds.reads + bounds.replay_reads,
+        bounds.read_bytes + bounds.cold_extra_read_bytes,
         bounds.writes,
         bounds.write_bytes,
         bounds.cycles,
@@ -167,8 +175,8 @@ pub struct TaskFeasibility {
     /// cost + the two events' arming commits only.
     pub floor: Energy,
     /// Over-approximation of the worst-case attempt: declared body
-    /// cost + [`RUNTIME_ATTEMPT_OVERHEAD`] + full uncached
-    /// `StartTask` + `EndTask` worst cases.
+    /// cost + [`RUNTIME_ATTEMPT_OVERHEAD`] + the warm-or-cold
+    /// `StartTask` + `EndTask` worst cases ([`event_energy`]).
     pub ceiling: Energy,
     /// The verdict `floor`/`ceiling` imply under the profile's budget
     /// and margin.
@@ -380,46 +388,59 @@ mod tests {
         assert!(batch_energy_cached(&b4, &model) <= batch_energy(&b4, &model));
     }
 
-    /// The packed layout must strictly tighten every energy ceiling
-    /// the feasibility gate prices against the tagged baseline: fewer
-    /// journalled bytes per commit means a lower worst-case event cost
-    /// at the same op counts, and the task verdicts inherit the
-    /// tighter bound (the default [`suite_bounds`] is packed, so this
-    /// is the ceiling installs are actually gated on).
+    /// Packed slot widths flow into every energy ceiling the
+    /// feasibility gate prices: two suites whose machines run the same
+    /// bytecode but store a constant the layout packs into 1 byte
+    /// (`n := 5`) or 8 bytes (`n := 5000000000`) make identical FRAM
+    /// ops and cycles, so the narrow one's smaller journalled bytes
+    /// give strictly lower event ceilings on every key that arms it,
+    /// and lower task ceilings.
     #[test]
     fn packed_layout_tightens_the_ceilings() {
-        use crate::analysis::LayoutKind;
         let app = app_with_costs(10_000);
-        let cs = compiled(&app);
+        let suite_for = |value: i64| {
+            let ir = format!(
+                "machine m task a persistent {{ var n: int = 0; var p: int = 0; \
+                 var q: int = 0; var r: int = 0; var s: int = 0; state S initial; \
+                 on startTask(a) from S to S {{ n := {value}; }}; }}"
+            );
+            let suite = crate::parse::parse_suite(&ir).unwrap();
+            CompiledSuite::compile(&suite, &app).unwrap()
+        };
+        let (narrow, wide) = (suite_for(5), suite_for(5_000_000_000));
         let model = CostModel::msp430fr5994();
-        let packed = crate::analysis::suite_bounds_for(&cs, LayoutKind::Packed);
-        let tagged = crate::analysis::suite_bounds_for(&cs, LayoutKind::Tagged);
-        assert_eq!(packed.per_key.len(), tagged.per_key.len());
-        for (p, t) in packed.per_key.iter().zip(tagged.per_key.iter()) {
+        let bn = crate::analysis::suite_bounds(&narrow);
+        let bw = crate::analysis::suite_bounds(&wide);
+        assert_eq!(bn.per_key.len(), bw.per_key.len());
+        for (n, w) in bn.per_key.iter().zip(bw.per_key.iter()) {
+            assert_eq!((n.reads, n.writes, n.cycles), (w.reads, w.writes, w.cycles));
+            if n.machines == 0 {
+                continue;
+            }
             assert!(
-                event_energy(p, &model) < event_energy(t, &model),
-                "uncached ceiling must shrink: {p:?} vs {t:?}"
+                event_energy(n, &model) < event_energy(w, &model),
+                "ceiling must shrink: {n:?} vs {w:?}"
             );
             assert!(
-                event_energy_cached(p, &model) < event_energy_cached(t, &model),
-                "cached ceiling must shrink: {p:?} vs {t:?}"
+                event_energy_cached(n, &model) < event_energy_cached(w, &model),
+                "warm ceiling must shrink: {n:?} vs {w:?}"
             );
         }
-        // The install gate's per-task ceilings inherit the tightening,
-        // and the default bounds are the packed ones.
+        // The install gate's per-task ceilings inherit the tightening.
         let profile = EnergyProfile::with_budget(Energy::from_micro_joules(800));
-        let fp = task_feasibility(&cs, &packed, &app, &profile);
-        let ft = task_feasibility(&cs, &tagged, &app, &profile);
-        for (p, t) in fp.iter().zip(ft.iter()) {
-            assert!(
-                p.ceiling < t.ceiling,
-                "{}: {:?} vs {:?}",
-                p.name,
-                p.ceiling,
-                t.ceiling
-            );
+        let fn_ = task_feasibility(&narrow, &bn, &app, &profile);
+        let fw = task_feasibility(&wide, &bw, &app, &profile);
+        let (a_n, a_w) = (&fn_[0], &fw[0]);
+        assert_eq!(a_n.name, "a");
+        assert!(
+            a_n.ceiling < a_w.ceiling,
+            "{:?} vs {:?}",
+            a_n.ceiling,
+            a_w.ceiling
+        );
+        for (n, w) in fn_.iter().zip(fw.iter()) {
+            assert!(n.ceiling <= w.ceiling, "{}", n.name);
         }
-        assert_eq!(crate::analysis::suite_bounds(&cs).per_key, packed.per_key);
     }
 
     /// The bytecode optimizer must strictly tighten the energy

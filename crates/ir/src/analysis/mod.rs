@@ -42,10 +42,7 @@ pub mod energy;
 pub mod reachability;
 pub mod verifier;
 
-pub use bounds::{
-    batch_bounds, batch_bounds_for, check_bounds, suite_bounds, suite_bounds_for, BatchBounds,
-    EventCost, LayoutKind, SuiteBounds,
-};
+pub use bounds::{batch_bounds, check_bounds, suite_bounds, BatchBounds, EventCost, SuiteBounds};
 pub use conflicts::check_conflicts;
 pub use energy::{
     arming_energy, batch_energy, batch_energy_cached, body_energy, check_energy, event_energy,

@@ -1184,11 +1184,16 @@ pub struct RoutingIndex {
 }
 
 impl RoutingIndex {
-    pub(crate) fn build(machines: &[CompiledMachine], task_count: usize) -> Self {
+    /// Builds the index; machine indices are `u16`, so a suite of more
+    /// than `u16::MAX` machines is [`CompileIssue::TooLarge`].
+    pub(crate) fn build(
+        machines: &[CompiledMachine],
+        task_count: usize,
+    ) -> Result<Self, CompileIssue> {
         let mut interested = [vec![Vec::new(); task_count], vec![Vec::new(); task_count]];
         let mut wildcard = [Vec::new(), Vec::new()];
         for (mi, m) in machines.iter().enumerate() {
-            let mi = mi as u16;
+            let mi = u16::try_from(mi).map_err(|_| CompileIssue::TooLarge)?;
             for (k, kind) in [EventKind::StartTask, EventKind::EndTask]
                 .into_iter()
                 .enumerate()
@@ -1205,10 +1210,10 @@ impl RoutingIndex {
                 }
             }
         }
-        RoutingIndex {
+        Ok(RoutingIndex {
             interested,
             wildcard,
-        }
+        })
     }
 
     /// The machines interested in `(kind, task)`, in suite order. Task
@@ -1253,9 +1258,6 @@ impl CompiledSuite {
         app: &AppGraph,
         opt: crate::opt::OptLevel,
     ) -> Result<Self, CompileIssue> {
-        if suite.machines().len() > u16::MAX as usize {
-            return Err(CompileIssue::TooLarge);
-        }
         let machines = suite
             .machines()
             .iter()
@@ -1266,7 +1268,7 @@ impl CompiledSuite {
             .map(CompiledMachine::max_regs)
             .max()
             .unwrap_or(0);
-        let routing = RoutingIndex::build(&machines, app.task_count());
+        let routing = RoutingIndex::build(&machines, app.task_count())?;
         Ok(CompiledSuite {
             machines,
             task_names: app
@@ -1318,7 +1320,8 @@ impl CompiledSuite {
             .map(CompiledMachine::max_regs)
             .max()
             .unwrap_or(0);
-        self.routing = RoutingIndex::build(&self.machines, self.task_names.len());
+        self.routing = RoutingIndex::build(&self.machines, self.task_names.len())
+            .expect("replacing a machine keeps the suite's size");
     }
 
     /// Resolves a dense task id back to its source name ("" when out of

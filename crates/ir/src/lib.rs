@@ -44,10 +44,7 @@ pub mod validate;
 use artemis_core::app::AppGraph;
 use artemis_spec::SpecAst;
 
-pub use analysis::{
-    analyze_suite, batch_bounds, batch_bounds_for, suite_bounds, suite_bounds_for, BatchBounds,
-    LayoutKind, SuiteBounds,
-};
+pub use analysis::{analyze_suite, batch_bounds, suite_bounds, BatchBounds, SuiteBounds};
 pub use compile::{
     AccessSet, CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite, RawMachine, StepCost,
 };

@@ -27,63 +27,75 @@
 //! task-commit transaction so a power failure can never double-count a
 //! sample (cf. the paper's timestamp-consistency discussion, §4.1.3).
 //!
-//! # Execution modes
+//! # Two engines: production and reference
 //!
-//! By default the engine runs suites **compiled** to slot-indexed
-//! bytecode ([`artemis_ir::compile`]) with each machine's `(state,
-//! vars)` packed into one contiguous FRAM block: an event step loads
-//! the block with a single FRAM read and commits it with a single
-//! journal entry, so nonvolatile traffic is O(1) block ops instead of
-//! O(vars) cell ops. [`ExecMode::Interpreter`] keeps the original
-//! tree-walking path over per-variable cells as the executable
-//! reference semantics; the two are pinned together by differential
-//! tests.
+//! [`MonitorEngine`] installs as exactly one of two engines, chosen by
+//! [`InstallOptions`]:
+//!
+//! - the **production engine** ([`ExecMode::Compiled`] +
+//!   [`RoutingMode::Routed`], the default) runs suites compiled to
+//!   slot-indexed bytecode ([`artemis_ir::compile`]) with each
+//!   machine's `(state, vars)` in one contiguous FRAM block, laid out
+//!   by the verifier-derived packed [`MachineLayout`]. It is the only
+//!   delivery path deployments use, and it is the closest analogue of
+//!   the paper's generated C monitors;
+//! - the **reference engine** ([`ExecMode::Interpreter`] +
+//!   [`RoutingMode::FullScan`]) keeps the tree-walking interpreter over
+//!   one FRAM cell per variable, stepping every installed machine
+//!   through a persistent [`Routine`]. It is the executable semantics
+//!   the production engine is checked against: differential tests pin
+//!   the two to identical verdicts and FRAM-visible machine state for
+//!   any spec, event stream and power-failure schedule — the
+//!   "intermittent run ≡ continuous run" criterion of Surbatovich et
+//!   al.
+//!
+//! Any other combination — and group-commit batching on the reference
+//! engine — is rejected with [`InstallError::UnsupportedEngine`] before
+//! any FRAM is allocated.
 //!
 //! # Event routing
 //!
 //! Triggers are static, so at install time the compiler emits a global
 //! [`RoutingIndex`](artemis_ir::compile::RoutingIndex): for every
 //! `(event kind, task id)` key, the exact machines with a transition
-//! that can match. Under the default [`RoutingMode::Routed`], arming an
-//! event commits that key's **interested worklist** plus a cleared
-//! completion bitmap in the same journal transaction as the event and
-//! sequence number; only worklisted machines are stepped, the event
-//! cell is decoded once per event instead of once per machine, and
-//! dismissed machines are never read, stepped, or counter-written. A
-//! reboot resumes exactly the armed set (the worklist is part of the
-//! arming commit), and a redelivered sequence number only finishes
-//! pending bitmap entries.
+//! that can match. Arming an event commits that key's **interested
+//! worklist** plus a cleared completion bitmap in the same journal
+//! transaction as the event and sequence number; only worklisted
+//! machines are stepped, the event cell is decoded once per event
+//! instead of once per machine, and dismissed machines are never read,
+//! stepped, or counter-written. A reboot resumes exactly the armed set
+//! (the worklist is part of the arming commit), and a redelivered
+//! sequence number only finishes pending bitmap entries.
 //!
 //! Worklist entries complete strictly in order — entry `j` steps only
 //! once entry `j − 1`'s bit is durable — so the set bits always form a
 //! prefix. The engine therefore tracks the *count* of completed entries
 //! and the bitmap is just that prefix's FRAM image, one bit per
-//! installed machine (`ceil(n / 8)` bytes packed, whole `u64` words
-//! tagged). Routing has no 64-machine limit: every suite the `u16`
-//! worklist encoding can hold ([`MAX_ROUTED_MACHINES`]) routes.
-//! [`RoutingMode::FullScan`] keeps the previous O(installed machines)
-//! step loop as the reference dispatch semantics — an oracle, never a
-//! fallback; differential proptests pin the two paths to identical
-//! verdicts and FRAM-visible state, including under random
-//! power-failure schedules.
+//! installed machine (`ceil(n / 8)` bytes). Every suite the 16-bit
+//! machine index can address ([`MAX_ROUTED_MACHINES`]) routes; the
+//! reference engine's full scan is an oracle, never a fallback.
 //!
 //! # Sparse delta commits
 //!
 //! The compiler derives a static [`AccessSet`](artemis_ir::AccessSet)
 //! per `(event kind, task)` key: every variable slot the routed
-//! transitions' guards and bodies can read or write. On the default
-//! routed compiled path the engine exploits it twice per step: the
-//! machine block is loaded only up to the covering slot span, and the
-//! commit is a **sparse delta record**
+//! transitions' guards and bodies can read or write. The engine
+//! exploits it twice per step: the machine block is loaded only up to
+//! the covering slot span, and the commit is a **sparse delta record**
 //! ([`SparseTx`](intermittent_sim::journal::SparseTx)) carrying just
-//! the state word, the write-set slots, and the completion bit — one
-//! staged FRAM write plus the scattered applies, instead of an
-//! entry-list commit of the whole block image. Event arming uses the
-//! same record format. Keys whose access set covers ≥ ¾ of the block
-//! auto-degrade to whole-block commits at compile time (the sparse
-//! headers would outweigh the savings); [`DeltaMode::Disabled`] pins
-//! the legacy whole-block behaviour for benchmarking and differential
-//! tests.
+//! the changed bytes and the completion bit — one staged FRAM write
+//! plus the scattered applies, instead of an entry-list commit of the
+//! whole block image. Event arming uses the same record format. Keys
+//! whose access set covers ≥ ¾ of the block degrade to whole-block
+//! entry-list commits at compile time (the sparse headers would
+//! outweigh the savings).
+//!
+//! Sparse commits are **dirty diffs**: the new image is diffed against
+//! the shadow cache's authoritative old image and journalled as
+//! minimal `[addr][len][data]` runs, adjacent runs merged when the gap
+//! is within the sub-write header. A diff record never exceeds the
+//! slot-granular record (state word + every write-set slot) that the
+//! static bounds price.
 //!
 //! # Batch delivery (group commit)
 //!
@@ -111,23 +123,18 @@
 //! event-at-a-time execution that crashed between machines.
 //! Redelivering a committed batch (same first sequence number) returns
 //! the recorded verdicts without re-stepping. Differential proptests
-//! pin batched ≡ event-at-a-time ≡ interpreter on verdicts and FRAM
-//! state, including reboots injected inside the batch window.
+//! pin batched ≡ event-at-a-time ≡ the reference engine on verdicts and
+//! FRAM state, including reboots injected inside the batch window.
 //!
 //! # Volatile shadow cache (write-only steady state)
 //!
-//! Delta and batch commits made event delivery cheap on the *write*
-//! side, but every delivery still re-read its inputs from FRAM: the
-//! recovery flag, the sequence number, the armed worklist, the event,
-//! and each armed machine's block or slot span. Under
-//! [`CacheMode::Enabled`] (the default on the routed compiled path) the
-//! engine keeps a volatile **shadow** of every FRAM location the hot
-//! path reads: after any load or commit the decoded machine images,
-//! the done bitmap, the worklists, and the verdict log stay
-//! authoritative in RAM, so a steady-state delivery performs **zero**
-//! FRAM reads — nonvolatile memory is touched only by the existing
-//! crash-atomic commits (which are unchanged, byte for byte: the cache
-//! is strictly write-through and never defers or reorders a write).
+//! The production engine keeps a volatile **shadow** of every FRAM
+//! location the hot path reads: after any load or commit the decoded
+//! machine images, the done bitmap, the worklists, and the verdict log
+//! stay authoritative in RAM, so a steady-state delivery performs
+//! **zero** FRAM reads — nonvolatile memory is touched only by the
+//! crash-atomic commits (the cache is strictly write-through and never
+//! defers or reorders a write).
 //!
 //! Coherence contract: the cache records the [`Sram`] reboot epoch it
 //! was filled under; every entry point re-syncs against
@@ -137,13 +144,11 @@
 //! *after* `dev.recover` has replayed any torn journal commit —
 //! replay-then-invalidate is safe because replay is idempotent against
 //! FRAM and completes before the first cold read. The first delivery
-//! after a reboot therefore pays cold-miss reads bounded by the armed
-//! set's block loads (see `EventCost::cold_extra_reads` in
-//! `artemis_ir`); every later delivery in the same epoch is
-//! write-only. [`CacheMode::Disabled`] keeps the always-read path as
-//! the differential oracle, pinned by the same proptests as the other
-//! modes. Hit/miss/invalidation counters are exposed through
-//! [`MonitorEngine::cache_stats`].
+//! after a reboot therefore pays cold-miss reads: one whole-block fill
+//! per armed machine, priced by `EventCost::cold_extra_reads` and
+//! `EventCost::cold_extra_read_bytes` in `artemis_ir`; every later
+//! delivery in the same epoch is write-only. Hit/miss/invalidation
+//! counters are exposed through [`MonitorEngine::cache_stats`].
 
 pub mod remote;
 pub mod state;
@@ -157,9 +162,9 @@ use artemis_core::event::{EventKind, MonitorEvent};
 use artemis_core::property::OnFail;
 use artemis_ir::compile::{AccessSet, CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite};
 use artemis_ir::exec::{step, IrEvent, MachineState};
-use artemis_ir::expr::{EventCtx, Value};
-use artemis_ir::fsm::MonitorSuite;
-use artemis_ir::layout::{MachineLayout, NV_VALUE_BYTES};
+use artemis_ir::expr::Value;
+use artemis_ir::fsm::{EmitFail, MonitorSuite};
+use artemis_ir::layout::MachineLayout;
 use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use immortal::Routine;
@@ -255,11 +260,12 @@ const COMPILED_DISPATCH_CYCLES: u64 = 10;
 /// and worklist staging, charged once at arming time.
 const ROUTING_LOOKUP_CYCLES: u64 = 12;
 
-/// Most machines a routed engine supports: the capacity of the `u16`
-/// worklist encoding (a `u16` entry count over `u16` machine indices).
-/// The completion bitmap grows with the suite, so there is no 64-machine
-/// limit; a routed install of a larger suite is rejected with
-/// [`InstallError::TooManyMachines`] rather than degraded.
+/// Most machines any engine supports: machine indices are 16-bit
+/// throughout — the routing index and worklists store `u16` indices,
+/// and a verdict cell keeps the machine index in its low half-word.
+/// Every install, production or reference, of a larger suite is
+/// rejected with [`InstallError::TooManyMachines`] rather than
+/// wrapping an index.
 pub const MAX_ROUTED_MACHINES: usize = u16::MAX as usize;
 
 /// How the engine resolves which machines an event must step.
@@ -267,15 +273,12 @@ pub const MAX_ROUTED_MACHINES: usize = u16::MAX as usize;
 pub enum RoutingMode {
     /// Install-time routing index + per-event armed worklists: only the
     /// machines interested in the `(kind, task)` key are stepped — the
-    /// default, O(interested machines) per event, for suites of any
-    /// size up to [`MAX_ROUTED_MACHINES`] (no 64-machine limit).
+    /// production engine's dispatch, O(interested machines) per event.
     #[default]
     Routed,
     /// The reference dispatch semantics: every installed machine is
     /// stepped through the persistent [`Routine`], dismissed ones
-    /// paying a counter write. Kept behind this flag as the
-    /// differential oracle and the scaling baseline; never selected
-    /// implicitly.
+    /// paying a counter write. Only the reference engine uses it.
     FullScan,
 }
 
@@ -283,28 +286,12 @@ pub enum RoutingMode {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecMode {
     /// Slot-indexed bytecode over one contiguous FRAM block per machine
-    /// (load once, commit once) — the default, and the closest analogue
-    /// of the paper's generated C monitors.
+    /// — the production engine's core.
     #[default]
     Compiled,
     /// The tree-walking reference interpreter over one FRAM cell per
-    /// variable. Kept as the executable semantics for differential
-    /// testing and as the baseline the dispatch benchmark compares
-    /// against.
+    /// variable — the reference engine's core.
     Interpreter,
-}
-
-/// Whether the routed compiled path commits sparse delta records.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DeltaMode {
-    /// Use each key's static access set: span loads + sparse `(slot,
-    /// value)` delta commits, with the compile-time ¾-block degrade
-    /// decision — the default.
-    #[default]
-    Auto,
-    /// Always load and commit whole machine blocks (the pre-delta
-    /// behaviour). Kept for benchmarking and differential testing.
-    Disabled,
 }
 
 /// Most events one batch can carry: the per-machine event mask is a
@@ -322,65 +309,11 @@ pub enum BatchMode {
     Disabled,
     /// Arm up to `max_events` events in one transaction and commit each
     /// machine once per batch (clamped to [`MAX_BATCH_EVENTS`]).
-    /// Requires the routed compiled path; other configurations fall
-    /// back to per-event delivery.
+    /// Production engine only; the reference engine rejects it.
     Enabled {
         /// Batch capacity in events.
         max_events: usize,
     },
-}
-
-/// How machine blocks (FSM state + variable slots) and per-event done
-/// flags are laid out in FRAM.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LayoutMode {
-    /// Packed layout: per-slot byte widths derived from verifier-known
-    /// value ranges ([`artemis_ir::MachineLayout::packed`]), 1/2/4-byte
-    /// state words, and done flags packed into a bitmap — the default.
-    /// Smaller cold fills, smaller journal records, tighter energy
-    /// ceilings.
-    #[default]
-    Packed,
-    /// The legacy layout: 4-byte state word + 9 tagged bytes per slot
-    /// and one `u64` done word. Kept as the differential oracle and
-    /// the bytes-bench baseline.
-    Tagged,
-}
-
-/// Whether commits on the cached delta/batch paths journal only the
-/// bytes that actually changed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DiffMode {
-    /// Diff the new image against the shadow cache's authoritative old
-    /// image and journal minimal `[addr][len][data]` runs (adjacent
-    /// runs merged when the gap is within the sub-write header, so
-    /// header overhead never exceeds the bytes saved) — the default.
-    /// Requires the shadow cache; with the cache off (or on the
-    /// uncached whole-block path) commits stay slot-granular, keeping
-    /// [`CacheMode::Disabled`] the differential oracle.
-    #[default]
-    Auto,
-    /// Always journal slot-granular records (the PR-4/PR-5 format even
-    /// when cached). Kept for benchmarking, differential testing and
-    /// the exactness pins of the static bounds model.
-    Disabled,
-}
-
-/// Whether the engine keeps a volatile shadow of the FRAM locations
-/// the hot path reads (see the module docs, "Volatile shadow cache").
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CacheMode {
-    /// Serve steady-state reads from RAM; FRAM reads happen only on
-    /// the first touch after a reboot — the default. Only takes effect
-    /// on the routed compiled path; other configurations silently run
-    /// uncached (query the effective mode via
-    /// [`MonitorEngine::cache_mode`]).
-    #[default]
-    Enabled,
-    /// Re-read every input from FRAM on every delivery (the PR-4/PR-5
-    /// behaviour). Kept as the differential oracle and the bench
-    /// baseline.
-    Disabled,
 }
 
 /// Shadow-cache effectiveness counters
@@ -413,29 +346,19 @@ pub struct ExecStats {
     pub machine_steps: u64,
 }
 
-/// Everything [`MonitorEngine::install_with`] can be told.
+/// Everything [`MonitorEngine::install_with`] can be told. The default
+/// is the production engine; `mode: Interpreter, routing: FullScan`
+/// (batching off) selects the reference engine. No other `mode` ×
+/// `routing` pair installs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct InstallOptions {
     /// Execution core (compiled bytecode by default).
     pub mode: ExecMode,
     /// Event dispatch strategy (routed worklists by default).
     pub routing: RoutingMode,
-    /// Sparse delta commits on the routed compiled path (on by
-    /// default; ignored by the interpreter and full-scan paths, which
-    /// always use whole-block/per-cell commits).
-    pub delta: DeltaMode,
-    /// Group-commit batch delivery (off by default; only takes effect
-    /// on the routed compiled path).
+    /// Group-commit batch delivery (off by default; production engine
+    /// only).
     pub batch: BatchMode,
-    /// Volatile shadow cache for the hot-path FRAM reads (on by
-    /// default; only takes effect on the routed compiled path).
-    pub cache: CacheMode,
-    /// FRAM machine-block and done-flag layout (packed by default;
-    /// the interpreter's per-cell storage ignores it).
-    pub layout: LayoutMode,
-    /// Byte-granular dirty-diff commits on the cached delta/batch
-    /// paths (on by default; inert whenever the shadow cache is off).
-    pub diff: DiffMode,
     /// Bytecode optimization level for ahead-of-time compilation
     /// ([`OptLevel::Full`] by default). [`OptLevel::None`] ships the
     /// straight-from-lowering bytecode and serves as the differential
@@ -445,12 +368,11 @@ pub struct InstallOptions {
     pub opt: OptLevel,
     /// Journal capacity override in payload bytes. `None` derives the
     /// capacity from the static resource bounds: the worst-case single
-    /// commit any event or reset can stage, across both commit formats
-    /// (see [`artemis_ir::suite_bounds`]). The bound pass checks the
-    /// suite against whatever capacity ends up in force, so an
-    /// undersized override rejects the install with
-    /// [`InstallError::Analysis`] instead of faulting with
-    /// `JournalOverflow` mid-run.
+    /// commit any event or reset can stage (see
+    /// [`artemis_ir::suite_bounds`]). The bound pass checks the suite
+    /// against whatever capacity ends up in force, so an undersized
+    /// override rejects the install with [`InstallError::Analysis`]
+    /// instead of faulting with `JournalOverflow` mid-run.
     pub journal_capacity: Option<usize>,
     /// Device energy profile for the install-time feasibility gate.
     /// `Some(profile)` runs `artemis_ir::analysis::energy` over every
@@ -463,6 +385,18 @@ pub struct InstallOptions {
     /// pass. Obtain the device's own profile via
     /// `Device::energy_profile()`.
     pub energy: Option<intermittent_sim::EnergyProfile>,
+}
+
+impl InstallOptions {
+    /// The reference engine: tree-walking interpreter, full-scan
+    /// dispatch, no batching.
+    pub fn reference() -> Self {
+        InstallOptions {
+            mode: ExecMode::Interpreter,
+            routing: RoutingMode::FullScan,
+            ..InstallOptions::default()
+        }
+    }
 }
 
 /// Why the engine could not be installed.
@@ -489,13 +423,24 @@ pub enum InstallError {
     /// pass, or the energy feasibility pass rejected the suite. No
     /// FRAM was touched.
     Analysis(artemis_spec::Diagnostic),
-    /// A routed install asked for more machines than the `u16`
-    /// worklist encoding can index ([`MAX_ROUTED_MACHINES`]).
+    /// The suite has more machines than the 16-bit machine index can
+    /// address ([`MAX_ROUTED_MACHINES`]).
     TooManyMachines {
         /// Machines in the suite.
         machines: usize,
-        /// The routed capacity.
+        /// The machine-index capacity.
         max: usize,
+    },
+    /// The options name neither the production engine (compiled +
+    /// routed) nor the reference engine (interpreter + full scan,
+    /// batching off). No FRAM was touched.
+    UnsupportedEngine {
+        /// Requested execution core.
+        mode: ExecMode,
+        /// Requested dispatch.
+        routing: RoutingMode,
+        /// Requested batching.
+        batch: BatchMode,
     },
     /// Device-level failure (FRAM exhaustion) during installation.
     Device(Interrupt),
@@ -516,7 +461,17 @@ impl core::fmt::Display for InstallError {
             InstallError::Analysis(d) => write!(f, "static analysis rejected the suite: {d}"),
             InstallError::TooManyMachines { machines, max } => write!(
                 f,
-                "{machines} machines exceed the routed worklist capacity of {max}"
+                "{machines} machines exceed the machine-index capacity of {max}"
+            ),
+            InstallError::UnsupportedEngine {
+                mode,
+                routing,
+                batch,
+            } => write!(
+                f,
+                "{mode:?} execution with {routing:?} dispatch and {batch:?} batching is \
+                 neither the production engine (Compiled + Routed) nor the reference \
+                 engine (Interpreter + FullScan, batching off)"
             ),
             InstallError::Device(i) => write!(f, "{i}"),
         }
@@ -538,17 +493,26 @@ pub struct MonitorVerdict {
 
 /// Where one machine's persistent `(state, vars)` live in FRAM.
 enum MachineStore {
-    /// One cell per variable plus a state cell (interpreter layout).
+    /// One cell per variable plus a state cell (reference engine).
     Cells {
         state_cell: NvCell<u32>,
         var_cells: Vec<NvCell<NvValue>>,
+        /// Dense task ids this machine observes; `None` when it has a
+        /// wildcard trigger and must see everything.
+        observed: Option<Vec<u32>>,
     },
-    /// One contiguous block: the state field followed by the variable
-    /// slots, in the machine's [`MachineLayout`] (packed widths by
-    /// default, the legacy tagged image under [`LayoutMode::Tagged`])
-    /// — a single FRAM op to load and a single journal entry to
-    /// commit.
-    Block { addr: usize, len: usize },
+    /// One contiguous block (production engine).
+    Block(Block),
+}
+
+/// One machine block: the state field followed by the variable slots,
+/// in the machine's packed [`MachineLayout`] — a single FRAM op to load
+/// and a single journal entry (or sparse record) to commit.
+struct Block {
+    addr: usize,
+    layout: MachineLayout,
+    /// Image of the initial state, staged whole on resets.
+    initial_image: Vec<u8>,
 }
 
 /// A persistent completion bitmap of `len` bytes: bit `j` (byte
@@ -556,9 +520,7 @@ enum MachineStore {
 /// Entries complete strictly in order, so the set bits always form a
 /// prefix and the engine carries only the completed-entry *count*;
 /// this cell maps that count to and from its FRAM image. One bit per
-/// installed machine, so routing has no 64-machine limit: `ceil(n / 8)`
-/// bytes packed, whole 8-byte words tagged (a single word for suites
-/// of up to 64 machines).
+/// installed machine, `ceil(n / 8)` bytes.
 struct DoneCell {
     addr: usize,
     len: usize,
@@ -603,11 +565,22 @@ impl DoneCell {
     }
 }
 
-/// Routing serves every suite its `u16` worklist encoding can index; a
-/// larger routed request is rejected, never silently degraded to full
-/// scan.
-fn check_routed_capacity(machines: usize, routing: RoutingMode) -> Result<(), InstallError> {
-    if routing == RoutingMode::Routed && machines > MAX_ROUTED_MACHINES {
+/// Rejects, before anything is compiled or allocated, every install
+/// that is neither the production nor the reference engine, and every
+/// suite the 16-bit machine index cannot address.
+fn check_install(machines: usize, opts: &InstallOptions) -> Result<(), InstallError> {
+    let production = opts.mode == ExecMode::Compiled && opts.routing == RoutingMode::Routed;
+    let reference = opts.mode == ExecMode::Interpreter
+        && opts.routing == RoutingMode::FullScan
+        && opts.batch == BatchMode::Disabled;
+    if !production && !reference {
+        return Err(InstallError::UnsupportedEngine {
+            mode: opts.mode,
+            routing: opts.routing,
+            batch: opts.batch,
+        });
+    }
+    if machines > MAX_ROUTED_MACHINES {
         return Err(InstallError::TooManyMachines {
             machines,
             max: MAX_ROUTED_MACHINES,
@@ -623,13 +596,14 @@ fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
         MachineStore::Cells {
             state_cell,
             var_cells,
+            ..
         } => {
             tx.write(state_cell, lm.machine.initial);
             for (cell, decl) in var_cells.iter().zip(&lm.machine.vars) {
                 tx.write(cell, NvValue(decl.init));
             }
         }
-        MachineStore::Block { addr, .. } => tx.write_raw(*addr, lm.initial_image.clone()),
+        MachineStore::Block(b) => tx.write_raw(b.addr, b.initial_image.clone()),
     }
 }
 
@@ -666,34 +640,36 @@ fn diff_runs(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
 struct LoadedMachine {
     machine: artemis_ir::StateMachine,
     store: MachineStore,
-    /// FRAM image layout of the machine block (packed or tagged;
-    /// unused in cell mode).
-    layout: MachineLayout,
-    /// Block image of the initial state, staged whole on resets (empty
-    /// in cell mode).
-    initial_image: Vec<u8>,
-    /// Interpreter mode: dense task ids this machine observes; `None`
-    /// when it has a wildcard trigger and must see everything. The
-    /// compiled path answers this from its dispatch tables instead.
-    observed: Option<Vec<u32>>,
+}
+
+impl LoadedMachine {
+    /// The machine's FRAM block — every machine of a production engine
+    /// has one.
+    fn block(&self) -> &Block {
+        match &self.store {
+            MachineStore::Block(b) => b,
+            MachineStore::Cells { .. } => unreachable!("production engines store blocks"),
+        }
+    }
 }
 
 /// Reused per-event buffers: once installed, the engine's hot path
 /// allocates nothing.
 struct Scratch {
-    /// Bytecode register file (compiled mode).
+    /// Bytecode register file (production engine).
     regs: Vec<Value>,
     /// Decoded variable snapshot.
     vars: Vec<Value>,
-    /// Pre-step variable snapshot for change detection (interpreter).
+    /// Pre-step variable snapshot for change detection (reference
+    /// engine).
     before_vars: Vec<Value>,
-    /// Block image as loaded (compiled).
+    /// Block image as loaded (production engine).
     block: Vec<u8>,
-    /// Block image after the step (compiled).
+    /// Block image after the step (production engine).
     block_new: Vec<u8>,
     /// Verdict staging for read-back.
     verdicts: Vec<MonitorVerdict>,
-    /// Worklist staging at arming time (routed mode).
+    /// Worklist staging at arming time (production engine).
     worklist: Vec<u16>,
     /// The armed worklist a delivery walks (routed and batch paths).
     /// Taken out of the scratch for the walk, since each step borrows
@@ -703,9 +679,10 @@ struct Scratch {
     masks: Vec<u32>,
 }
 
-/// Persistent state of the routed event path: the armed worklist (a
-/// length-prefixed `u16` list region) and its completion bitmap, both
-/// committed atomically with the event they belong to.
+/// Persistent state of the production engine's routed event path: the
+/// armed worklist (a length-prefixed `u16` list region) and its
+/// completion bitmap, both committed atomically with the event they
+/// belong to.
 struct RoutedState {
     worklist_addr: usize,
     done: DoneCell,
@@ -724,17 +701,6 @@ struct BatchState {
     events_addr: usize,
     worklist_addr: usize,
     done: DoneCell,
-}
-
-/// How a machine step records its completion: by advancing the
-/// full-scan [`Routine`] counter, or by setting its bit in the routed
-/// path's completion bitmap (the value carried is the completed-entry
-/// count *after* this step). Either way, effectless steps complete
-/// with one plain idempotent FRAM write and effectful steps fold the
-/// marker into their crash-atomic journal commit.
-enum Completion {
-    Step(u32),
-    Bit(usize),
 }
 
 /// An encoded verdict cell: `(machine index, (action tag, path))` —
@@ -850,37 +816,30 @@ fn shadow_batch_wl_mut(c: &mut ShadowCache) -> &mut Option<Vec<u16>> {
     &mut c.batch_worklist
 }
 
-/// The engine. Create with [`MonitorEngine::install`] (compiled mode)
-/// or [`MonitorEngine::install_with_mode`].
+/// The engine. Create with [`MonitorEngine::install`] (the production
+/// engine) or [`MonitorEngine::install_with`].
 pub struct MonitorEngine {
-    mode: ExecMode,
     /// Bytecode, dispatch tables, the routing index, and the task-name
-    /// table interned once at install (both modes resolve event task
+    /// table interned once at install (both engines resolve event task
     /// ids through it).
     compiled: Arc<CompiledSuite>,
     machines: Vec<LoadedMachine>,
+    /// The reference engine's step counter. The production engine
+    /// allocates it too but never steps through it: dropping it would
+    /// move every later FRAM allocation and change the install's
+    /// energy bill.
     routine: Routine,
     journal: Journal,
     event_cell: NvCell<EncodedEvent>,
     seq_cell: NvCell<u64>,
     verdict_count: NvCell<u32>,
     verdict_cells: Vec<NvCell<(u32, (u8, u32))>>,
-    /// `Some` iff the engine runs [`RoutingMode::Routed`].
+    /// `Some` iff this is the production engine.
     routed: Option<RoutedState>,
-    /// `Some` iff [`BatchMode::Enabled`] took effect (routed compiled
-    /// path only).
+    /// `Some` iff [`BatchMode::Enabled`] (production engine only).
     batch: Option<BatchState>,
-    /// `true` iff the routed compiled path commits sparse delta
-    /// records ([`DeltaMode::Auto`] and the suite actually routes).
-    delta_enabled: bool,
-    /// The block/done layout actually in force ([`LayoutMode::Packed`]
-    /// only takes effect in compiled mode).
-    layout_mode: LayoutMode,
-    /// `true` iff the cached delta/batch commits diff against the
-    /// shadow image ([`DiffMode::Auto`] and the cache took effect).
-    diff_enabled: bool,
-    /// `Some` iff [`CacheMode::Enabled`] took effect (routed compiled
-    /// path only): the volatile shadow of the hot path's FRAM reads.
+    /// The volatile shadow of the hot path's FRAM reads: `Some` iff
+    /// this is the production engine.
     cache: Option<RefCell<ShadowCache>>,
     /// Dynamic executed-instruction counters (volatile, like the cache
     /// stats — see [`ExecStats`]).
@@ -891,54 +850,18 @@ pub struct MonitorEngine {
 impl MonitorEngine {
     /// Validates the suite against `app`, compiles it to bytecode, and
     /// allocates all persistent monitor state in FRAM (billed to the
-    /// monitor component). Equivalent to [`MonitorEngine::install_with_mode`]
-    /// with [`ExecMode::Compiled`].
+    /// monitor component) — the production engine.
     pub fn install(
         dev: &mut Device,
         suite: MonitorSuite,
         app: &AppGraph,
     ) -> Result<Self, InstallError> {
-        Self::install_with_mode(dev, suite, app, ExecMode::default())
+        Self::install_with(dev, suite, app, InstallOptions::default())
     }
 
-    /// [`MonitorEngine::install`] with an explicit execution mode
-    /// (routed dispatch, the default routing mode).
-    pub fn install_with_mode(
-        dev: &mut Device,
-        suite: MonitorSuite,
-        app: &AppGraph,
-        mode: ExecMode,
-    ) -> Result<Self, InstallError> {
-        Self::install_with_routing(dev, suite, app, mode, RoutingMode::default())
-    }
-
-    /// [`MonitorEngine::install`] with explicit execution *and* routing
-    /// modes. [`RoutingMode::Routed`] serves suites of any size up to
-    /// [`MAX_ROUTED_MACHINES`] — there is no 64-machine limit — and
-    /// rejects larger ones with [`InstallError::TooManyMachines`]
-    /// instead of degrading to [`RoutingMode::FullScan`].
-    pub fn install_with_routing(
-        dev: &mut Device,
-        suite: MonitorSuite,
-        app: &AppGraph,
-        mode: ExecMode,
-        routing: RoutingMode,
-    ) -> Result<Self, InstallError> {
-        Self::install_with(
-            dev,
-            suite,
-            app,
-            InstallOptions {
-                mode,
-                routing,
-                ..InstallOptions::default()
-            },
-        )
-    }
-
-    /// [`MonitorEngine::install`] with full [`InstallOptions`]: source
-    /// validation, ahead-of-time compilation, the static analysis gate,
-    /// then FRAM allocation.
+    /// [`MonitorEngine::install`] with full [`InstallOptions`]: engine
+    /// and size check, source validation, ahead-of-time compilation,
+    /// the static analysis gate, then FRAM allocation.
     pub fn install_with(
         dev: &mut Device,
         suite: MonitorSuite,
@@ -947,7 +870,7 @@ impl MonitorEngine {
     ) -> Result<Self, InstallError> {
         // Checked again at install proper; rejecting here skips
         // compiling a suite that can never install.
-        check_routed_capacity(suite.len(), opts.routing)?;
+        check_install(suite.len(), &opts)?;
         for m in suite.machines() {
             validate_strict(m).map_err(InstallError::Invalid)?;
             for task in m.observed_tasks() {
@@ -976,7 +899,7 @@ impl MonitorEngine {
         }
 
         // AOT compilation: slot indices, task-id dispatch tables,
-        // bytecode — and the interned task-name table both modes use.
+        // bytecode — and the interned task-name table both engines use.
         // Suites that pass the checks above always compile; the error
         // arm guards hand-written machines.
         let compiled =
@@ -1016,59 +939,23 @@ impl MonitorEngine {
         app: &AppGraph,
         opts: InstallOptions,
     ) -> Result<Self, InstallError> {
-        let InstallOptions {
-            mode,
-            routing,
-            delta,
-            batch,
-            cache,
-            layout,
-            diff,
-            journal_capacity,
-            energy,
-            // Compilation already happened in the caller's hands.
-            opt: _,
-        } = opts;
-
-        // The packed layout only exists in compiled mode (the
-        // interpreter stores one tagged cell per variable); requesting
-        // it there silently runs tagged, mirroring the other
-        // mode-lattice degrades.
-        let layout_mode = match mode {
-            ExecMode::Compiled => layout,
-            ExecMode::Interpreter => LayoutMode::Tagged,
-        };
-
-        check_routed_capacity(suite.len(), routing)?;
-
-        // The batch path only exists on the routed compiled path (its
-        // completion bitmap and merged worklists reuse the routing
-        // machinery); any other configuration silently falls back to
-        // per-event delivery.
-        let batch_events = match batch {
-            BatchMode::Enabled { max_events }
-                if mode == ExecMode::Compiled && routing == RoutingMode::Routed =>
-            {
-                Some(max_events.clamp(1, MAX_BATCH_EVENTS))
-            }
-            _ => None,
+        check_install(suite.len(), &opts)?;
+        let production = opts.mode == ExecMode::Compiled;
+        let batch_events = match opts.batch {
+            BatchMode::Enabled { max_events } => Some(max_events.clamp(1, MAX_BATCH_EVENTS)),
+            BatchMode::Disabled => None,
         };
 
         // Default journal capacity = the static worst-case transaction
         // bound: the largest of the whole-suite reset commit and any
-        // event key's worst commit, across both record formats (so a
-        // `DeltaMode` toggle can never overflow a derived capacity).
-        // With batching enabled the per-batch bound joins the max (the
-        // batch arming record carries the whole event array). The
-        // interpreter's per-cell layout stages one entry per variable,
-        // so its reset commit is costed separately.
-        let layout_kind = match layout_mode {
-            LayoutMode::Packed => artemis_ir::analysis::bounds::LayoutKind::Packed,
-            LayoutMode::Tagged => artemis_ir::analysis::bounds::LayoutKind::Tagged,
-        };
-        let bounds = artemis_ir::analysis::bounds::suite_bounds_for(&compiled, layout_kind);
-        let bbounds = batch_events
-            .map(|n| artemis_ir::analysis::bounds::batch_bounds_for(&compiled, n, layout_kind));
+        // event key's worst commit (see `suite_bounds` for the
+        // documented over-approximations it includes). With batching
+        // enabled the per-batch bound joins the max (the batch arming
+        // record carries the whole event array). The reference
+        // engine's per-cell layout stages one entry per variable, so
+        // its reset commit is costed separately.
+        let bounds = artemis_ir::suite_bounds(&compiled);
+        let bbounds = batch_events.map(|n| artemis_ir::batch_bounds(&compiled, n));
         // The batch cells ride along in the whole-suite reset commit,
         // so a batch-enabled engine's reset can outgrow both per-event
         // figures — it joins the max too.
@@ -1076,11 +963,12 @@ impl MonitorEngine {
             b.worst_commit_bytes
                 .max(bounds.reset_commit_bytes + b.reset_extra_bytes)
         });
-        let capacity = journal_capacity.unwrap_or_else(|| {
+        let capacity = opts.journal_capacity.unwrap_or_else(|| {
             let derived = bounds.worst_commit_bytes.max(batch_floor);
-            match mode {
-                ExecMode::Compiled => derived,
-                ExecMode::Interpreter => derived.max(
+            if production {
+                derived
+            } else {
+                derived.max(
                     suite
                         .machines()
                         .iter()
@@ -1088,7 +976,7 @@ impl MonitorEngine {
                         .sum::<usize>()
                         + u16_list_bytes(suite.len())
                         + 64,
-                ),
+                )
             }
         });
         // The analysis gate below checks per-event commits against the
@@ -1104,10 +992,10 @@ impl MonitorEngine {
                 ),
             )));
         }
-        // The analyzer's own capacity check prices the default packed
-        // layout; a tagged engine's commits are larger, so re-check the
-        // override against this engine's actual layout.
-        if mode == ExecMode::Compiled && bounds.worst_commit_bytes > capacity {
+        // The analyzer checks the reset and per-key commits; an
+        // override must also cover the rest of the worst-case figure
+        // the derived capacity is sized by.
+        if production && bounds.worst_commit_bytes > capacity {
             return Err(InstallError::Analysis(artemis_spec::Diagnostic::error(
                 "bounds",
                 "journal",
@@ -1122,7 +1010,7 @@ impl MonitorEngine {
         // first (most severe) error rejects the install; warnings
         // surface on the trace.
         let mut diags = artemis_ir::analysis::analyze_suite(&suite, &compiled, Some(capacity));
-        if let Some(profile) = energy {
+        if let Some(profile) = opts.energy {
             diags.extend(artemis_ir::analysis::check_energy(
                 &compiled, &bounds, app, &profile,
             ));
@@ -1154,12 +1042,10 @@ impl MonitorEngine {
                 .map_err(dev_err)?;
 
             // Routed dispatch: the armed-worklist region (count word +
-            // one u16 per machine) and the completion bitmap, both
-            // zeroed, i.e. "no event pending". One bit per machine: the
-            // packed layout rounds up to whole bytes, the tagged one to
-            // whole `u64` words.
-            let done_len = layout_kind.done_bytes(suite.len());
-            let routed = if routing == RoutingMode::Routed {
+            // one u16 per machine) and the completion bitmap (one bit
+            // per machine), both zeroed, i.e. "no event pending".
+            let done_len = artemis_ir::analysis::bounds::done_bytes(suite.len());
+            let routed = if production {
                 let worklist_addr = dev
                     .nv_alloc_raw(u16_list_bytes(suite.len()), owner, "monitor.worklist")
                     .map_err(dev_err)?;
@@ -1231,67 +1117,41 @@ impl MonitorEngine {
 
             let mut machines = Vec::with_capacity(suite.len());
             for (mi, m) in suite.into_iter().enumerate() {
-                // Compiled mode: the block geometry comes from the
-                // compiled machine (packed widths derived from its
-                // bytecode, or the legacy tagged image), and so does
-                // the initial snapshot — install_precompiled callers
-                // may hand-assemble machines, and the block must agree
-                // with the bytecode that steps it.
-                let cmach = &compiled.machines()[mi];
-                let mlayout = match layout_mode {
-                    LayoutMode::Packed => cmach.layout().clone(),
-                    LayoutMode::Tagged => MachineLayout::tagged(cmach.var_count()),
-                };
-                let (store, initial_image) = match mode {
-                    ExecMode::Compiled => {
-                        // One contiguous block per machine, pre-imaged
-                        // with the initial snapshot.
-                        let mut image = Vec::with_capacity(mlayout.block_len);
-                        mlayout.encode(cmach.initial_state(), cmach.var_inits(), &mut image);
-                        let addr = dev
-                            .nv_alloc_raw(image.len(), owner, &format!("{}.block", m.name))
-                            .map_err(dev_err)?;
-                        dev.nv_write_raw(addr, &image).map_err(dev_err)?;
-                        (
-                            MachineStore::Block {
-                                addr,
-                                len: image.len(),
-                            },
-                            image,
-                        )
-                    }
-                    ExecMode::Interpreter => {
-                        let state_cell = dev
-                            .nv_alloc(m.initial, owner, &format!("{}.state", m.name))
-                            .map_err(dev_err)?;
-                        let mut var_cells = Vec::with_capacity(m.vars.len());
-                        for v in &m.vars {
-                            var_cells.push(
-                                dev.nv_alloc(
-                                    NvValue(v.init),
-                                    owner,
-                                    &format!("{}.{}", m.name, v.name),
-                                )
-                                .map_err(dev_err)?,
-                            );
-                        }
-                        (
-                            MachineStore::Cells {
-                                state_cell,
-                                var_cells,
-                            },
-                            Vec::new(),
-                        )
-                    }
-                };
-                // Pre-resolve the observed task set so events for other
-                // tasks skip the machine without touching its state (the
-                // generated C's trigger test, one compare per machine).
-                // The compiled path answers this from its dispatch
-                // tables instead.
-                let observed = if mode == ExecMode::Compiled {
-                    None
+                let store = if production {
+                    // One contiguous block per machine, pre-imaged with
+                    // the initial snapshot. The geometry and the
+                    // snapshot come from the compiled machine —
+                    // install_precompiled callers may hand-assemble
+                    // machines, and the block must agree with the
+                    // bytecode that steps it.
+                    let cmach = &compiled.machines()[mi];
+                    let layout = cmach.layout().clone();
+                    let mut initial_image = Vec::with_capacity(layout.block_len);
+                    layout.encode(cmach.initial_state(), cmach.var_inits(), &mut initial_image);
+                    let addr = dev
+                        .nv_alloc_raw(initial_image.len(), owner, &format!("{}.block", m.name))
+                        .map_err(dev_err)?;
+                    dev.nv_write_raw(addr, &initial_image).map_err(dev_err)?;
+                    MachineStore::Block(Block {
+                        addr,
+                        layout,
+                        initial_image,
+                    })
                 } else {
+                    let state_cell = dev
+                        .nv_alloc(m.initial, owner, &format!("{}.state", m.name))
+                        .map_err(dev_err)?;
+                    let mut var_cells = Vec::with_capacity(m.vars.len());
+                    for v in &m.vars {
+                        var_cells.push(
+                            dev.nv_alloc(NvValue(v.init), owner, &format!("{}.{}", m.name, v.name))
+                                .map_err(dev_err)?,
+                        );
+                    }
+                    // Pre-resolve the observed task set so events for
+                    // other tasks skip the machine without touching its
+                    // state (the generated C's trigger test, one compare
+                    // per machine).
                     let has_wildcard = m.transitions.iter().any(|t| {
                         matches!(
                             t.trigger,
@@ -1300,24 +1160,19 @@ impl MonitorEngine {
                                 | artemis_ir::fsm::Trigger::End(artemis_ir::fsm::TaskPat::Any)
                         )
                     });
-                    if has_wildcard {
-                        None
-                    } else {
-                        Some(
-                            m.observed_tasks()
-                                .iter()
-                                .filter_map(|n| app.task_by_name(n).map(|t| t.0))
-                                .collect::<Vec<u32>>(),
-                        )
+                    let observed = (!has_wildcard).then(|| {
+                        m.observed_tasks()
+                            .iter()
+                            .filter_map(|n| app.task_by_name(n).map(|t| t.0))
+                            .collect::<Vec<u32>>()
+                    });
+                    MachineStore::Cells {
+                        state_cell,
+                        var_cells,
+                        observed,
                     }
                 };
-                machines.push(LoadedMachine {
-                    machine: m,
-                    store,
-                    layout: mlayout,
-                    initial_image,
-                    observed,
-                });
+                machines.push(LoadedMachine { machine: m, store });
             }
 
             let max_vars = machines
@@ -1327,7 +1182,10 @@ impl MonitorEngine {
                 .unwrap_or(0);
             let max_block = machines
                 .iter()
-                .map(|lm| lm.initial_image.len())
+                .map(|lm| match &lm.store {
+                    MachineStore::Block(b) => b.layout.block_len,
+                    MachineStore::Cells { .. } => 0,
+                })
                 .max()
                 .unwrap_or(0);
             let scratch = RefCell::new(Scratch {
@@ -1342,28 +1200,17 @@ impl MonitorEngine {
                 masks: Vec::with_capacity(machines.len()),
             });
 
-            let delta_enabled =
-                delta == DeltaMode::Auto && mode == ExecMode::Compiled && routed.is_some();
-            // The shadow cache only exists on the routed compiled path
-            // (the layouts it mirrors — block images, worklists, the
-            // done bitmap — are that path's). The epoch starts at the
-            // device's *current* reboot generation so a freshly
-            // installed engine doesn't count a spurious invalidation.
-            let cache =
-                (cache == CacheMode::Enabled && mode == ExecMode::Compiled && routed.is_some())
-                    .then(|| {
-                        RefCell::new(ShadowCache::new(
-                            dev.sram().generation(),
-                            machines.len(),
-                            verdict_cells.len(),
-                        ))
-                    });
-            // Dirty-diff commits need the shadow's authoritative old
-            // image; with the cache off the sparse paths stay
-            // slot-granular (the differential oracle).
-            let diff_enabled = diff == DiffMode::Auto && cache.is_some();
+            // The epoch starts at the device's *current* reboot
+            // generation so a freshly installed engine doesn't count a
+            // spurious invalidation.
+            let cache = production.then(|| {
+                RefCell::new(ShadowCache::new(
+                    dev.sram().generation(),
+                    machines.len(),
+                    verdict_cells.len(),
+                ))
+            });
             Ok(MonitorEngine {
-                mode,
                 compiled,
                 machines,
                 routine,
@@ -1374,9 +1221,6 @@ impl MonitorEngine {
                 verdict_cells,
                 routed,
                 batch: batch_state,
-                delta_enabled,
-                layout_mode,
-                diff_enabled,
                 cache,
                 exec: RefCell::new(ExecStats::default()),
                 scratch,
@@ -1386,15 +1230,20 @@ impl MonitorEngine {
         result
     }
 
-    /// The execution mode the engine was installed with.
+    /// The execution core the engine runs: [`ExecMode::Compiled`] for
+    /// the production engine, [`ExecMode::Interpreter`] for the
+    /// reference engine.
     pub fn mode(&self) -> ExecMode {
-        self.mode
+        if self.routed.is_some() {
+            ExecMode::Compiled
+        } else {
+            ExecMode::Interpreter
+        }
     }
 
-    /// The routing mode the engine runs: always the one requested at
-    /// install. A routed request never degrades to full scan — routing
-    /// has no 64-machine limit, and suites beyond
-    /// [`MAX_ROUTED_MACHINES`] fail to install instead.
+    /// The dispatch the engine runs: [`RoutingMode::Routed`] for the
+    /// production engine, [`RoutingMode::FullScan`] for the reference
+    /// engine.
     pub fn routing_mode(&self) -> RoutingMode {
         if self.routed.is_some() {
             RoutingMode::Routed
@@ -1403,37 +1252,8 @@ impl MonitorEngine {
         }
     }
 
-    /// The shadow-cache mode the engine actually runs (a requested
-    /// [`CacheMode::Enabled`] degrades to uncached off the routed
-    /// compiled path).
-    pub fn cache_mode(&self) -> CacheMode {
-        if self.cache.is_some() {
-            CacheMode::Enabled
-        } else {
-            CacheMode::Disabled
-        }
-    }
-
-    /// The block/done-flag layout the engine actually runs (a
-    /// requested [`LayoutMode::Packed`] degrades to tagged in
-    /// interpreter mode).
-    pub fn layout_mode(&self) -> LayoutMode {
-        self.layout_mode
-    }
-
-    /// The diff-commit mode the engine actually runs (a requested
-    /// [`DiffMode::Auto`] degrades to slot-granular whenever the
-    /// shadow cache is off).
-    pub fn diff_mode(&self) -> DiffMode {
-        if self.diff_enabled {
-            DiffMode::Auto
-        } else {
-            DiffMode::Disabled
-        }
-    }
-
-    /// Shadow-cache effectiveness counters; all-zero when the cache is
-    /// disabled. The engine-level mirror of
+    /// Shadow-cache effectiveness counters; all-zero on the reference
+    /// engine, which keeps no cache. The engine-level mirror of
     /// `ArtemisRuntime::events_delivered`.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache
@@ -1441,8 +1261,8 @@ impl MonitorEngine {
             .map_or_else(CacheStats::default, |c| c.borrow().stats)
     }
 
-    /// Dynamic bytecode execution counters (all-zero in interpreter
-    /// mode, which runs no bytecode). The measured side of the static
+    /// Dynamic bytecode execution counters (all-zero on the reference
+    /// engine, which runs no bytecode). The measured side of the static
     /// [`CompiledMachine::step_cost`] ceilings: for every delivered
     /// event, `instructions` grows by at most the key's
     /// `step_cost(kind, task).instructions`.
@@ -1490,8 +1310,8 @@ impl MonitorEngine {
         }
     }
 
-    /// Mutates the shadow cache; no-op when caching is disabled. Used
-    /// by the write-through points (after successful commits/writes) —
+    /// Mutates the shadow cache; no-op on the reference engine, which
+    /// keeps none. Used by the write-through points (after successful commits/writes) —
     /// never from a failure path.
     fn cache_put(&self, f: impl FnOnce(&mut ShadowCache)) {
         if let Some(cache) = &self.cache {
@@ -1542,6 +1362,13 @@ impl MonitorEngine {
         Ok(v)
     }
 
+    /// The production engine's shadow cache.
+    fn shadow(&self) -> &RefCell<ShadowCache> {
+        self.cache
+            .as_ref()
+            .expect("the production engine keeps a shadow cache")
+    }
+
     /// Shadow-aware read of a worklist region's count word. A cold
     /// count read only fills the shadow when the list is empty — a
     /// non-empty list's items are still unknown, and the shadow never
@@ -1553,28 +1380,26 @@ impl MonitorEngine {
         field: fn(&ShadowCache) -> &Option<Vec<u16>>,
         field_mut: fn(&mut ShadowCache) -> &mut Option<Vec<u16>>,
     ) -> Result<usize, Interrupt> {
-        if let Some(cache) = &self.cache {
-            let hit = field(&cache.borrow()).as_ref().map(Vec::len);
-            if let Some(n) = hit {
-                cache.borrow_mut().stats.hits += 1;
-                return Ok(n);
-            }
+        let cache = self.shadow();
+        let hit = field(&cache.borrow()).as_ref().map(Vec::len);
+        if let Some(n) = hit {
+            cache.borrow_mut().stats.hits += 1;
+            return Ok(n);
         }
         let bytes = dev.nv_read_raw(addr, 2)?;
         let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        self.cache_put(|c| {
-            if n == 0 {
-                *field_mut(c) = Some(Vec::new());
-            }
-            c.stats.misses += 1;
-        });
+        let mut c = cache.borrow_mut();
+        if n == 0 {
+            *field_mut(&mut c) = Some(Vec::new());
+        }
+        c.stats.misses += 1;
         Ok(n)
     }
 
     /// Shadow-aware read of a worklist's items (`count` already known
-    /// and non-zero) into `wl`. Preserves the uncached read order — the
-    /// count and item reads stay separate ops so a cold cached delivery
-    /// performs exactly the uncached read sequence.
+    /// and non-zero) into `wl`. The count and item reads stay separate
+    /// ops, so a cold delivery reads the list exactly as the static
+    /// bounds price it.
     fn list_items_cached(
         &self,
         dev: &mut Device,
@@ -1584,22 +1409,21 @@ impl MonitorEngine {
         field: fn(&ShadowCache) -> &Option<Vec<u16>>,
         field_mut: fn(&mut ShadowCache) -> &mut Option<Vec<u16>>,
     ) -> Result<(), Interrupt> {
-        if let Some(cache) = &self.cache {
-            let copied = {
-                let c = cache.borrow();
-                match field(&c) {
-                    Some(list) if list.len() == count => {
-                        wl.clear();
-                        wl.extend_from_slice(list);
-                        true
-                    }
-                    _ => false,
+        let cache = self.shadow();
+        let copied = {
+            let c = cache.borrow();
+            match field(&c) {
+                Some(list) if list.len() == count => {
+                    wl.clear();
+                    wl.extend_from_slice(list);
+                    true
                 }
-            };
-            if copied {
-                cache.borrow_mut().stats.hits += 1;
-                return Ok(());
+                _ => false,
             }
+        };
+        if copied {
+            cache.borrow_mut().stats.hits += 1;
+            return Ok(());
         }
         let bytes = dev.nv_read_raw(addr + 2, count * 2)?;
         wl.clear();
@@ -1608,60 +1432,56 @@ impl MonitorEngine {
                 .chunks_exact(2)
                 .map(|ch| u16::from_le_bytes([ch[0], ch[1]])),
         );
-        self.cache_put(|c| {
-            *field_mut(c) = Some(wl.clone());
-            c.stats.misses += 1;
-        });
+        let mut c = cache.borrow_mut();
+        *field_mut(&mut c) = Some(wl.clone());
+        c.stats.misses += 1;
         Ok(())
     }
 
     /// Fills `scratch.block` with the first `span` bytes of machine
     /// `i`'s block image — from the shadow when warm, else one
-    /// whole-block FRAM read (the same single op as the uncached span
-    /// read) that also refills the shadow, so the *next* touch is free.
+    /// whole-block FRAM read that also refills the shadow, so the
+    /// *next* touch is free. The cold fill reads the whole block, not
+    /// just the span: the static bounds price the difference as
+    /// `EventCost::cold_extra_read_bytes`.
     fn load_block_cached(
         &self,
         dev: &mut Device,
         i: usize,
-        addr: usize,
-        len: usize,
         span: usize,
         scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
-        let layout = &self.machines[i].layout;
-        if let Some(cache) = &self.cache {
-            let hit = {
-                let c = cache.borrow();
-                let ms = &c.machines[i];
-                if ms.gen == c.gen {
-                    layout.encode(ms.state, &ms.vars, &mut scratch.block);
-                    scratch.block.truncate(span);
-                    true
-                } else {
-                    false
-                }
-            };
-            if hit {
-                cache.borrow_mut().stats.hits += 1;
-                return Ok(());
+        let block = self.machines[i].block();
+        let cache = self.shadow();
+        let hit = {
+            let c = cache.borrow();
+            let ms = &c.machines[i];
+            if ms.gen == c.gen {
+                block.layout.encode(ms.state, &ms.vars, &mut scratch.block);
+                scratch.block.truncate(span);
+                true
+            } else {
+                false
             }
-            {
-                let bytes = dev.nv_read_raw(addr, len)?;
-                scratch.block.clear();
-                scratch.block.extend_from_slice(bytes);
-            }
-            let mut c = cache.borrow_mut();
-            let ShadowCache { gen, machines, .. } = &mut *c;
-            let ms = &mut machines[i];
-            layout.decode(&scratch.block, &mut ms.state, &mut ms.vars);
-            ms.gen = *gen;
-            c.stats.misses += 1;
-            scratch.block.truncate(span);
+        };
+        if hit {
+            cache.borrow_mut().stats.hits += 1;
             return Ok(());
         }
-        let bytes = dev.nv_read_raw(addr, span)?;
-        scratch.block.clear();
-        scratch.block.extend_from_slice(bytes);
+        {
+            let bytes = dev.nv_read_raw(block.addr, block.layout.block_len)?;
+            scratch.block.clear();
+            scratch.block.extend_from_slice(bytes);
+        }
+        let mut c = cache.borrow_mut();
+        let ShadowCache { gen, machines, .. } = &mut *c;
+        let ms = &mut machines[i];
+        block
+            .layout
+            .decode(&scratch.block, &mut ms.state, &mut ms.vars);
+        ms.gen = *gen;
+        c.stats.misses += 1;
+        scratch.block.truncate(span);
         Ok(())
     }
 
@@ -1781,15 +1601,19 @@ impl MonitorEngine {
                 MachineStore::Cells {
                     state_cell,
                     var_cells,
+                    ..
                 } => (
                     dev.peek(state_cell),
                     var_cells.iter().map(|c| dev.peek(c).0).collect(),
                 ),
-                MachineStore::Block { addr, len } => {
+                MachineStore::Block(b) => {
                     let mut vars = Vec::new();
                     let mut state = 0u32;
-                    lm.layout
-                        .decode(dev.peek_raw(*addr, *len), &mut state, &mut vars);
+                    b.layout.decode(
+                        dev.peek_raw(b.addr, b.layout.block_len),
+                        &mut state,
+                        &mut vars,
+                    );
                     (state, vars)
                 }
             })
@@ -1851,8 +1675,9 @@ impl MonitorEngine {
                 }
                 let ShadowCache { gen, machines, .. } = &mut *c;
                 for (ms, lm) in machines.iter_mut().zip(&self.machines) {
-                    lm.layout
-                        .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
+                    let b = lm.block();
+                    b.layout
+                        .decode(&b.initial_image, &mut ms.state, &mut ms.vars);
                     ms.gen = *gen;
                 }
             });
@@ -1933,13 +1758,14 @@ impl MonitorEngine {
             )?;
             if last_seq != seq {
                 // Arm atomically: event, seq, verdict reset, AND the
-                // dispatch state (armed worklist + completion bitmap,
-                // or the full-scan step counter) — a failure after this
+                // dispatch state (the production engine's armed worklist
+                // and completion bitmap, or the reference engine's step
+                // counter) — a failure after this
                 // commit resumes exactly the armed set, a failure
                 // before it re-arms cleanly.
                 let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
                 match &self.routed {
-                    Some(rs) if self.delta_enabled => {
+                    Some(rs) => {
                         // Sparse arming: the whole record is staged
                         // with one write and the five sub-writes apply
                         // from RAM — no journal re-reads.
@@ -1956,20 +1782,13 @@ impl MonitorEngine {
                         rs.done.push(&mut stx, 0);
                         dev.commit_sparse(&self.journal, &stx)?;
                     }
-                    _ => {
+                    None => {
                         let mut tx = TxWriter::new();
                         tx.write(&self.event_cell, encoded);
                         tx.write(&self.seq_cell, seq);
                         tx.write(&self.verdict_count, 0u32);
-                        match &self.routed {
-                            Some(rs) => {
-                                dev.compute(ROUTING_LOOKUP_CYCLES)?;
-                                self.stage_worklist(rs, &encoded, &mut tx);
-                            }
-                            None => self
-                                .routine
-                                .stage_begin(&mut tx, self.machines.len() as u32),
-                        }
+                        self.routine
+                            .stage_begin(&mut tx, self.machines.len() as u32);
                         dev.commit(&self.journal, &tx)?;
                     }
                 }
@@ -2178,8 +1997,8 @@ impl MonitorEngine {
     /// Steps one machine through every batch event it dispatches, in
     /// delivery order, and commits the **coalesced** net effect once:
     /// repeated writes to a slot collapse to the last value in scratch,
-    /// and the sparse record carries the state word, the merged static
-    /// write set (or the whole block image for degraded machines), one
+    /// and the sparse record carries the changed bytes of the covering
+    /// span (or the whole block image for degraded machines), one
     /// verdict per emitting event, and the machine's done-bit.
     fn step_batch_machine(
         &self,
@@ -2191,17 +2010,8 @@ impl MonitorEngine {
         bs: &BatchState,
     ) -> Result<(), Interrupt> {
         let lm = &self.machines[i as usize];
-        let MachineStore::Block { addr, len } = lm.store else {
-            unreachable!("batch mode allocates block storage");
-        };
+        let block = lm.block();
         let cm = &self.compiled.machines()[i as usize];
-        let kind_of = |encoded: &EncodedEvent| {
-            if encoded.kind == 0 {
-                EventKind::StartTask
-            } else {
-                EventKind::EndTask
-            }
-        };
 
         // Merge the static footprints of the events this machine will
         // actually dispatch; bill each dispatch-table test.
@@ -2212,7 +2022,7 @@ impl MonitorEngine {
             if mask & (1 << e) == 0 {
                 continue;
             }
-            let kind = kind_of(encoded);
+            let kind = encoded.kind();
             let dispatched = cm.dispatch_len(kind, encoded.task);
             cycles += COMPILED_DISPATCH_CYCLES;
             if dispatched > 0 {
@@ -2231,99 +2041,53 @@ impl MonitorEngine {
             return Ok(());
         }
 
-        // Degraded machines (and delta-disabled engines) load and
-        // commit the full block image; sparse ones the covering span.
-        let whole = access.whole_block || !self.delta_enabled;
+        // Degraded machines load and commit the full block image;
+        // sparse ones the covering span.
+        let whole = access.whole_block;
         let covered = if whole {
-            lm.layout.var_count()
+            block.layout.var_count()
         } else {
             access.max_touched_slot().map_or(0, |s| s as usize + 1)
         };
         let span = if whole {
-            len
+            block.layout.block_len
         } else {
-            lm.layout.span(access.max_touched_slot())
+            block.layout.span(access.max_touched_slot())
         };
 
         let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, addr, len, span, scratch)?;
-        let mut before_state = 0u32;
-        lm.layout.decode_prefix(
-            &scratch.block,
-            covered,
-            &mut before_state,
-            &mut scratch.vars,
-        );
+        self.load_block_cached(dev, i as usize, span, scratch)?;
+        let mut state = 0u32;
+        block
+            .layout
+            .decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
         scratch.vars.resize(cm.var_count(), Value::Int(0));
-        let mut state = before_state;
 
         let mut emits: Vec<(usize, OnFail, Option<u32>)> = Vec::new();
         for (e, encoded) in events.iter().enumerate() {
-            if step_mask & (1 << e) == 0 {
-                continue;
-            }
-            let event = CompiledEvent {
-                kind: kind_of(encoded),
-                task: encoded.task,
-                ctx: EventCtx {
-                    time_us: encoded.timestamp_us,
-                    dep_data: encoded.dep_data(),
-                    energy_nj: encoded.energy_nj,
-                },
-            };
-            let mut executed = 0u64;
-            let emit = cm
-                .step_counting(
-                    &mut state,
-                    &mut scratch.vars,
-                    &event,
-                    &mut scratch.regs,
-                    &mut executed,
-                )
-                .unwrap_or(None);
-            {
-                let mut exec = self.exec.borrow_mut();
-                exec.instructions += executed;
-                exec.machine_steps += 1;
-            }
-            if let Some(fail) = emit {
-                emits.push((e, fail.action, fail.path.or(lm.machine.path)));
+            if step_mask & (1 << e) != 0 {
+                if let Some(fail) = self.run_bytecode(cm, &mut state, encoded, scratch) {
+                    emits.push((e, fail.action, fail.path.or(lm.machine.path)));
+                }
             }
         }
 
-        // Change detection over the merged written footprint. In diff
-        // mode the re-encoded prefix is diffed byte-for-byte against
-        // the authoritative old image (canonical encoding makes the
-        // comparison exact); otherwise the static write set is checked
-        // slot by slot.
-        let mut buf = [0u8; NV_VALUE_BYTES];
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let changed = if whole {
-            lm.layout
-                .encode(state, &scratch.vars, &mut scratch.block_new);
-            scratch.block_new != scratch.block
-        } else if self.diff_enabled {
-            lm.layout
-                .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-            runs = diff_runs(&scratch.block, &scratch.block_new);
-            !runs.is_empty()
+        // Change detection over the merged written footprint: the
+        // re-encoded prefix is diffed byte-for-byte against the
+        // authoritative old image (canonical encoding makes the
+        // comparison exact).
+        block
+            .layout
+            .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
+        let runs = if whole {
+            Vec::new()
         } else {
-            let mut c = state != before_state;
-            if !c {
-                for &slot in &access.writes {
-                    let off = lm.layout.slots[slot as usize].offset;
-                    let w = lm.layout.encode_slot_into(
-                        slot as usize,
-                        &scratch.vars[slot as usize],
-                        &mut buf,
-                    );
-                    if scratch.block[off..off + w] != buf[..w] {
-                        c = true;
-                        break;
-                    }
-                }
-            }
-            c
+            diff_runs(&scratch.block, &scratch.block_new)
+        };
+        let changed = if whole {
+            scratch.block_new != scratch.block
+        } else {
+            !runs.is_empty()
         };
         if emits.is_empty() && !changed {
             bs.done.write(dev, done)?;
@@ -2333,21 +2097,10 @@ impl MonitorEngine {
 
         let mut stx = SparseTx::new();
         if whole {
-            stx.push_raw(addr, scratch.block_new.clone());
-        } else if self.diff_enabled {
-            for &(s, e) in &runs {
-                stx.push_raw(addr + s, scratch.block_new[s..e].to_vec());
-            }
+            stx.push_raw(block.addr, scratch.block_new.clone());
         } else {
-            stx.push_raw(addr, lm.layout.encode_state(state));
-            for &slot in &access.writes {
-                let off = lm.layout.slots[slot as usize].offset;
-                let w = lm.layout.encode_slot_into(
-                    slot as usize,
-                    &scratch.vars[slot as usize],
-                    &mut buf,
-                );
-                stx.push_raw(addr + off, buf[..w].to_vec());
+            for &(s, e) in &runs {
+                stx.push_raw(block.addr + s, scratch.block_new[s..e].to_vec());
             }
         }
         let mut count = 0;
@@ -2416,7 +2169,7 @@ impl MonitorEngine {
     }
 
     /// Largest burst the group-commit path can arm at once (1 when
-    /// batching is disabled or fell back at install time).
+    /// batching is disabled).
     pub fn batch_capacity(&self) -> usize {
         self.batch.as_ref().map_or(1, |b| b.max_events)
     }
@@ -2461,8 +2214,9 @@ impl MonitorEngine {
                 let ShadowCache { gen, machines, .. } = &mut *c;
                 for (ms, lm) in machines.iter_mut().zip(&self.machines) {
                     if lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number()) {
-                        lm.layout
-                            .decode(&lm.initial_image, &mut ms.state, &mut ms.vars);
+                        let b = lm.block();
+                        b.layout
+                            .decode(&b.initial_image, &mut ms.state, &mut ms.vars);
                         ms.gen = *gen;
                     }
                 }
@@ -2489,14 +2243,13 @@ impl MonitorEngine {
     /// the dynamic `Path:` filter, both deterministic functions of the
     /// event) into the scratch buffer.
     fn compute_worklist(&self, encoded: &EncodedEvent) {
-        let kind = if encoded.kind == 0 {
-            EventKind::StartTask
-        } else {
-            EventKind::EndTask
-        };
         let scratch = &mut *self.scratch.borrow_mut();
         scratch.worklist.clear();
-        for &mi in self.compiled.routing().interested(kind, encoded.task) {
+        for &mi in self
+            .compiled
+            .routing()
+            .interested(encoded.kind(), encoded.task)
+        {
             let lm = &self.machines[mi as usize];
             let path_dismissed = match lm.machine.path {
                 Some(machine_path) => {
@@ -2508,15 +2261,6 @@ impl MonitorEngine {
                 scratch.worklist.push(mi);
             }
         }
-    }
-
-    /// Stages the computed worklist and a cleared completion bitmap
-    /// into the arming `tx`.
-    fn stage_worklist(&self, rs: &RoutedState, encoded: &EncodedEvent, tx: &mut TxWriter) {
-        self.compute_worklist(encoded);
-        let scratch = self.scratch.borrow();
-        tx.write_u16_list(rs.worklist_addr, &scratch.worklist);
-        rs.done.stage(tx, 0);
     }
 
     /// The armed worklist's entry count (0 = nothing pending).
@@ -2575,386 +2319,62 @@ impl MonitorEngine {
             |d| d.nv_read(&self.event_cell),
         )?;
 
+        // Path dismissal was resolved at arming time; worklisted
+        // machines always get a real step.
         for (j, &mi) in wl.iter().enumerate().skip(done) {
-            let lm = &self.machines[mi as usize];
-            // Path dismissal was resolved at arming time; worklisted
-            // machines always get a real step.
-            let completion = Completion::Bit(j + 1);
-            match self.mode {
-                ExecMode::Compiled => {
-                    self.step_compiled(dev, mi as u32, lm, &encoded, false, completion)?
-                }
-                ExecMode::Interpreter => {
-                    self.step_interpreted(dev, mi as u32, lm, &encoded, false, completion)?
-                }
-            }
+            self.step_compiled(dev, rs, mi as u32, &encoded, j + 1)?;
         }
         Ok(())
     }
 
-    /// Marks a step with no FRAM effects complete: one plain idempotent
-    /// write (re-execution after a power failure is harmless).
-    fn finish_plain(&self, dev: &mut Device, completion: Completion) -> Result<(), Interrupt> {
-        match completion {
-            Completion::Step(i) => self.routine.complete_step(dev, i),
-            Completion::Bit(done) => {
-                let rs = self
-                    .routed
-                    .as_ref()
-                    .expect("bitmap completion without routed state");
-                rs.done.write(dev, done)?;
-                self.cache_put(|c| c.done = Some(done));
-                Ok(())
-            }
-        }
-    }
-
-    /// Commits a step's staged FRAM effects together with its
-    /// completion marker in one crash-atomic transaction (exactly-once).
-    fn finish_atomic(
+    /// Marks a production step with no FRAM effects complete: one plain
+    /// idempotent bitmap write (re-execution after a power failure is
+    /// harmless).
+    fn finish_plain(
         &self,
         dev: &mut Device,
-        completion: Completion,
-        tx: &mut TxWriter,
+        rs: &RoutedState,
+        done: usize,
     ) -> Result<(), Interrupt> {
-        match completion {
-            Completion::Step(i) => self.routine.atomic_step(dev, &self.journal, i, tx),
-            Completion::Bit(done) => {
-                let rs = self
-                    .routed
-                    .as_ref()
-                    .expect("bitmap completion without routed state");
-                rs.done.stage(tx, done);
-                dev.commit(&self.journal, tx)?;
-                self.cache_put(|c| {
-                    c.journal_clean = true;
-                    c.done = Some(done);
-                });
-                Ok(())
-            }
-        }
+        rs.done.write(dev, done)?;
+        self.cache_put(|c| c.done = Some(done));
+        Ok(())
     }
 
-    /// Processes the stored event through machine `i` as one
-    /// crash-atomic step (full-scan reference path: the event cell is
-    /// re-read per machine and dismissal is tested dynamically).
+    /// Reference step: processes the stored event through machine `i`
+    /// as one crash-atomic step of the full-scan [`Routine`] (the event
+    /// cell is re-read per machine and dismissal is tested
+    /// dynamically).
     fn step_machine(&self, dev: &mut Device, i: u32) -> Result<(), Interrupt> {
         let lm = &self.machines[i as usize];
+        let MachineStore::Cells {
+            state_cell,
+            var_cells,
+            observed,
+        } = &lm.store
+        else {
+            unreachable!("the reference engine stores cells");
+        };
 
         let encoded = dev.nv_read(&self.event_cell)?;
 
-        // The `Path:` qualifier (paper §3.2): a property on a merged
+        // Cheap dismissals first — the generated C's trigger test, and
+        // the `Path:` qualifier (paper §3.2): a property on a merged
         // task is checked only against events from its governing path.
+        // A dismissed machine cannot change state, so its step
+        // completion is a plain counter write (re-execution is
+        // harmless).
         let path_dismissed = match lm.machine.path {
             Some(machine_path) => {
                 encoded.path_number != 0 && u32::from(encoded.path_number) != machine_path
             }
             None => false,
         };
-
-        match self.mode {
-            ExecMode::Compiled => {
-                self.step_compiled(dev, i, lm, &encoded, path_dismissed, Completion::Step(i))
-            }
-            ExecMode::Interpreter => {
-                self.step_interpreted(dev, i, lm, &encoded, path_dismissed, Completion::Step(i))
-            }
-        }
-    }
-
-    /// Compiled step: dispatch-table trigger test, one FRAM read for
-    /// the whole machine block, bytecode evaluation over scratch
-    /// registers, one journal entry to commit.
-    fn step_compiled(
-        &self,
-        dev: &mut Device,
-        i: u32,
-        lm: &LoadedMachine,
-        encoded: &EncodedEvent,
-        path_dismissed: bool,
-        completion: Completion,
-    ) -> Result<(), Interrupt> {
-        let MachineStore::Block { addr, len } = lm.store else {
-            unreachable!("compiled mode allocates block storage");
-        };
-        let cm = &self.compiled.machines()[i as usize];
-        let kind = if encoded.kind == 0 {
-            EventKind::StartTask
-        } else {
-            EventKind::EndTask
-        };
-
-        // O(1) trigger test off the dispatch table — kind-aware, so
-        // finer than the interpreter's observed-task set, but identical
-        // in effect: a dismissed machine has no transition that could
-        // match, and the interpreter's step would be an implicit
-        // self-transition with no FRAM writes. A dismissed machine's
-        // step completion is a plain counter write (re-execution is
-        // harmless).
-        let dispatched = cm.dispatch_len(kind, encoded.task);
-        if path_dismissed || dispatched == 0 {
-            dev.compute(COMPILED_DISPATCH_CYCLES)?;
-            return self.finish_plain(dev, completion);
-        }
-        // Bill the key's static compute ceiling (cycle-priced worst
-        // path through the dispatched transitions). Static and
-        // state-independent, so the charge never leaks machine state —
-        // and the bounds/energy passes can price the exact same table.
-        dev.compute(COMPILED_DISPATCH_CYCLES + cm.step_cost(kind, encoded.task).cycles)?;
-
-        // Routed + delta: load only the covering slot span and commit
-        // a sparse record over the static write set. Keys that touch
-        // most of the block degraded at compile time.
-        if self.delta_enabled {
-            let access = cm.access(kind, encoded.task);
-            if !access.whole_block {
-                if let Completion::Bit(done) = completion {
-                    return self
-                        .step_compiled_delta(dev, i, lm, cm, access, encoded, kind, addr, done);
-                }
-            }
-        }
-
-        let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, addr, len, len, scratch)?;
-        let mut before_state = 0u32;
-        lm.layout
-            .decode(&scratch.block, &mut before_state, &mut scratch.vars);
-        let mut state = before_state;
-
-        let event = CompiledEvent {
-            kind,
-            task: encoded.task,
-            ctx: EventCtx {
-                time_us: encoded.timestamp_us,
-                dep_data: encoded.dep_data(),
-                energy_nj: encoded.energy_nj,
-            },
-        };
-
-        // Evaluation errors cannot occur on validated machines; treat
-        // them as accept-silently to keep the monitor total (the C
-        // monitor has no error channel either). Partial variable
-        // mutations are kept, matching the interpreter's observable
-        // effects.
-        let mut executed = 0u64;
-        let emit = cm
-            .step_counting(
-                &mut state,
-                &mut scratch.vars,
-                &event,
-                &mut scratch.regs,
-                &mut executed,
-            )
-            .unwrap_or(None);
-        {
-            let mut exec = self.exec.borrow_mut();
-            exec.instructions += executed;
-            exec.machine_steps += 1;
-        }
-
-        lm.layout
-            .encode(state, &scratch.vars, &mut scratch.block_new);
-        if emit.is_none() && scratch.block_new == scratch.block {
-            return self.finish_plain(dev, completion);
-        }
-
-        let mut tx = TxWriter::new();
-        tx.write_raw(addr, scratch.block_new.clone());
-        let mut staged = None;
-        if let Some(fail) = emit {
-            staged = Some(self.stage_verdict(
-                dev,
-                &mut tx,
-                i,
-                fail.action,
-                fail.path.or(lm.machine.path),
-            )?);
-        }
-        self.finish_atomic(dev, completion, &mut tx)?;
-        self.shadow_machine_update(i as usize, state, &scratch.vars, None);
-        if let Some((slot, value)) = staged {
-            self.cache_put(|c| {
-                let gen = c.gen;
-                c.verdicts[slot] = (gen, value);
-                c.verdict_count = Some(slot as u32 + 1);
-            });
-        }
-        Ok(())
-    }
-
-    /// Delta variant of [`MonitorEngine::step_compiled`]: one FRAM read
-    /// for the key's covering slot span, then a sparse commit of the
-    /// state word, the static write-set slots, and the completion bit.
-    ///
-    /// Soundness: the access set over-approximates every slot the
-    /// dispatched bytecode can read or write, so slots outside the
-    /// loaded span are never observed (they are placeholder-filled to
-    /// keep slot indexing in bounds) and slots outside the write set
-    /// cannot change. Write-set slots the step did not actually touch
-    /// write back their loaded value — idempotent, because the write
-    /// set is inside the read span by construction.
-    #[allow(clippy::too_many_arguments)]
-    fn step_compiled_delta(
-        &self,
-        dev: &mut Device,
-        i: u32,
-        lm: &LoadedMachine,
-        cm: &CompiledMachine,
-        access: &AccessSet,
-        encoded: &EncodedEvent,
-        kind: EventKind,
-        addr: usize,
-        done: usize,
-    ) -> Result<(), Interrupt> {
-        let covered = access.max_touched_slot().map_or(0, |s| s as usize + 1);
-        let span = lm.layout.span(access.max_touched_slot());
-        let MachineStore::Block { len, .. } = lm.store else {
-            unreachable!("compiled mode allocates block storage");
-        };
-
-        let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, addr, len, span, scratch)?;
-        let mut before_state = 0u32;
-        lm.layout.decode_prefix(
-            &scratch.block,
-            covered,
-            &mut before_state,
-            &mut scratch.vars,
-        );
-        scratch.vars.resize(cm.var_count(), Value::Int(0));
-        let mut state = before_state;
-
-        let event = CompiledEvent {
-            kind,
-            task: encoded.task,
-            ctx: EventCtx {
-                time_us: encoded.timestamp_us,
-                dep_data: encoded.dep_data(),
-                energy_nj: encoded.energy_nj,
-            },
-        };
-        let mut executed = 0u64;
-        let emit = cm
-            .step_counting(
-                &mut state,
-                &mut scratch.vars,
-                &event,
-                &mut scratch.regs,
-                &mut executed,
-            )
-            .unwrap_or(None);
-        {
-            let mut exec = self.exec.borrow_mut();
-            exec.instructions += executed;
-            exec.machine_steps += 1;
-        }
-
-        // Change detection over the written footprint only (byte-level,
-        // like the whole-block path): anything else cannot have moved.
-        // In diff mode the re-encoded prefix is diffed against the
-        // authoritative old image and only the changed runs are staged;
-        // otherwise the state word plus every write-set slot commit.
-        let mut buf = [0u8; NV_VALUE_BYTES];
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let changed = if self.diff_enabled {
-            lm.layout
-                .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-            runs = diff_runs(&scratch.block, &scratch.block_new);
-            !runs.is_empty()
-        } else {
-            let mut c = state != before_state;
-            if !c {
-                for &slot in &access.writes {
-                    let off = lm.layout.slots[slot as usize].offset;
-                    let w = lm.layout.encode_slot_into(
-                        slot as usize,
-                        &scratch.vars[slot as usize],
-                        &mut buf,
-                    );
-                    if scratch.block[off..off + w] != buf[..w] {
-                        c = true;
-                        break;
-                    }
-                }
-            }
-            c
-        };
-        if emit.is_none() && !changed {
-            return self.finish_plain(dev, Completion::Bit(done));
-        }
-
-        let mut stx = SparseTx::new();
-        if self.diff_enabled {
-            for &(s, e) in &runs {
-                stx.push_raw(addr + s, scratch.block_new[s..e].to_vec());
-            }
-        } else {
-            stx.push_raw(addr, lm.layout.encode_state(state));
-            for &slot in &access.writes {
-                let off = lm.layout.slots[slot as usize].offset;
-                let w = lm.layout.encode_slot_into(
-                    slot as usize,
-                    &scratch.vars[slot as usize],
-                    &mut buf,
-                );
-                stx.push_raw(addr + off, buf[..w].to_vec());
-            }
-        }
-        let mut staged = None;
-        if let Some(fail) = emit {
-            let count = self.read_verdict_count_cached(dev)?;
-            let value = (i, encode_action(fail.action, fail.path.or(lm.machine.path)));
-            stx.push(&self.verdict_cells[count as usize], value);
-            stx.push(&self.verdict_count, count + 1);
-            staged = Some((count as usize, value));
-        }
-        let rs = self
-            .routed
-            .as_ref()
-            .expect("delta step without routed state");
-        rs.done.push(&mut stx, done);
-        dev.commit_sparse(&self.journal, &stx)?;
-        self.shadow_machine_update(i as usize, state, &scratch.vars, Some(&access.writes));
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            c.done = Some(done);
-            if let Some((slot, value)) = staged {
-                let gen = c.gen;
-                c.verdicts[slot] = (gen, value);
-                c.verdict_count = Some(slot as u32 + 1);
-            }
-        });
-        Ok(())
-    }
-
-    /// Interpreter step: the original reference path over per-variable
-    /// cells.
-    fn step_interpreted(
-        &self,
-        dev: &mut Device,
-        i: u32,
-        lm: &LoadedMachine,
-        encoded: &EncodedEvent,
-        path_dismissed: bool,
-        completion: Completion,
-    ) -> Result<(), Interrupt> {
-        let MachineStore::Cells {
-            state_cell,
-            var_cells,
-        } = &lm.store
-        else {
-            unreachable!("interpreter mode allocates cell storage");
-        };
-
-        // Cheap dismissals first — the generated C's trigger test. A
-        // dismissed machine cannot change state, so its step completion
-        // is a plain counter write (re-execution is harmless).
         let dismissed =
-            path_dismissed || matches!(&lm.observed, Some(tasks) if !tasks.contains(&encoded.task));
+            path_dismissed || matches!(observed, Some(tasks) if !tasks.contains(&encoded.task));
         if dismissed {
             dev.compute(STEP_BASE_CYCLES)?;
-            return self.finish_plain(dev, completion);
+            return self.routine.complete_step(dev, i);
         }
 
         // Model the compute cost of the generated step function.
@@ -2979,17 +2399,9 @@ impl MonitorEngine {
         };
 
         let ir_event = IrEvent {
-            kind: if encoded.kind == 0 {
-                EventKind::StartTask
-            } else {
-                EventKind::EndTask
-            },
+            kind: encoded.kind(),
             task: task_name,
-            ctx: EventCtx {
-                time_us: encoded.timestamp_us,
-                dep_data: encoded.dep_data(),
-                energy_nj: encoded.energy_nj,
-            },
+            ctx: encoded.ctx(),
         };
 
         // Evaluation errors cannot occur on validated machines; treat
@@ -3002,7 +2414,7 @@ impl MonitorEngine {
         // no journal round-trip (matches the generated C, which only
         // touches FRAM on actual assignments).
         if emit.is_none() && mstate.state == before_state && scratch.vars == scratch.before_vars {
-            return self.finish_plain(dev, completion);
+            return self.routine.complete_step(dev, i);
         }
 
         let mut tx = TxWriter::new();
@@ -3021,7 +2433,195 @@ impl MonitorEngine {
         if let Some(fail) = emit {
             self.stage_verdict(dev, &mut tx, i, fail.action, fail.path.or(lm.machine.path))?;
         }
-        self.finish_atomic(dev, completion, &mut tx)
+        self.routine.atomic_step(dev, &self.journal, i, &mut tx)
+    }
+
+    /// Production step of worklist entry `done − 1` (machine `i`):
+    /// dispatch-table trigger test, then either a sparse delta step
+    /// over the key's covering span or — for keys whose access set
+    /// degraded to the whole block at compile time — one whole-block
+    /// load and a whole-block entry-list commit.
+    fn step_compiled(
+        &self,
+        dev: &mut Device,
+        rs: &RoutedState,
+        i: u32,
+        encoded: &EncodedEvent,
+        done: usize,
+    ) -> Result<(), Interrupt> {
+        let cm = &self.compiled.machines()[i as usize];
+        let kind = encoded.kind();
+
+        // O(1) trigger test off the dispatch table — kind-aware, so
+        // finer than the reference engine's observed-task set, but
+        // identical in effect: a dismissed machine has no transition
+        // that could match, and the reference step would be an
+        // implicit self-transition with no FRAM writes. A dismissed
+        // machine's completion is a plain bitmap write.
+        if cm.dispatch_len(kind, encoded.task) == 0 {
+            dev.compute(COMPILED_DISPATCH_CYCLES)?;
+            return self.finish_plain(dev, rs, done);
+        }
+        // Bill the key's static compute ceiling (cycle-priced worst
+        // path through the dispatched transitions). Static and
+        // state-independent, so the charge never leaks machine state —
+        // and the bounds/energy passes can price the exact same table.
+        dev.compute(COMPILED_DISPATCH_CYCLES + cm.step_cost(kind, encoded.task).cycles)?;
+
+        let access = cm.access(kind, encoded.task);
+        if !access.whole_block {
+            return self.step_compiled_delta(dev, rs, i, cm, access, encoded, done);
+        }
+
+        let lm = &self.machines[i as usize];
+        let block = lm.block();
+        let scratch = &mut *self.scratch.borrow_mut();
+        self.load_block_cached(dev, i as usize, block.layout.block_len, scratch)?;
+        let mut state = 0u32;
+        block
+            .layout
+            .decode(&scratch.block, &mut state, &mut scratch.vars);
+
+        let emit = self.run_bytecode(cm, &mut state, encoded, scratch);
+
+        block
+            .layout
+            .encode(state, &scratch.vars, &mut scratch.block_new);
+        if emit.is_none() && scratch.block_new == scratch.block {
+            return self.finish_plain(dev, rs, done);
+        }
+
+        let mut tx = TxWriter::new();
+        tx.write_raw(block.addr, scratch.block_new.clone());
+        let mut staged = None;
+        if let Some(fail) = emit {
+            staged = Some(self.stage_verdict(
+                dev,
+                &mut tx,
+                i,
+                fail.action,
+                fail.path.or(lm.machine.path),
+            )?);
+        }
+        rs.done.stage(&mut tx, done);
+        dev.commit(&self.journal, &tx)?;
+        self.shadow_machine_update(i as usize, state, &scratch.vars, None);
+        self.cache_put(|c| {
+            c.journal_clean = true;
+            c.done = Some(done);
+            if let Some((slot, value)) = staged {
+                let gen = c.gen;
+                c.verdicts[slot] = (gen, value);
+                c.verdict_count = Some(slot as u32 + 1);
+            }
+        });
+        Ok(())
+    }
+
+    /// Steps machine `cm` over `encoded` through the bytecode core,
+    /// counting executed instructions. Evaluation errors cannot occur
+    /// on validated machines; they are treated as accept-silently to
+    /// keep the monitor total (the C monitor has no error channel
+    /// either). Partial variable mutations are kept, matching the
+    /// reference engine's observable effects.
+    fn run_bytecode<'c>(
+        &self,
+        cm: &'c CompiledMachine,
+        state: &mut u32,
+        encoded: &EncodedEvent,
+        scratch: &mut Scratch,
+    ) -> Option<&'c EmitFail> {
+        let event = CompiledEvent {
+            kind: encoded.kind(),
+            task: encoded.task,
+            ctx: encoded.ctx(),
+        };
+        let mut executed = 0u64;
+        let emit = cm
+            .step_counting(
+                state,
+                &mut scratch.vars,
+                &event,
+                &mut scratch.regs,
+                &mut executed,
+            )
+            .unwrap_or(None);
+        let mut exec = self.exec.borrow_mut();
+        exec.instructions += executed;
+        exec.machine_steps += 1;
+        emit
+    }
+
+    /// Delta variant of [`MonitorEngine::step_compiled`]: one FRAM read
+    /// for the key's covering slot span, then a sparse commit of the
+    /// changed bytes and the completion bit.
+    ///
+    /// Soundness: the access set over-approximates every slot the
+    /// dispatched bytecode can read or write, so slots outside the
+    /// loaded span are never observed (they are placeholder-filled to
+    /// keep slot indexing in bounds) and slots outside the write set
+    /// cannot change. The re-encoded span is diffed byte-for-byte
+    /// against the authoritative old image (canonical encoding makes
+    /// the comparison exact), and only the changed runs are staged.
+    #[allow(clippy::too_many_arguments)]
+    fn step_compiled_delta(
+        &self,
+        dev: &mut Device,
+        rs: &RoutedState,
+        i: u32,
+        cm: &CompiledMachine,
+        access: &AccessSet,
+        encoded: &EncodedEvent,
+        done: usize,
+    ) -> Result<(), Interrupt> {
+        let lm = &self.machines[i as usize];
+        let block = lm.block();
+        let covered = access.max_touched_slot().map_or(0, |s| s as usize + 1);
+        let span = block.layout.span(access.max_touched_slot());
+
+        let scratch = &mut *self.scratch.borrow_mut();
+        self.load_block_cached(dev, i as usize, span, scratch)?;
+        let mut state = 0u32;
+        block
+            .layout
+            .decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
+        scratch.vars.resize(cm.var_count(), Value::Int(0));
+
+        let emit = self.run_bytecode(cm, &mut state, encoded, scratch);
+
+        block
+            .layout
+            .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
+        let runs = diff_runs(&scratch.block, &scratch.block_new);
+        if emit.is_none() && runs.is_empty() {
+            return self.finish_plain(dev, rs, done);
+        }
+
+        let mut stx = SparseTx::new();
+        for &(s, e) in &runs {
+            stx.push_raw(block.addr + s, scratch.block_new[s..e].to_vec());
+        }
+        let mut staged = None;
+        if let Some(fail) = emit {
+            let count = self.read_verdict_count_cached(dev)?;
+            let value = (i, encode_action(fail.action, fail.path.or(lm.machine.path)));
+            stx.push(&self.verdict_cells[count as usize], value);
+            stx.push(&self.verdict_count, count + 1);
+            staged = Some((count as usize, value));
+        }
+        rs.done.push(&mut stx, done);
+        dev.commit_sparse(&self.journal, &stx)?;
+        self.shadow_machine_update(i as usize, state, &scratch.vars, Some(&access.writes));
+        self.cache_put(|c| {
+            c.journal_clean = true;
+            c.done = Some(done);
+            if let Some((slot, value)) = staged {
+                let gen = c.gen;
+                c.verdicts[slot] = (gen, value);
+                c.verdict_count = Some(slot as u32 + 1);
+            }
+        });
+        Ok(())
     }
 
     /// Appends one verdict to the persistent verdict log inside `tx`.
@@ -3483,26 +3083,20 @@ mod tests {
 
     /// Suite sizes the bounds exactness pins run at: the historical
     /// 8-machine dispatch shape and a wide suite past the 64-machine
-    /// mark, where the done bitmap spans several bytes (packed) and
-    /// several words (tagged).
+    /// mark, where the done bitmap spans several bytes.
     const PIN_SIZES: [usize; 2] = [8, 72];
 
     /// FRAM traffic of a run: (read ops, write ops, read bytes, write
     /// bytes).
     type FramTally = (usize, usize, usize, usize);
 
-    /// Installs `suite` with `opts`, resets it, delivers `events`
-    /// `start(t0)` events, and returns the FRAM traffic of the
+    /// Installs `suite` on the production engine, resets it, delivers
+    /// `events` `start(t0)` events, and returns the FRAM traffic of the
     /// deliveries.
-    fn tally_start_events(
-        suite: &MonitorSuite,
-        app: &AppGraph,
-        opts: InstallOptions,
-        events: u64,
-    ) -> FramTally {
+    fn tally_start_events(suite: &MonitorSuite, app: &AppGraph, events: u64) -> FramTally {
         let t0 = app.task_by_name("t0").unwrap();
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install_with(&mut dev, suite.clone(), app, opts).unwrap();
+        let engine = MonitorEngine::install(&mut dev, suite.clone(), app).unwrap();
         assert_eq!(engine.routing_mode(), RoutingMode::Routed);
         engine.reset_monitor(&mut dev).unwrap();
         let f = dev.fram();
@@ -3521,31 +3115,52 @@ mod tests {
         )
     }
 
-    /// The `start(t0)` key of a suite's static bounds under `layout`.
-    fn start_t0_key(
-        compiled: &CompiledSuite,
-        layout: artemis_ir::LayoutKind,
-    ) -> artemis_ir::analysis::bounds::EventCost {
-        artemis_ir::suite_bounds_for(compiled, layout)
+    /// The `start(t0)` key of a suite's static bounds.
+    fn start_t0_key(compiled: &CompiledSuite) -> artemis_ir::analysis::bounds::EventCost {
+        artemis_ir::suite_bounds(compiled)
             .per_key
             .into_iter()
             .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
             .unwrap()
     }
 
+    /// Asserts that `events` warm deliveries cost exactly the static
+    /// warm-cache model of `key`: reads, writes and both byte counts.
+    fn assert_warm_model_exact(
+        suite: &MonitorSuite,
+        app: &AppGraph,
+        key: &artemis_ir::analysis::bounds::EventCost,
+        events: u64,
+        ctx: &str,
+    ) {
+        let n = events as usize;
+        let (reads, writes, read_bytes, write_bytes) = tally_start_events(suite, app, events);
+        assert_eq!(reads, key.cached_reads * n, "read model drifted ({ctx})");
+        assert_eq!(writes, key.writes * n, "write model drifted ({ctx})");
+        assert_eq!(
+            read_bytes,
+            key.cached_read_bytes * n,
+            "read-byte model drifted ({ctx})"
+        );
+        assert_eq!(
+            write_bytes,
+            key.write_bytes * n,
+            "write-byte model drifted ({ctx})"
+        );
+    }
+
     /// Pins the static FRAM cost model of `artemis_ir::analysis::bounds`
     /// to the engine it describes: for the dispatch-benchmark-shaped
-    /// suite, the per-event bound must equal what the engine actually
-    /// bills (and therefore dominate any measured run, since arming-time
-    /// path filtering only ever shrinks the worklist) — in ops and, per
-    /// layout, in bytes, at 8 machines and past 64.
+    /// suite, where every machine degrades to whole-block commits, the
+    /// warm per-event model equals what the engine bills — in ops and
+    /// bytes, at 8 machines and past 64.
     #[test]
     fn bounds_model_matches_engine() {
         const EVENTS: u64 = 20;
         for machines in PIN_SIZES {
             let (suite, app) = dispatch_suite(machines, 12);
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-            let key = start_t0_key(&compiled, artemis_ir::LayoutKind::Packed);
+            let key = start_t0_key(&compiled);
             assert_eq!(key.machines, machines);
             assert_eq!(key.emitters, 0);
             // Every machine degrades to whole-block commits, so the warm-
@@ -3553,60 +3168,25 @@ mod tests {
             assert_eq!(key.degraded_machines, machines);
             assert_eq!(key.cached_reads, machines * 5);
             assert_eq!(key.cold_extra_reads, 2 + machines);
-
-            // Both cache modes must match their static model exactly,
-            // under both layouts; the write model is cache-independent
-            // (write-through).
-            for (layout, kind) in [
-                (LayoutMode::Packed, artemis_ir::LayoutKind::Packed),
-                (LayoutMode::Tagged, artemis_ir::LayoutKind::Tagged),
-            ] {
-                let key = start_t0_key(&compiled, kind);
-                for (cache, model_reads, model_read_bytes) in [
-                    (CacheMode::Disabled, key.reads, key.read_bytes),
-                    (CacheMode::Enabled, key.cached_reads, key.cached_read_bytes),
-                ] {
-                    let opts = InstallOptions {
-                        cache,
-                        layout,
-                        ..InstallOptions::default()
-                    };
-                    let n = EVENTS as usize;
-                    let (reads, writes, read_bytes, write_bytes) =
-                        tally_start_events(&suite, &app, opts, EVENTS);
-                    let ctx = format!("{machines} machines, {layout:?}, {cache:?}");
-                    assert_eq!(reads, model_reads * n, "read model drifted ({ctx})");
-                    assert_eq!(writes, key.writes * n, "write model drifted ({ctx})");
-                    assert_eq!(
-                        read_bytes,
-                        model_read_bytes * n,
-                        "read-byte model drifted ({ctx})"
-                    );
-                    assert_eq!(
-                        write_bytes,
-                        key.write_bytes * n,
-                        "write-byte model drifted ({ctx})"
-                    );
-                }
-            }
+            assert_warm_model_exact(&suite, &app, &key, EVENTS, &format!("{machines} machines"));
         }
     }
 
-    /// The delta-commit twin of [`bounds_model_matches_engine`]: when
-    /// each handler touches a small slice of its block, every machine
-    /// takes the sparse path and the static per-key bound — one span
-    /// read plus `|writes| + 3` journalled writes per machine — must
-    /// equal the engine's billing exactly, at 8 machines and past 64.
+    /// The delta-commit twin of [`bounds_model_matches_engine`], on a
+    /// suite where the engine's dirty-diff records coincide with the
+    /// slot-granular records the model prices: every machine flips its
+    /// state and a `Bool` slot 8 bytes past the state byte on every
+    /// event, so each commit carries exactly two one-byte runs (no
+    /// merge) plus the done bit. One span read plus `|W| + 3` journalled
+    /// writes per machine must equal the engine's billing exactly, at 8
+    /// machines and past 64.
     #[test]
     fn bounds_model_matches_engine_delta() {
         const EVENTS: u64 = 20;
         for machines in PIN_SIZES {
-            // Each handler increments only v0: 1 of 12 slots written,
-            // far below the ¾ degrade threshold, so all machines stay
-            // sparse.
-            let (suite, app) = dispatch_suite(machines, 1);
+            let (suite, app) = flip_suite(machines, 4);
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-            let key = start_t0_key(&compiled, artemis_ir::LayoutKind::Packed);
+            let key = start_t0_key(&compiled);
             assert_eq!(key.machines, machines);
             assert_eq!(key.delta_machines, machines, "all machines must go sparse");
             assert_eq!(key.degraded_machines, 0);
@@ -3621,122 +3201,24 @@ mod tests {
             assert_eq!(key.cached_reads, 0);
             assert_eq!(key.cold_extra_reads, 2 + machines);
             assert_eq!(key.cached_ops(), key.writes);
-
-            // `DiffMode::Disabled` pins the slot-granular commit format
-            // the static model prices; the dirty-diff default can only
-            // shave sub-writes off it (see
-            // `diff_commits_undercut_the_model`).
-            for (layout, kind) in [
-                (LayoutMode::Packed, artemis_ir::LayoutKind::Packed),
-                (LayoutMode::Tagged, artemis_ir::LayoutKind::Tagged),
-            ] {
-                let key = start_t0_key(&compiled, kind);
-                for (cache, model_reads, model_read_bytes) in [
-                    (CacheMode::Disabled, key.reads, key.read_bytes),
-                    (CacheMode::Enabled, key.cached_reads, key.cached_read_bytes),
-                ] {
-                    let opts = InstallOptions {
-                        cache,
-                        layout,
-                        diff: DiffMode::Disabled,
-                        ..InstallOptions::default()
-                    };
-                    let n = EVENTS as usize;
-                    let (reads, writes, read_bytes, write_bytes) =
-                        tally_start_events(&suite, &app, opts, EVENTS);
-                    let ctx = format!("{machines} machines, {layout:?}, {cache:?}");
-                    assert_eq!(reads, model_reads * n, "delta read model drifted ({ctx})");
-                    assert_eq!(writes, key.writes * n, "delta write model drifted ({ctx})");
-                    assert_eq!(
-                        read_bytes,
-                        model_read_bytes * n,
-                        "delta read-byte model drifted ({ctx})"
-                    );
-                    assert_eq!(
-                        write_bytes,
-                        key.write_bytes * n,
-                        "delta write-byte model drifted ({ctx})"
-                    );
-                }
-            }
+            assert_warm_model_exact(&suite, &app, &key, EVENTS, &format!("{machines} machines"));
         }
     }
 
-    /// The dirty-diff default commits strictly less than the
-    /// slot-granular format the static model prices, and stays under
-    /// the model: on the sparse increment workload the state word never
-    /// changes and only the counter's low byte does, so each machine's
-    /// commit shrinks from 3 sub-writes (state + slot + done) to 2
-    /// (one 1-byte run + done).
+    /// Off the flip workload the dirty-diff commits undercut the
+    /// slot-granular model, which stays a bound: on the sparse
+    /// increment workload the state word never changes and only the
+    /// counter's low byte does, so each machine's commit shrinks from 3
+    /// sub-writes (state + slot + done) to 2 (one 1-byte run + done).
     #[test]
     fn diff_commits_undercut_the_model() {
-        use artemis_ir::expr::{BinOp, Expr, Value, VarType};
-        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
-
         const MACHINES: usize = 8;
-        const VARS: usize = 12;
         const EVENTS: u64 = 20;
 
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
-        let mut suite = MonitorSuite::new();
-        for m in 0..MACHINES {
-            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
-            for v in 0..VARS {
-                sm.add_var(&format!("v{v}"), VarType::Int, Value::Int(0));
-            }
-            sm.add_state("S");
-            sm.transitions.push(Transition {
-                from: 0,
-                to: 0,
-                trigger: Trigger::Start(TaskPat::named("t0")),
-                guard: None,
-                body: vec![Stmt::Assign(
-                    "v0".into(),
-                    Expr::bin(BinOp::Add, Expr::var("v0"), Expr::int(1)),
-                )],
-                emit: None,
-            });
-            suite.push(sm);
-        }
-
+        let (suite, app) = dispatch_suite(MACHINES, 1);
         let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bounds = artemis_ir::suite_bounds(&compiled);
-        let key = bounds
-            .per_key
-            .iter()
-            .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-            .unwrap();
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let engine = MonitorEngine::install_with(
-            &mut dev,
-            suite.clone(),
-            &app,
-            InstallOptions {
-                cache: CacheMode::Enabled,
-                ..InstallOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(engine.diff_mode(), DiffMode::Auto);
-        engine.reset_monitor(&mut dev).unwrap();
-
-        let reads0 = dev.fram().read_ops();
-        let writes0 = dev.fram().write_ops();
-        let bytes0 = dev.fram().write_bytes();
-        for seq in 1..=EVENTS {
-            engine
-                .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                .unwrap();
-        }
-        let reads = (dev.fram().read_ops() - reads0) as usize;
-        let writes = (dev.fram().write_ops() - writes0) as usize;
-        let write_bytes = (dev.fram().write_bytes() - bytes0) as usize;
+        let key = start_t0_key(&compiled);
+        let (reads, writes, _, write_bytes) = tally_start_events(&suite, &app, EVENTS);
 
         // Warm deliveries stay write-only, each machine commit drops
         // one sub-write (5 instead of 6 FRAM writes), and both figures
@@ -3751,6 +3233,15 @@ mod tests {
         );
     }
 
+    /// A two-task app (`t0`, `t1` on one path) for hand-built suites.
+    fn t0_app() -> AppGraph {
+        let mut b = AppGraphBuilder::new();
+        let t0 = b.task("t0");
+        let t1 = b.task("t1");
+        b.path(&[t0, t1]);
+        b.build().unwrap()
+    }
+
     /// Builds the dispatch-workload suite the bounds exactness tests
     /// use: `machines` identical machines over 12 int vars, each
     /// incrementing the first `writes` slots on `startTask(t0)`.
@@ -3759,12 +3250,6 @@ mod tests {
         use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
 
         const VARS: usize = 12;
-        let mut b = AppGraphBuilder::new();
-        let t0 = b.task("t0");
-        let t1 = b.task("t1");
-        b.path(&[t0, t1]);
-        let app = b.build().unwrap();
-
         let mut suite = MonitorSuite::new();
         for m in 0..machines {
             let mut sm = StateMachine::new(&format!("m{m}"), "t0");
@@ -3789,7 +3274,42 @@ mod tests {
             });
             suite.push(sm);
         }
-        (suite, app)
+        (suite, t0_app())
+    }
+
+    /// Builds the flip workload: `machines` machines alternating between
+    /// states `A` and `B` on every `startTask(t0)`, setting the `Bool`
+    /// slot `b` to `true` on the way to `B` and `false` on the way back.
+    /// An untouched `Float` slot sits between the state byte and `b`
+    /// (so the two changed bytes are 8 apart and never merge into one
+    /// diff run), and `floats` more untouched `Float` slots follow.
+    fn flip_suite(machines: usize, floats: usize) -> (MonitorSuite, AppGraph) {
+        use artemis_ir::expr::{Expr, Value, VarType};
+        use artemis_ir::fsm::{StateMachine, Stmt, TaskPat, Transition, Trigger};
+
+        let mut suite = MonitorSuite::new();
+        for m in 0..machines {
+            let mut sm = StateMachine::new(&format!("m{m}"), "t0");
+            sm.add_var("f", VarType::Float, Value::Float(0.0));
+            sm.add_var("b", VarType::Bool, Value::Bool(false));
+            for v in 0..floats {
+                sm.add_var(&format!("g{v}"), VarType::Float, Value::Float(0.0));
+            }
+            sm.add_state("A");
+            sm.add_state("B");
+            for (from, to, value) in [(0, 1, true), (1, 0, false)] {
+                sm.transitions.push(Transition {
+                    from,
+                    to,
+                    trigger: Trigger::Start(TaskPat::named("t0")),
+                    guard: None,
+                    body: vec![Stmt::Assign("b".into(), Expr::Lit(Value::Bool(value)))],
+                    emit: None,
+                });
+            }
+            suite.push(sm);
+        }
+        (suite, t0_app())
     }
 
     /// The dynamic executed-instruction counters must agree with the
@@ -3825,10 +3345,10 @@ mod tests {
         // Single unguarded transition per machine: executed == ceiling.
         assert_eq!(stats.instructions, EVENTS * per_event);
 
-        // Interpreter mode runs no bytecode: counters stay zero.
+        // The reference engine runs no bytecode: counters stay zero.
         let mut dev_i = DeviceBuilder::msp430fr5994().build();
         let engine_i =
-            MonitorEngine::install_with_mode(&mut dev_i, suite, &app, ExecMode::Interpreter)
+            MonitorEngine::install_with(&mut dev_i, suite, &app, InstallOptions::reference())
                 .unwrap();
         engine_i.reset_monitor(&mut dev_i).unwrap();
         engine_i
@@ -3838,10 +3358,11 @@ mod tests {
     }
 
     /// The energy twin of [`bounds_model_matches_engine`]: per-event
-    /// predicted delivery energy (ops, bytes and cycles priced through
-    /// the device's cost model) must equal the simulator's measured
-    /// monitor-category draw exactly, in both cache modes, on both the
-    /// degraded (whole-block) and sparse (delta) workloads. This is
+    /// predicted warm delivery energy (ops, bytes and cycles priced
+    /// through the device's cost model) must equal the simulator's
+    /// measured monitor-category draw exactly, on both the degraded
+    /// (whole-block) and the flip (sparse, diff = slot-granular)
+    /// workloads, and the warm-or-cold ceiling must dominate it. This is
     /// what lets the install-time feasibility analysis trust its
     /// per-attempt numbers.
     #[test]
@@ -3850,108 +3371,174 @@ mod tests {
 
         const EVENTS: u64 = 20;
 
-        // writes=12 degrades every machine; writes=1 keeps all sparse.
-        for (label, writes) in [("degraded", 12), ("delta", 1)] {
-            let (suite, app) = dispatch_suite(8, writes);
+        for (label, (suite, app)) in [
+            ("degraded", dispatch_suite(8, 12)),
+            ("flip", flip_suite(8, 4)),
+        ] {
             let t0 = app.task_by_name("t0").unwrap();
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-            let bounds = artemis_ir::suite_bounds(&compiled);
-            let key = bounds
-                .per_key
-                .iter()
-                .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
-                .unwrap();
+            let key = start_t0_key(&compiled);
 
-            for cache in [CacheMode::Disabled, CacheMode::Enabled] {
-                let mut dev = DeviceBuilder::msp430fr5994().build();
-                let model = *dev.cost_model();
-                let predicted = match cache {
-                    CacheMode::Disabled => event_energy(key, &model),
-                    CacheMode::Enabled => event_energy_cached(key, &model),
-                };
-                // Slot-granular commits: the energy model prices that
-                // format; the diff default only ever draws less.
-                let engine = MonitorEngine::install_with(
-                    &mut dev,
-                    suite.clone(),
-                    &app,
-                    InstallOptions {
-                        cache,
-                        diff: DiffMode::Disabled,
-                        ..InstallOptions::default()
-                    },
-                )
-                .unwrap();
-                engine.reset_monitor(&mut dev).unwrap();
-
-                let spent0 = dev.stats().energy(CostCategory::Monitor);
-                for seq in 1..=EVENTS {
-                    engine
-                        .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
-                        .unwrap();
-                }
-                let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
-                assert_eq!(
-                    spent,
-                    predicted.saturating_mul(EVENTS),
-                    "energy model drifted ({label}, {cache:?})"
-                );
-            }
-        }
-    }
-
-    /// Batched counterpart of [`energy_model_matches_engine`]: a full
-    /// batch on the sparse workload must draw exactly the static
-    /// [`artemis_ir::BatchBounds`] energy in both cache modes (warm
-    /// batches are write-only, so the cached prediction is writes +
-    /// cycles alone).
-    #[test]
-    fn batch_energy_model_matches_engine() {
-        use artemis_ir::analysis::{batch_energy, batch_energy_cached};
-
-        const BATCH: usize = 8;
-        const BATCHES: u64 = 5;
-
-        let (suite, app) = dispatch_suite(8, 1);
-        let t0 = app.task_by_name("t0").unwrap();
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bound = artemis_ir::batch_bounds(&compiled, BATCH);
-
-        for cache in [CacheMode::Disabled, CacheMode::Enabled] {
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let model = *dev.cost_model();
-            let predicted = match cache {
-                CacheMode::Disabled => batch_energy(&bound, &model),
-                CacheMode::Enabled => batch_energy_cached(&bound, &model),
-            };
-            let engine = MonitorEngine::install_with(
-                &mut dev,
-                suite.clone(),
-                &app,
-                InstallOptions {
-                    batch: BatchMode::Enabled { max_events: BATCH },
-                    cache,
-                    diff: DiffMode::Disabled,
-                    ..InstallOptions::default()
-                },
-            )
-            .unwrap();
+            let engine = MonitorEngine::install(&mut dev, suite.clone(), &app).unwrap();
             engine.reset_monitor(&mut dev).unwrap();
 
             let spent0 = dev.stats().energy(CostCategory::Monitor);
-            for batch in 0..BATCHES {
-                let first_seq = 1 + batch * BATCH as u64;
-                let events: Vec<MonitorEvent> = (0..BATCH)
-                    .map(|i| MonitorEvent::start(t0, t(first_seq + i as u64)))
-                    .collect();
-                engine.deliver_batch(&mut dev, first_seq, &events).unwrap();
+            for seq in 1..=EVENTS {
+                engine
+                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
+                    .unwrap();
             }
             let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
             assert_eq!(
                 spent,
-                predicted.saturating_mul(BATCHES),
-                "batch energy model drifted ({cache:?})"
+                event_energy_cached(&key, &model).saturating_mul(EVENTS),
+                "energy model drifted ({label})"
             );
+            assert!(spent <= event_energy(&key, &model).saturating_mul(EVENTS));
+        }
+    }
+
+    /// Batched counterpart of [`energy_model_matches_engine`]: a full
+    /// warm batch on the flip workload must draw exactly the static
+    /// [`artemis_ir::BatchBounds`] warm energy (warm batches are
+    /// write-only, so the prediction is writes + cycles alone). An odd
+    /// batch size makes every machine end each batch in the other state
+    /// with `b` flipped, so the coalesced diff record carries both runs
+    /// the slot-granular model prices.
+    #[test]
+    fn batch_energy_model_matches_engine() {
+        use artemis_ir::analysis::{batch_energy, batch_energy_cached};
+
+        const BATCH: usize = 7;
+        const BATCHES: u64 = 5;
+
+        let (suite, app) = flip_suite(8, 4);
+        let t0 = app.task_by_name("t0").unwrap();
+        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+        let bound = artemis_ir::batch_bounds(&compiled, BATCH);
+
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let model = *dev.cost_model();
+        let engine = MonitorEngine::install_with(
+            &mut dev,
+            suite.clone(),
+            &app,
+            InstallOptions {
+                batch: BatchMode::Enabled { max_events: BATCH },
+                ..InstallOptions::default()
+            },
+        )
+        .unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+
+        let spent0 = dev.stats().energy(CostCategory::Monitor);
+        for batch in 0..BATCHES {
+            let first_seq = 1 + batch * BATCH as u64;
+            let events: Vec<MonitorEvent> = (0..BATCH)
+                .map(|i| MonitorEvent::start(t0, t(first_seq + i as u64)))
+                .collect();
+            engine.deliver_batch(&mut dev, first_seq, &events).unwrap();
+        }
+        let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
+        assert_eq!(
+            spent,
+            batch_energy_cached(&bound, &model).saturating_mul(BATCHES),
+            "batch energy model drifted"
+        );
+        assert!(spent <= batch_energy(&bound, &model).saturating_mul(BATCHES));
+    }
+
+    /// Every delivery after a reboot — fresh, or resumed through
+    /// `monitor_finalize` after a crash mid-worklist — stays under the
+    /// feasibility ceiling `event_energy`, even when the cold refill
+    /// reads whole blocks far larger than the spans the key touches
+    /// (40 and 120 untouched `Float` slots per machine).
+    #[test]
+    fn cold_deliveries_stay_under_the_energy_ceiling() {
+        use artemis_ir::analysis::event_energy;
+
+        let big = || {
+            DeviceBuilder::msp430fr5994()
+                .capacitor(Capacitor::with_budget(Energy::from_micro_joules(2_000)))
+                .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+                .build()
+        };
+        for floats in [40, 120] {
+            let (suite, app) = flip_suite(8, floats);
+            let t0 = app.task_by_name("t0").unwrap();
+            let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+            let key = start_t0_key(&compiled);
+            let ceiling = |dev: &Device| event_energy(&key, dev.cost_model());
+            let install = |dev: &mut Device| {
+                let engine = MonitorEngine::install(dev, suite.clone(), &app).unwrap();
+                engine.reset_monitor(dev).unwrap();
+                engine
+                    .call_monitor(dev, 1, &MonitorEvent::start(t0, t(1)))
+                    .unwrap();
+                engine
+            };
+
+            // Fresh deliveries, each the first after a reboot.
+            let mut dev = big();
+            let engine = install(&mut dev);
+            for seq in 2..=4 {
+                dev.power_cycle();
+                let spent0 = dev.stats().energy(CostCategory::Monitor);
+                let bytes0 = dev.fram().read_bytes();
+                engine.monitor_finalize(&mut dev).unwrap();
+                engine
+                    .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
+                    .unwrap();
+                let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
+                let bytes = (dev.fram().read_bytes() - bytes0) as usize;
+                assert!(
+                    spent <= ceiling(&dev),
+                    "fresh cold delivery drew {spent}, ceiling {} ({floats} floats)",
+                    ceiling(&dev)
+                );
+                assert!(bytes <= key.read_bytes + key.cold_extra_read_bytes);
+            }
+
+            // Resumed deliveries: a brown-out at several points of the
+            // second delivery, then reboot, finalize and redelivery.
+            let per_cycle = big().cost_model().compute(1).energy.as_pico_joules();
+            let full = {
+                let mut dev = big();
+                let engine = install(&mut dev);
+                let level0 = dev.energy_level().as_pico_joules();
+                engine
+                    .call_monitor(&mut dev, 2, &MonitorEvent::start(t0, t(2)))
+                    .unwrap();
+                (level0 - dev.energy_level().as_pico_joules()) / per_cycle
+            };
+            let mut resumed = 0;
+            for k in 1..8u64 {
+                let mut dev = big();
+                let engine = install(&mut dev);
+                let charge = dev.energy_level().as_pico_joules() / per_cycle;
+                dev.compute(charge - full * k / 8).unwrap();
+                match engine.call_monitor(&mut dev, 2, &MonitorEvent::start(t0, t(2))) {
+                    Err(Interrupt::PowerFailure) => {}
+                    other => panic!("drain {k}/8 did not brown out: {other:?}"),
+                }
+                dev.power_cycle();
+                let spent0 = dev.stats().energy(CostCategory::Monitor);
+                if engine.monitor_finalize(&mut dev).unwrap() {
+                    resumed += 1;
+                }
+                engine
+                    .call_monitor(&mut dev, 2, &MonitorEvent::start(t0, t(2)))
+                    .unwrap();
+                let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
+                assert!(
+                    spent <= ceiling(&dev),
+                    "resumed delivery drew {spent}, ceiling {} ({floats} floats, drain {k}/8)",
+                    ceiling(&dev)
+                );
+            }
+            assert!(resumed > 0, "no drain point crashed mid-worklist");
         }
     }
 
@@ -4036,46 +3623,81 @@ mod tests {
         );
     }
 
-    /// The shadow cache is on by default on the routed compiled path
-    /// and silently degrades to `Disabled` everywhere it cannot help:
-    /// the interpreter (per-cell storage, no block image to shadow),
-    /// full-scan routing (no worklist to shadow), and an explicit
-    /// opt-out.
+    /// The shadow cache lives only on the production engine: off the
+    /// routed compiled path — on the reference engine — there is no
+    /// cache, and its counters stay zero across deliveries and
+    /// reboots, while the production engine's count every lookup.
     #[test]
     fn cache_degrades_off_the_routed_compiled_path() {
         let spec = "accel { maxTries: 3 onFail: skipPath; }";
         let app = app();
-
-        let cases = [
-            (InstallOptions::default(), CacheMode::Enabled),
-            (
-                InstallOptions {
-                    cache: CacheMode::Disabled,
-                    ..InstallOptions::default()
-                },
-                CacheMode::Disabled,
-            ),
-            (
-                InstallOptions {
-                    mode: ExecMode::Interpreter,
-                    ..InstallOptions::default()
-                },
-                CacheMode::Disabled,
-            ),
-            (
-                InstallOptions {
-                    routing: RoutingMode::FullScan,
-                    ..InstallOptions::default()
-                },
-                CacheMode::Disabled,
-            ),
-        ];
-        for (opts, expect) in cases {
+        let accel = app.task_by_name("accel").unwrap();
+        let stats = |opts| {
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let suite = artemis_ir::compile(spec, &app).unwrap();
             let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-            assert_eq!(engine.cache_mode(), expect);
+            engine.reset_monitor(&mut dev).unwrap();
+            for seq in 1..=3 {
+                dev.power_cycle();
+                engine.monitor_finalize(&mut dev).unwrap();
+                engine
+                    .call_monitor(&mut dev, seq, &MonitorEvent::start(accel, t(seq)))
+                    .unwrap();
+            }
+            engine.cache_stats()
+        };
+        assert_eq!(stats(InstallOptions::reference()), CacheStats::default());
+        let production = stats(InstallOptions::default());
+        assert_eq!(production.invalidations, 3);
+        assert!(production.hits > 0 && production.misses > 0);
+    }
+
+    /// Only the production and reference engines install: a mixed
+    /// `mode` × `routing` pair, or batching on the reference engine, is
+    /// rejected with a typed error before any FRAM is allocated.
+    #[test]
+    fn mixed_engine_pairs_are_rejected() {
+        let app = app();
+        let suite = artemis_ir::compile("accel { maxTries: 3 onFail: skipPath; }", &app).unwrap();
+        let batch = BatchMode::Enabled { max_events: 4 };
+        for opts in [
+            InstallOptions {
+                routing: RoutingMode::FullScan,
+                ..InstallOptions::default()
+            },
+            InstallOptions {
+                mode: ExecMode::Interpreter,
+                ..InstallOptions::default()
+            },
+            InstallOptions {
+                batch,
+                ..InstallOptions::reference()
+            },
+        ] {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let used = dev.fram().used_by(MemOwner::Monitor);
+            match MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts) {
+                Err(InstallError::UnsupportedEngine {
+                    mode,
+                    routing,
+                    batch,
+                }) => assert_eq!(
+                    (mode, routing, batch),
+                    (opts.mode, opts.routing, opts.batch)
+                ),
+                Err(other) => panic!("expected UnsupportedEngine, got {other}"),
+                Ok(_) => panic!("{opts:?} must not install"),
+            }
+            assert_eq!(dev.fram().used_by(MemOwner::Monitor), used);
         }
+        // Batching on the production engine installs.
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let opts = InstallOptions {
+            batch,
+            ..InstallOptions::default()
+        };
+        let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
+        assert_eq!(engine.batch_capacity(), 4);
     }
 
     /// Steady-state deliveries are all hits, a power cycle invalidates
@@ -4086,7 +3708,6 @@ mod tests {
         let mut dev = DeviceBuilder::msp430fr5994().build();
         let (engine, app) = engine(&mut dev, "accel { maxTries: 10 onFail: skipPath; }");
         let accel = app.task_by_name("accel").unwrap();
-        assert_eq!(engine.cache_mode(), CacheMode::Enabled);
 
         // reset_monitor pre-fills every shadow, so warm deliveries are
         // pure hits: no misses, and strictly growing hit counts.
@@ -4142,12 +3763,11 @@ mod tests {
             let (suite, app) = dispatch_suite(machines, 1);
             let t0 = app.task_by_name("t0").unwrap();
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-            let key = start_t0_key(&compiled, artemis_ir::LayoutKind::Packed);
+            let key = start_t0_key(&compiled);
             assert_eq!(key.cached_reads, 0);
 
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-            assert_eq!(engine.cache_mode(), CacheMode::Enabled);
             engine.reset_monitor(&mut dev).unwrap();
             // Warm delivery so each reboot below starts from a hot cache.
             engine
@@ -4251,6 +3871,8 @@ mod tests {
         assert!(after > before, "monitor state must live in monitor FRAM");
     }
 
+    /// The production engine (compiled, routed) is the default; the
+    /// reference engine (interpreter, full scan) is selectable.
     #[test]
     fn routed_is_the_default_and_full_scan_is_selectable() {
         let app = app();
@@ -4260,17 +3882,13 @@ mod tests {
         let suite = artemis_ir::compile(spec, &app).unwrap();
         let routed = MonitorEngine::install(&mut dev, suite, &app).unwrap();
         assert_eq!(routed.routing_mode(), RoutingMode::Routed);
+        assert_eq!(routed.mode(), ExecMode::Compiled);
 
         let suite = artemis_ir::compile(spec, &app).unwrap();
-        let scan = MonitorEngine::install_with_routing(
-            &mut dev,
-            suite,
-            &app,
-            ExecMode::Compiled,
-            RoutingMode::FullScan,
-        )
-        .unwrap();
+        let scan = MonitorEngine::install_with(&mut dev, suite, &app, InstallOptions::reference())
+            .unwrap();
         assert_eq!(scan.routing_mode(), RoutingMode::FullScan);
+        assert_eq!(scan.mode(), ExecMode::Interpreter);
     }
 
     /// Suites past one bitmap word install routed — with the shadow
@@ -4284,8 +3902,6 @@ mod tests {
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
             assert_eq!(engine.routing_mode(), RoutingMode::Routed);
-            assert_eq!(engine.cache_mode(), CacheMode::Enabled);
-            assert_eq!(engine.diff_mode(), DiffMode::Auto);
             engine.reset_monitor(&mut dev).unwrap();
 
             // Every machine steps exactly once per event, and a warm
@@ -4308,9 +3924,10 @@ mod tests {
         }
     }
 
-    /// A routed suite beyond the `u16` worklist encoding is refused
-    /// with a typed error before anything is compiled or allocated —
-    /// never silently installed as a full scan.
+    /// A suite beyond the 16-bit machine index is refused with a typed
+    /// error before anything is compiled or allocated — on the
+    /// production engine and on the reference engine alike, so no
+    /// install can wrap a machine index.
     #[test]
     fn oversized_routed_suite_is_rejected() {
         let app = app();
@@ -4320,24 +3937,37 @@ mod tests {
             sm.add_state("S");
             suite.push(sm);
         }
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let used = dev.fram().used_by(MemOwner::Monitor);
-        match MonitorEngine::install(&mut dev, suite, &app) {
-            Err(InstallError::TooManyMachines { machines, max }) => {
-                assert_eq!(machines, MAX_ROUTED_MACHINES + 1);
-                assert_eq!(max, MAX_ROUTED_MACHINES);
+        for opts in [InstallOptions::default(), InstallOptions::reference()] {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let used = dev.fram().used_by(MemOwner::Monitor);
+            match MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts) {
+                Err(InstallError::TooManyMachines { machines, max }) => {
+                    assert_eq!(machines, MAX_ROUTED_MACHINES + 1);
+                    assert_eq!(max, MAX_ROUTED_MACHINES);
+                }
+                Err(other) => panic!("expected TooManyMachines, got {other}"),
+                Ok(_) => panic!("an oversized suite must not install ({opts:?})"),
             }
-            Err(other) => panic!("expected TooManyMachines, got {other}"),
-            Ok(_) => panic!("an oversized routed suite must not install"),
+            assert_eq!(dev.fram().used_by(MemOwner::Monitor), used);
         }
-        assert_eq!(dev.fram().used_by(MemOwner::Monitor), used);
+        // Past the last `u16` index the compiler refuses to build the
+        // routing index at all.
+        let mut sm = artemis_ir::StateMachine::new("overflow", "accel");
+        sm.add_state("S");
+        suite.push(sm);
+        assert!(matches!(
+            CompiledSuite::compile(&suite, &app),
+            Err(CompileIssue::TooLarge)
+        ));
     }
 
     #[test]
     fn routed_path_skips_uninterested_machines() {
         // One machine watches `accel`, fifteen watch `send`. A start
         // event on `accel` must not read the fifteen bystanders' blocks:
-        // routed FRAM reads stay well below the full scan's.
+        // the production engine's FRAM reads on its first delivery after
+        // a reboot (cold shadow cache) stay well below the reference
+        // engine's full scan.
         let app = app();
         let mut src = String::from(
             "machine hot task accel persistent { state S initial; \
@@ -4350,18 +3980,12 @@ mod tests {
             ));
         }
 
-        let ops_for = |routing: RoutingMode| {
+        let ops_for = |opts: InstallOptions| {
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let suite = artemis_ir::parse::parse_suite(&src).unwrap();
-            let engine = MonitorEngine::install_with_routing(
-                &mut dev,
-                suite,
-                &app,
-                ExecMode::Compiled,
-                routing,
-            )
-            .unwrap();
+            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
             engine.reset_monitor(&mut dev).unwrap();
+            dev.power_cycle();
             let accel = app.task_by_name("accel").unwrap();
             let before = dev.fram().read_ops();
             engine
@@ -4370,8 +3994,8 @@ mod tests {
             dev.fram().read_ops() - before
         };
 
-        let routed = ops_for(RoutingMode::Routed);
-        let scanned = ops_for(RoutingMode::FullScan);
+        let routed = ops_for(InstallOptions::default());
+        let scanned = ops_for(InstallOptions::reference());
         assert!(
             routed * 2 < scanned,
             "routing saved too little: routed={routed} full-scan={scanned}"

@@ -1,7 +1,7 @@
 //! Nonvolatile encodings of monitor values and events.
 
 use artemis_core::event::{EventKind, MonitorEvent};
-use artemis_ir::expr::Value;
+use artemis_ir::expr::{EventCtx, Value};
 use intermittent_sim::fram::NvData;
 
 /// A [`Value`] with a fixed 9-byte FRAM encoding: 1 tag byte + 8
@@ -80,6 +80,24 @@ impl EncodedEvent {
     /// The monitored value, if present.
     pub fn dep_data(&self) -> Option<f64> {
         (self.has_dep != 0).then(|| f64::from_bits(self.dep_bits))
+    }
+
+    /// The event kind.
+    pub fn kind(&self) -> EventKind {
+        if self.kind == 0 {
+            EventKind::StartTask
+        } else {
+            EventKind::EndTask
+        }
+    }
+
+    /// The evaluation context guards and bodies read.
+    pub fn ctx(&self) -> EventCtx {
+        EventCtx {
+            time_us: self.timestamp_us,
+            dep_data: self.dep_data(),
+            energy_nj: self.energy_nj,
+        }
     }
 }
 

@@ -3,6 +3,13 @@
 //! [`MonitorEngine`] (FRAM-backed, journaled, resumable) equal those of
 //! the pure in-memory interpreter in `artemis_ir::exec` — with and
 //! without power failures injected between deliveries.
+//!
+//! Every differential, crash-window and redelivery property below runs
+//! the production engine (compiled, routed, sparse diff commits,
+//! shadow cache) against the reference engine (tree-walking
+//! interpreter over per-variable cells, full-scan dispatch): an
+//! intermittent production run must equal a continuous reference run
+//! of the same events.
 
 use artemis_core::app::{AppGraph, AppGraphBuilder, TaskId};
 use artemis_core::event::MonitorEvent;
@@ -12,8 +19,7 @@ use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::{CompiledSuite, MonitorSuite, OptLevel};
 use artemis_monitor::{
-    BatchMode, CacheMode, DeltaMode, DiffMode, ExecMode, InstallOptions, MonitorEngine,
-    MonitorVerdict, RoutingMode,
+    BatchMode, CacheStats, InstallOptions, MonitorEngine, MonitorVerdict, RoutingMode,
 };
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
@@ -37,31 +43,27 @@ fn app() -> AppGraph {
     builder.build().unwrap()
 }
 
-/// CI runs this whole suite twice: once with the shadow cache at its
-/// default (`Enabled`) and once with `ARTEMIS_CACHE_MODE=disabled`, so
-/// every differential property below doubles as a cache oracle.
-fn env_cache_mode() -> CacheMode {
-    match std::env::var("ARTEMIS_CACHE_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("disabled") => CacheMode::Disabled,
-        _ => CacheMode::Enabled,
-    }
-}
-
 /// CI also runs the suite once with `ARTEMIS_OPT_LEVEL=none`, forcing
-/// every engine below onto the unoptimized differential oracle — so
+/// every production engine below onto the unoptimized bytecode — so
 /// each property doubles as a bytecode-optimizer oracle too.
 fn env_opt_level() -> OptLevel {
     OptLevel::from_env()
 }
 
-/// [`InstallOptions::default`] with the cache mode and bytecode
-/// optimization level taken from the environment — the baseline every
-/// helper in this file installs with.
-fn base_opts() -> InstallOptions {
+/// The production engine, at the bytecode optimization level taken
+/// from the environment.
+fn production() -> InstallOptions {
     InstallOptions {
-        cache: env_cache_mode(),
         opt: env_opt_level(),
         ..InstallOptions::default()
+    }
+}
+
+/// The production engine with group-commit batches of `chunk` events.
+fn batched(chunk: usize) -> InstallOptions {
+    InstallOptions {
+        batch: BatchMode::Enabled { max_events: chunk },
+        ..production()
     }
 }
 
@@ -114,7 +116,7 @@ fn oracle(app: &AppGraph, events: &[Ev]) -> Vec<Vec<(usize, OnFail)>> {
 /// Engine verdicts on the given device (which may inject failures).
 fn engine_run(app: &AppGraph, events: &[Ev], dev: &mut Device) -> Vec<Vec<(usize, OnFail)>> {
     let suite = artemis_ir::compile(SPEC, app).unwrap();
-    let engine = MonitorEngine::install_with(dev, suite, app, base_opts()).unwrap();
+    let engine = MonitorEngine::install_with(dev, suite, app, production()).unwrap();
     // Drive through the simulator so power failures reboot and resume.
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
@@ -173,13 +175,15 @@ fn normalise(oracle: Vec<Vec<(usize, OnFail)>>) -> Vec<Vec<(usize, OnFail)>> {
 }
 
 // ---------------------------------------------------------------------------
-// Differential tests: compiled bytecode vs tree-walking interpreter.
+// Differential tests: production engine vs reference engine.
 //
-// The two execution modes of the engine differ in everything but
-// semantics — storage layout (block vs cells), trigger test (dispatch
-// table vs observed set), evaluation (bytecode vs tree walk) — so for
-// any spec, any event stream and any power-failure schedule they must
-// produce identical verdicts AND identical FRAM-visible machine state.
+// The two engines differ in everything but semantics — storage layout
+// (packed blocks vs cells), dispatch (armed worklists vs full scan),
+// trigger test (dispatch table vs observed set), evaluation (bytecode
+// vs tree walk), commits (sparse diffs vs per-cell entries), reads
+// (shadow cache vs FRAM) — so for any spec, any event stream and any
+// power-failure schedule they must produce identical verdicts AND
+// identical FRAM-visible machine state.
 // ---------------------------------------------------------------------------
 
 /// App with a producer task `a` (declaring the variable `temp` so
@@ -311,43 +315,9 @@ fn rich_event(e: &Ev, dep: Option<u32>, t: u64) -> MonitorEvent {
 /// (state word, variable values) of one engine run.
 type RunOutcome = (Vec<Vec<MonitorVerdict>>, Vec<(u32, Vec<Value>)>);
 
-/// Runs one spec/event stream through the engine in the given mode and
-/// returns (per-event verdicts, final FRAM-visible machine state).
-fn engine_run_mode(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    mode: ExecMode,
-) -> RunOutcome {
-    engine_run_routing(app, spec, events, dev, mode, RoutingMode::default())
-}
-
-/// [`engine_run_mode`] with an explicit routing mode (armed worklists
-/// vs the full-scan reference path).
-fn engine_run_routing(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    mode: ExecMode,
-    routing: RoutingMode,
-) -> RunOutcome {
-    engine_run_opts(
-        app,
-        spec,
-        events,
-        dev,
-        InstallOptions {
-            mode,
-            routing,
-            ..base_opts()
-        },
-    )
-}
-
-/// [`engine_run_mode`] with full [`InstallOptions`] (delta commits on
-/// or off, capacity overrides).
+/// Runs one spec/event stream through an engine installed with
+/// `opts` and returns (per-event verdicts, final FRAM-visible machine
+/// state).
 fn engine_run_opts(
     app: &AppGraph,
     spec: &str,
@@ -367,6 +337,18 @@ fn engine_run_suite(
     dev: &mut Device,
     opts: InstallOptions,
 ) -> RunOutcome {
+    engine_run_stats(app, suite, events, dev, opts).0
+}
+
+/// [`engine_run_suite`], also returning the engine's shadow-cache
+/// counters at the end of the run.
+fn engine_run_stats(
+    app: &AppGraph,
+    suite: MonitorSuite,
+    events: &[(Ev, Option<u32>)],
+    dev: &mut Device,
+    opts: InstallOptions,
+) -> (RunOutcome, CacheStats) {
     let engine = MonitorEngine::install_with(dev, suite, app, opts).unwrap();
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
@@ -393,7 +375,7 @@ fn engine_run_suite(
     });
     assert!(outcome.is_completed(), "stream never finished");
     let snapshot = engine.snapshot(dev);
-    (results, snapshot)
+    ((results, snapshot), engine.cache_stats())
 }
 
 /// Like [`engine_run_opts`], but delivers the stream through the
@@ -408,43 +390,20 @@ fn engine_run_batch(
     dev: &mut Device,
     chunk: usize,
 ) -> RunOutcome {
-    engine_run_batch_cache(app, spec, events, dev, chunk, env_cache_mode())
-}
-
-/// [`engine_run_batch`] with an explicit cache mode, for the cached vs
-/// uncached batch differentials below.
-fn engine_run_batch_cache(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    chunk: usize,
-    cache: CacheMode,
-) -> RunOutcome {
     let suite = artemis_ir::compile(spec, app).unwrap();
-    engine_run_batch_suite(app, suite, events, dev, chunk, cache)
+    engine_run_batch_suite(app, suite, events, dev, chunk).0
 }
 
-/// [`engine_run_batch_cache`] over an already-built suite.
+/// [`engine_run_batch`] over an already-built suite, also returning
+/// the engine's shadow-cache counters at the end of the run.
 fn engine_run_batch_suite(
     app: &AppGraph,
     suite: MonitorSuite,
     events: &[(Ev, Option<u32>)],
     dev: &mut Device,
     chunk: usize,
-    cache: CacheMode,
-) -> RunOutcome {
-    let engine = MonitorEngine::install_with(
-        dev,
-        suite,
-        app,
-        InstallOptions {
-            batch: BatchMode::Enabled { max_events: chunk },
-            cache,
-            ..InstallOptions::default()
-        },
-    )
-    .unwrap();
+) -> (RunOutcome, CacheStats) {
+    let engine = MonitorEngine::install_with(dev, suite, app, batched(chunk)).unwrap();
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
         .unwrap();
@@ -477,7 +436,7 @@ fn engine_run_batch_suite(
     });
     assert!(outcome.is_completed(), "stream never finished");
     let snapshot = engine.snapshot(dev);
-    (results, snapshot)
+    ((results, snapshot), engine.cache_stats())
 }
 
 proptest! {
@@ -511,9 +470,9 @@ proptest! {
         prop_assert_eq!(got, expected, "budget {} nJ", budget_nj);
     }
 
-    /// Random specs, continuous power: the compiled bytecode path and
-    /// the interpreter path agree on every verdict (machine, action,
-    /// path target) and on the final persistent machine state.
+    /// Random specs, continuous power: the production engine and the
+    /// reference engine agree on every verdict (machine, action, path
+    /// target) and on the final persistent machine state.
     #[test]
     fn compiled_equals_interpreter_on_random_specs(
         spec in spec_strategy(),
@@ -522,15 +481,16 @@ proptest! {
         let app = rich_app();
         let mut dev_c = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_mode(&app, &spec, &events, &mut dev_c, ExecMode::Compiled);
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
+        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, production());
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(vc, vi, "verdict divergence on spec: {}", spec);
         prop_assert_eq!(sc, si, "state divergence on spec: {}", spec);
     }
 
-    /// Random specs under random power-failure schedules: the compiled
-    /// path on an intermittent device must match the interpreter on
-    /// continuous power — resumability and semantics at once.
+    /// Random specs under random power-failure schedules: the
+    /// production engine on an intermittent device must match the
+    /// reference engine on continuous power — resumability and
+    /// semantics at once.
     #[test]
     fn compiled_equals_interpreter_under_random_power_failures(
         spec in spec_strategy(),
@@ -538,20 +498,16 @@ proptest! {
         budget_nj in 4_000u64..40_000,
     ) {
         let app = rich_app();
-        let mut dev_c = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
+        let mut dev_c = intermittent_device(budget_nj);
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_mode(&app, &spec, &events, &mut dev_c, ExecMode::Compiled);
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
+        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, production());
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(vc, vi, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
         prop_assert_eq!(sc, si, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
     }
 
     /// Optimized bytecode (`OptLevel::Full`) vs the unoptimized oracle
-    /// (`OptLevel::None`) vs the interpreter, on random specs and
+    /// (`OptLevel::None`) vs the reference engine, on random specs and
     /// continuous power: every verdict and the final decoded machine
     /// state must agree three ways.
     #[test]
@@ -565,21 +521,21 @@ proptest! {
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let (vo, so) = engine_run_opts(
             &app, &spec, &events, &mut dev_o,
-            InstallOptions { opt: OptLevel::Full, ..base_opts() });
+            InstallOptions { opt: OptLevel::Full, ..production() });
         let (vu, su) = engine_run_opts(
             &app, &spec, &events, &mut dev_u,
-            InstallOptions { opt: OptLevel::None, ..base_opts() });
+            InstallOptions { opt: OptLevel::None, ..production() });
         let (vi, si) = engine_run_opts(
-            &app, &spec, &events, &mut dev_i,
-            InstallOptions { mode: ExecMode::Interpreter, ..base_opts() });
+            &app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(&vo, &vu, "Full/None verdict divergence on spec: {}", spec);
         prop_assert_eq!(&so, &su, "Full/None state divergence on spec: {}", spec);
-        prop_assert_eq!(vo, vi, "Full/interpreter verdict divergence on spec: {}", spec);
-        prop_assert_eq!(so, si, "Full/interpreter state divergence on spec: {}", spec);
+        prop_assert_eq!(vo, vi, "Full/reference verdict divergence on spec: {}", spec);
+        prop_assert_eq!(so, si, "Full/reference state divergence on spec: {}", spec);
     }
 
-    /// Optimized bytecode on an intermittent device vs the unoptimized
-    /// oracle on continuous power: fused superinstructions must replay
+    /// Optimized bytecode on an intermittent device vs the reference
+    /// engine on continuous power, with the unoptimized production
+    /// engine as the third side: fused superinstructions must replay
     /// across random power-failure schedules without changing a verdict
     /// or a variable — the optimizer cannot move a crash window in an
     /// observable way.
@@ -590,153 +546,45 @@ proptest! {
         budget_nj in 4_000u64..40_000,
     ) {
         let app = rich_app();
-        let mut dev_o = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
+        let mut dev_o = intermittent_device(budget_nj);
         let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
+        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let (vo, so) = engine_run_opts(
             &app, &spec, &events, &mut dev_o,
-            InstallOptions { opt: OptLevel::Full, ..base_opts() });
+            InstallOptions { opt: OptLevel::Full, ..production() });
         let (vu, su) = engine_run_opts(
             &app, &spec, &events, &mut dev_u,
-            InstallOptions { opt: OptLevel::None, ..base_opts() });
-        prop_assert_eq!(vo, vu, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(so, su, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
+            InstallOptions { opt: OptLevel::None, ..production() });
+        let (vi, si) = engine_run_opts(
+            &app, &spec, &events, &mut dev_i, InstallOptions::reference());
+        prop_assert_eq!(&vo, &vu, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
+        prop_assert_eq!(&so, &su, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
+        prop_assert_eq!(vo, vi, "reference verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
+        prop_assert_eq!(so, si, "reference state divergence, budget {} nJ, spec: {}", budget_nj, spec);
     }
 
     /// Routed dispatch (armed worklists + completion bitmap) vs the
-    /// full-scan reference path: identical verdicts and FRAM-visible
-    /// machine state on every random spec and event stream.
+    /// reference engine's full scan, on burst-shaped streams delivered
+    /// event by event: identical verdicts and FRAM-visible machine
+    /// state on every random spec.
     #[test]
     fn routed_equals_full_scan_on_random_specs(
         spec in spec_strategy(),
-        events in rich_ev_strategy(),
+        events in burst_ev_strategy(),
     ) {
         let app = rich_app();
         let mut dev_r = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vr, sr) = engine_run_routing(
-            &app, &spec, &events, &mut dev_r, ExecMode::Compiled, RoutingMode::Routed);
-        let (vf, sf) = engine_run_routing(
-            &app, &spec, &events, &mut dev_f, ExecMode::Compiled, RoutingMode::FullScan);
+        let (vr, sr) = engine_run_opts(&app, &spec, &events, &mut dev_r, production());
+        let (vf, sf) = engine_run_opts(&app, &spec, &events, &mut dev_f, InstallOptions::reference());
         prop_assert_eq!(vr, vf, "verdict divergence on spec: {}", spec);
         prop_assert_eq!(sr, sf, "state divergence on spec: {}", spec);
     }
 
-    /// Sparse delta commits vs whole-block commits: the two journal
-    /// formats must be observationally identical — same verdicts, same
-    /// FRAM-visible machine state — on every random spec and stream.
-    #[test]
-    fn delta_equals_whole_block_on_random_specs(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-    ) {
-        let app = rich_app();
-        let mut dev_d = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_w = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vd, sd) = engine_run_opts(
-            &app, &spec, &events, &mut dev_d,
-            InstallOptions { delta: DeltaMode::Auto, ..base_opts() });
-        let (vw, sw) = engine_run_opts(
-            &app, &spec, &events, &mut dev_w,
-            InstallOptions { delta: DeltaMode::Disabled, ..base_opts() });
-        prop_assert_eq!(vd, vw, "verdict divergence on spec: {}", spec);
-        prop_assert_eq!(sd, sw, "state divergence on spec: {}", spec);
-    }
-
-    /// Sparse delta commits on an intermittent device vs whole-block
-    /// commits on continuous power: delta records must recover across
-    /// random power-failure schedules without changing a verdict or a
-    /// variable.
-    #[test]
-    fn delta_equals_whole_block_under_random_power_failures(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let mut dev_d = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_w = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vd, sd) = engine_run_opts(
-            &app, &spec, &events, &mut dev_d,
-            InstallOptions { delta: DeltaMode::Auto, ..base_opts() });
-        let (vw, sw) = engine_run_opts(
-            &app, &spec, &events, &mut dev_w,
-            InstallOptions { delta: DeltaMode::Disabled, ..base_opts() });
-        prop_assert_eq!(vd, vw, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(sd, sw, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
-    }
-
-    /// Byte-granular dirty-diff commits vs slot-granular commits vs the
-    /// tree-walking interpreter, continuous power: journalling only the
-    /// changed bytes of a machine image must be observationally
-    /// invisible on every random spec and stream. (CI reruns the file
-    /// with `ARTEMIS_CACHE_MODE=disabled`, where `DiffMode::Auto`
-    /// degrades to slot-granular and this becomes a pure oracle run.)
-    #[test]
-    fn diff_equals_slot_granular_and_interpreter_on_random_specs(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-    ) {
-        let app = rich_app();
-        let mut dev_d = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_s = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vd, sd) = engine_run_opts(
-            &app, &spec, &events, &mut dev_d,
-            InstallOptions { diff: DiffMode::Auto, ..base_opts() });
-        let (vs, ss) = engine_run_opts(
-            &app, &spec, &events, &mut dev_s,
-            InstallOptions { diff: DiffMode::Disabled, ..base_opts() });
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(&vd, &vs, "diff vs slot-granular verdicts, spec: {}", spec);
-        prop_assert_eq!(&sd, &ss, "diff vs slot-granular state, spec: {}", spec);
-        prop_assert_eq!(&vd, &vi, "diff vs interpreter verdicts, spec: {}", spec);
-        prop_assert_eq!(&sd, &si, "diff vs interpreter state, spec: {}", spec);
-    }
-
-    /// Dirty-diff commits on an intermittent device vs slot-granular
-    /// commits and the interpreter on continuous power: a reboot can
-    /// land between any two diff-run applications, and replaying the
-    /// minimal `[addr][len][data]` records must reconstruct exactly the
-    /// image slot-granular replay would have.
-    #[test]
-    fn diff_equals_slot_granular_and_interpreter_under_random_power_failures(
-        spec in spec_strategy(),
-        events in rich_ev_strategy(),
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let mut dev_d = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_s = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vd, sd) = engine_run_opts(
-            &app, &spec, &events, &mut dev_d,
-            InstallOptions { diff: DiffMode::Auto, ..base_opts() });
-        let (vs, ss) = engine_run_opts(
-            &app, &spec, &events, &mut dev_s,
-            InstallOptions { diff: DiffMode::Disabled, ..base_opts() });
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(&vd, &vs, "diff vs slot-granular verdicts, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&sd, &ss, "diff vs slot-granular state, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&vd, &vi, "diff vs interpreter verdicts, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&sd, &si, "diff vs interpreter state, budget {} nJ, spec: {}", budget_nj, spec);
-    }
-
-    /// Group-commit batch delivery vs the per-event delta path vs the
-    /// tree-walking interpreter, on burst-shaped streams: all three
-    /// must agree on every verdict and on the final FRAM-visible
-    /// machine state, for every batch size.
+    /// Group-commit batch delivery vs the per-event production path vs
+    /// the reference engine, on burst-shaped streams: all three must
+    /// agree on every verdict and on the final FRAM-visible machine
+    /// state, for every batch size.
     #[test]
     fn batched_equals_per_event_and_interpreter_on_burst_streams(
         spec in spec_strategy(),
@@ -748,18 +596,19 @@ proptest! {
         let mut dev_e = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut dev_b, chunk);
-        let (ve, se) = engine_run_mode(&app, &spec, &events, &mut dev_e, ExecMode::Compiled);
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
+        let (ve, se) = engine_run_opts(&app, &spec, &events, &mut dev_e, production());
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(&vb, &ve, "batch(chunk {}) vs per-event verdicts, spec: {}", chunk, spec);
         prop_assert_eq!(&sb, &se, "batch(chunk {}) vs per-event state, spec: {}", chunk, spec);
-        prop_assert_eq!(&vb, &vi, "batch(chunk {}) vs interpreter verdicts, spec: {}", chunk, spec);
-        prop_assert_eq!(&sb, &si, "batch(chunk {}) vs interpreter state, spec: {}", chunk, spec);
+        prop_assert_eq!(&vb, &vi, "batch(chunk {}) vs reference verdicts, spec: {}", chunk, spec);
+        prop_assert_eq!(&sb, &si, "batch(chunk {}) vs reference state, spec: {}", chunk, spec);
     }
 
-    /// Batch delivery on an intermittent device vs the per-event path
-    /// on continuous power: reboots land inside the batch window —
-    /// after arming, between per-machine commits, during readback —
-    /// and must never change a verdict or a variable.
+    /// Batch delivery on an intermittent device vs the reference
+    /// engine's per-event delivery on continuous power: reboots land
+    /// inside the batch window — after arming, between per-machine
+    /// commits, during readback — and must never change a verdict or a
+    /// variable.
     #[test]
     fn batched_equals_per_event_under_random_power_failures(
         spec in spec_strategy(),
@@ -768,72 +617,52 @@ proptest! {
         budget_nj in 4_000u64..40_000,
     ) {
         let app = rich_app();
-        let mut dev_b = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
+        let mut dev_b = intermittent_device(budget_nj);
         let mut dev_e = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut dev_b, chunk);
-        let (ve, se) = engine_run_mode(&app, &spec, &events, &mut dev_e, ExecMode::Compiled);
+        let (ve, se) = engine_run_opts(&app, &spec, &events, &mut dev_e, InstallOptions::reference());
         prop_assert_eq!(vb, ve, "verdicts, chunk {}, budget {} nJ, spec: {}", chunk, budget_nj, spec);
         prop_assert_eq!(sb, se, "state, chunk {}, budget {} nJ, spec: {}", chunk, budget_nj, spec);
     }
 
-    /// Routed dispatch on an intermittent device vs full scan on
-    /// continuous power: the armed worklist must resume exactly across
-    /// random power-failure schedules, verdict for verdict.
+    /// Routed dispatch on an intermittent device vs the reference
+    /// engine's full scan on continuous power, on burst-shaped streams:
+    /// the armed worklist must resume exactly across random
+    /// power-failure schedules, verdict for verdict.
     #[test]
     fn routed_equals_full_scan_under_random_power_failures(
         spec in spec_strategy(),
-        events in rich_ev_strategy(),
+        events in burst_ev_strategy(),
         budget_nj in 4_000u64..40_000,
     ) {
         let app = rich_app();
-        let mut dev_r = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
+        let mut dev_r = intermittent_device(budget_nj);
         let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vr, sr) = engine_run_routing(
-            &app, &spec, &events, &mut dev_r, ExecMode::Compiled, RoutingMode::Routed);
-        let (vf, sf) = engine_run_routing(
-            &app, &spec, &events, &mut dev_f, ExecMode::Compiled, RoutingMode::FullScan);
+        let (vr, sr) = engine_run_opts(&app, &spec, &events, &mut dev_r, production());
+        let (vf, sf) = engine_run_opts(&app, &spec, &events, &mut dev_f, InstallOptions::reference());
         prop_assert_eq!(vr, vf, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
         prop_assert_eq!(sr, sf, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
     }
 
     /// The shadow cache must be observationally invisible: cached
-    /// delivery on an intermittent device (reboots wipe the shadows
-    /// mid-stream) vs uncached delivery and the interpreter on
-    /// continuous power — identical verdicts and FRAM-visible state on
+    /// production delivery on a device with a small capacitor — reboots
+    /// wipe the shadows every few deliveries, so most deliveries run
+    /// cold or half-warm — vs the uncached reference engine on
+    /// continuous power: identical verdicts and FRAM-visible state on
     /// every random spec, stream, and power-failure schedule.
     #[test]
     fn cached_equals_uncached_and_interpreter_under_power_failures(
         spec in spec_strategy(),
         events in rich_ev_strategy(),
-        budget_nj in 4_000u64..40_000,
+        budget_nj in 1_500u64..6_000,
     ) {
         let app = rich_app();
-        let mut dev_c = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
+        let mut dev_c = intermittent_device(budget_nj);
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_opts(
-            &app, &spec, &events, &mut dev_c,
-            InstallOptions { cache: CacheMode::Enabled, ..InstallOptions::default() });
-        let (vu, su) = engine_run_opts(
-            &app, &spec, &events, &mut dev_u,
-            InstallOptions { cache: CacheMode::Disabled, ..InstallOptions::default() });
-        let (vi, si) = engine_run_mode(&app, &spec, &events, &mut dev_i, ExecMode::Interpreter);
-        prop_assert_eq!(&vc, &vu, "cached vs uncached verdicts, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&sc, &su, "cached vs uncached state, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&vc, &vi, "cached vs interpreter verdicts, budget {} nJ, spec: {}", budget_nj, spec);
-        prop_assert_eq!(&sc, &si, "cached vs interpreter state, budget {} nJ, spec: {}", budget_nj, spec);
+        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, production());
+        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut dev_i, InstallOptions::reference());
+        prop_assert_eq!(&vc, &vi, "cached vs reference verdicts, budget {} nJ, spec: {}", budget_nj, spec);
+        prop_assert_eq!(&sc, &si, "cached vs reference state, budget {} nJ, spec: {}", budget_nj, spec);
     }
 }
 
@@ -882,6 +711,19 @@ fn crash_events() -> Vec<(Ev, Option<u32>)> {
     ]
 }
 
+/// The reference engine's verdicts and final state for the crash
+/// stream, on continuous power.
+fn crash_reference(app: &AppGraph, events: &[(Ev, Option<u32>)]) -> RunOutcome {
+    let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
+    engine_run_opts(
+        app,
+        CRASH_SPEC,
+        events,
+        &mut dev,
+        InstallOptions::reference(),
+    )
+}
+
 /// Budget sweep: every 25 nJ from "barely arms" to "several steps per
 /// activation", so the injected failure lands between arming and the
 /// first step, mid-worklist, and inside step commits across the sweep.
@@ -889,31 +731,12 @@ fn crash_events() -> Vec<(Ev, Option<u32>)> {
 fn arming_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vf, sf) = engine_run_routing(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut dev_f,
-        ExecMode::Compiled,
-        RoutingMode::FullScan,
-    );
+    let (vf, sf) = crash_reference(&app, &events);
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {
-        let mut dev_r = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let (vr, sr) = engine_run_routing(
-            &app,
-            CRASH_SPEC,
-            &events,
-            &mut dev_r,
-            ExecMode::Compiled,
-            RoutingMode::Routed,
-        );
+        let mut dev_r = intermittent_device(budget_nj);
+        let (vr, sr) = engine_run_opts(&app, CRASH_SPEC, &events, &mut dev_r, production());
         assert_eq!(vr, vf, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sr, sf, "state divergence at budget {budget_nj} nJ");
         total_reboots += dev_r.reboots();
@@ -927,39 +750,32 @@ fn arming_crash_windows_preserve_verdicts_and_state() {
 /// The optimizer's deterministic crash-window sweep: fused
 /// superinstructions collapse several step-commit windows into one, so
 /// the fine-grained budget sweep must land brown-outs inside (and
-/// between) the *fused* windows and still recover to exactly the
-/// unoptimized oracle's verdicts and state.
+/// between) the *fused* windows of the optimized production engine —
+/// and, at the other optimization level, inside the unfused ones — and
+/// still recover to exactly the reference engine's verdicts and state.
 #[test]
 fn optimizer_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vu, su) = engine_run_opts(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut dev_u,
-        InstallOptions {
-            opt: OptLevel::None,
-            ..base_opts()
-        },
-    );
+    let (vu, su) = crash_reference(&app, &events);
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {
-        let mut dev_o = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
+        // Sweep the level the environment does not select, so the
+        // two sweeps cover both.
+        let opt = match env_opt_level() {
+            OptLevel::Full => OptLevel::None,
+            OptLevel::None => OptLevel::Full,
+        };
+        let mut dev_o = intermittent_device(budget_nj);
         let (vo, so) = engine_run_opts(
             &app,
             CRASH_SPEC,
             &events,
             &mut dev_o,
             InstallOptions {
-                opt: OptLevel::Full,
-                ..base_opts()
+                opt,
+                ..production()
             },
         );
         assert_eq!(vo, vu, "verdict divergence at budget {budget_nj} nJ");
@@ -997,10 +813,9 @@ const TWIN_IR: &str = "\
 /// Budget sweep landing brown-outs in every window of the sparse
 /// commit: after every recovery point the two correlated counters must
 /// be equal (old image or new image, never a mix), and the final state
-/// must match a continuous-power whole-block run.
+/// must match the reference engine on continuous power.
 #[test]
 fn sparse_delta_commit_crash_windows_never_tear() {
-    const EVENTS: u64 = 30;
     let app = rich_app();
 
     // Guard the premise: the compiled access set must put this machine
@@ -1017,29 +832,34 @@ fn sparse_delta_commit_crash_windows_never_tear() {
         "twin machine must take the delta path"
     );
     assert_eq!(key.degraded_machines, 0);
+    twin_crash_sweep(TWIN_IR);
+}
 
-    // Continuous-power whole-block reference image.
+/// Events the twin crash sweeps deliver.
+const TWIN_EVENTS: u64 = 30;
+
+/// `startTask(a)` events 1 ms apart, under sequence numbers `1..=n`.
+fn twin_event(seq: u64) -> MonitorEvent {
+    MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000))
+}
+
+/// Sweeps brown-outs across every commit window of a twin-counter
+/// machine (IR text whose first two slots are incremented together):
+/// the counters must be equal at every recovery point and after every
+/// delivery, and the final image must equal the reference engine's on
+/// continuous power.
+fn twin_crash_sweep(ir: &str) {
+    let app = rich_app();
     let reference = {
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-        let engine = MonitorEngine::install_with(
-            &mut dev,
-            suite,
-            &app,
-            InstallOptions {
-                delta: DeltaMode::Disabled,
-                ..InstallOptions::default()
-            },
-        )
-        .unwrap();
+        let suite = artemis_ir::parse::parse_suite(ir).unwrap();
+        let engine =
+            MonitorEngine::install_with(&mut dev, suite, &app, InstallOptions::reference())
+                .unwrap();
         engine.reset_monitor(&mut dev).unwrap();
-        for seq in 1..=EVENTS {
+        for seq in 1..=TWIN_EVENTS {
             engine
-                .call_monitor(
-                    &mut dev,
-                    seq,
-                    &MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000)),
-                )
+                .call_monitor(&mut dev, seq, &twin_event(seq))
                 .unwrap();
         }
         engine.snapshot(&dev)
@@ -1049,34 +869,26 @@ fn sparse_delta_commit_crash_windows_never_tear() {
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {
-        let mut dev = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        let mut dev = intermittent_device(budget_nj);
+        let suite = artemis_ir::parse::parse_suite(ir).unwrap();
+        let engine = MonitorEngine::install_with(&mut dev, suite, &app, production()).unwrap();
         let done = dev
             .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
             .unwrap();
         let sim = Simulator::new(RunLimit::reboots(100_000));
         let outcome = sim.run(&mut dev, &mut |dev: &mut Device| {
             engine.monitor_finalize(dev)?;
-            // Every reboot is a recovery point: a torn sparse commit
-            // would surface here as a half-applied increment.
+            // Every reboot is a recovery point: a torn or misdiffed
+            // commit would surface here as a half-applied increment.
             let (a, b) = twins(&engine.snapshot(dev));
             assert_eq!(a, b, "torn commit at budget {budget_nj} nJ");
             loop {
                 let idx = dev.nv_read(&done)? as usize;
-                if idx as u64 >= EVENTS {
+                if idx as u64 >= TWIN_EVENTS {
                     return Ok(());
                 }
                 let seq = idx as u64 + 1;
-                engine.call_monitor(
-                    dev,
-                    seq,
-                    &MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000)),
-                )?;
+                engine.call_monitor(dev, seq, &twin_event(seq))?;
                 let (a, b) = twins(&engine.snapshot(dev));
                 assert_eq!(a, b, "torn commit at budget {budget_nj} nJ");
                 dev.nv_write(&done, (idx + 1) as u32)?;
@@ -1092,7 +904,7 @@ fn sparse_delta_commit_crash_windows_never_tear() {
     }
     assert!(
         total_reboots > 100,
-        "sweep too gentle to hit the sparse commit windows ({total_reboots} reboots)"
+        "sweep too gentle to hit the commit windows ({total_reboots} reboots)"
     );
 }
 
@@ -1100,128 +912,36 @@ fn sparse_delta_commit_crash_windows_never_tear() {
 // Dirty-diff commit crash windows (deterministic).
 //
 // The diff-commit transaction journals minimal `[addr][len][data]` runs
-// computed against the shadow cache's old image instead of whole slots.
-// Its crash windows are a superset of the sparse path's: a reboot can
-// land after the diff record is staged but before the flag flips,
-// between two run applications during replay, or after a wipe that
-// cold-refills the shadows mid-stream (a stale old image would make the
-// next diff silently wrong). The twin-counter machine makes any torn or
-// misdiffed application observable as `a != b` at the next recovery
-// point. The sweep runs in both cache modes: with the cache enabled the
-// diff path is genuinely active (guarded below), with it disabled
-// `DiffMode::Auto` must degrade to slot-granular and stay equivalent.
+// computed against the shadow cache's old image. Its crash windows are
+// a superset of the sparse path's: a reboot can land after the diff
+// record is staged but before the flag flips, between two run
+// applications during replay, or after a wipe that cold-refills the
+// shadows mid-stream (a stale old image would make the next diff
+// silently wrong). The machine below flips its state on every event
+// and keeps its twin counters 8+ bytes apart, so every commit carries
+// two separate runs — the state byte merged with `a`'s low byte, and
+// `b`'s low byte — and a torn or misdiffed application shows as
+// `a != b` at the next recovery point.
 // ---------------------------------------------------------------------------
 
+/// Twin counters with untouched padding between them and a state flip
+/// on every event: two diff runs per commit.
+const SPLIT_TWIN_IR: &str = "\
+    machine twin task a persistent { \
+        var a: int = 0; var b: int = 0; \
+        var p0: int = 0; var p1: int = 0; var p2: int = 0; var p3: int = 0; \
+        var p4: int = 0; var p5: int = 0; var p6: int = 0; var p7: int = 0; \
+        state S initial; state T; \
+        on startTask(a) from S to T { a := (a + 1); b := (b + 1); }; \
+        on startTask(a) from T to S { a := (a + 1); b := (b + 1); }; }";
+
 /// Budget sweep landing brown-outs in every window of the diff-commit
-/// transaction (>100 reboots per cache mode): the correlated counters
-/// must be equal at every recovery point, and the final image must
-/// match a continuous-power slot-granular run.
+/// transaction (>100 reboots): the correlated counters must be equal at
+/// every recovery point, and the final image must match the reference
+/// engine on continuous power.
 #[test]
 fn diff_commit_crash_windows_never_tear() {
-    const EVENTS: u64 = 30;
-    let app = rich_app();
-
-    // Continuous-power slot-granular reference image.
-    let reference = {
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-        let engine = MonitorEngine::install_with(
-            &mut dev,
-            suite,
-            &app,
-            InstallOptions {
-                diff: DiffMode::Disabled,
-                ..InstallOptions::default()
-            },
-        )
-        .unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
-        for seq in 1..=EVENTS {
-            engine
-                .call_monitor(
-                    &mut dev,
-                    seq,
-                    &MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000)),
-                )
-                .unwrap();
-        }
-        engine.snapshot(&dev)
-    };
-
-    let twins = |snap: &[(u32, Vec<Value>)]| (snap[0].1[0], snap[0].1[1]);
-
-    for cache in [CacheMode::Enabled, CacheMode::Disabled] {
-        let mut total_reboots = 0u64;
-        for budget_nj in (700..3_000).step_by(25) {
-            let mut dev = DeviceBuilder::msp430fr5994()
-                .trace_disabled()
-                .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-                .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-                .build();
-            let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
-            let engine = MonitorEngine::install_with(
-                &mut dev,
-                suite,
-                &app,
-                InstallOptions {
-                    cache,
-                    diff: DiffMode::Auto,
-                    ..InstallOptions::default()
-                },
-            )
-            .unwrap();
-            // Guard the premise: with the cache on, the diff path must
-            // actually be live; with it off, Auto must have degraded.
-            let want = match cache {
-                CacheMode::Enabled => DiffMode::Auto,
-                CacheMode::Disabled => DiffMode::Disabled,
-            };
-            assert_eq!(engine.diff_mode(), want, "cache {cache:?}");
-            let done = dev
-                .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
-                .unwrap();
-            let sim = Simulator::new(RunLimit::reboots(100_000));
-            let outcome = sim.run(&mut dev, &mut |dev: &mut Device| {
-                engine.monitor_finalize(dev)?;
-                // Every reboot is a recovery point: a torn or misdiffed
-                // commit surfaces here as a half-applied increment.
-                let (a, b) = twins(&engine.snapshot(dev));
-                assert_eq!(
-                    a, b,
-                    "torn diff commit at budget {budget_nj} nJ ({cache:?})"
-                );
-                loop {
-                    let idx = dev.nv_read(&done)? as usize;
-                    if idx as u64 >= EVENTS {
-                        return Ok(());
-                    }
-                    let seq = idx as u64 + 1;
-                    engine.call_monitor(
-                        dev,
-                        seq,
-                        &MonitorEvent::start(TaskId(0), SimInstant::from_micros(seq * 1_000)),
-                    )?;
-                    let (a, b) = twins(&engine.snapshot(dev));
-                    assert_eq!(
-                        a, b,
-                        "torn diff commit at budget {budget_nj} nJ ({cache:?})"
-                    );
-                    dev.nv_write(&done, (idx + 1) as u32)?;
-                }
-            });
-            assert!(outcome.is_completed(), "stream never finished");
-            assert_eq!(
-                engine.snapshot(&dev),
-                reference,
-                "final image diverged at budget {budget_nj} nJ ({cache:?})"
-            );
-            total_reboots += dev.reboots();
-        }
-        assert!(
-            total_reboots > 100,
-            "sweep too gentle to hit the diff commit windows ({total_reboots} reboots, {cache:?})"
-        );
-    }
+    twin_crash_sweep(SPLIT_TWIN_IR);
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,31 +956,19 @@ fn diff_commit_crash_windows_never_tear() {
 // ---------------------------------------------------------------------------
 
 /// Budget sweep over the whole batch protocol on the multi-machine
-/// crash stream: verdicts and FRAM state must match the full-scan
-/// per-event reference at every budget. The floor sits just above the
-/// batch engine's install cost (the batch regions make installation a
-/// little dearer than the per-event engine's 700 nJ).
+/// crash stream: verdicts and FRAM state must match the reference
+/// engine at every budget. The floor sits just above the batch
+/// engine's install cost (the batch regions make installation a little
+/// dearer than the per-event engine's 700 nJ).
 #[test]
 fn batch_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vf, sf) = engine_run_routing(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut dev_f,
-        ExecMode::Compiled,
-        RoutingMode::FullScan,
-    );
+    let (vf, sf) = crash_reference(&app, &events);
 
     let mut total_reboots = 0u64;
     for budget_nj in (900..3_200).step_by(25) {
-        let mut dev_b = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
+        let mut dev_b = intermittent_device(budget_nj);
         let (vb, sb) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_b, 4);
         assert_eq!(vb, vf, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sb, sf, "state divergence at budget {budget_nj} nJ");
@@ -1275,54 +983,46 @@ fn batch_crash_windows_preserve_verdicts_and_state() {
 // ---------------------------------------------------------------------------
 // Shadow-cache crash windows (deterministic).
 //
-// The cache is strictly write-through, so its only new failure mode is
+// The cache is strictly write-through, so its only failure mode is
 // stale RAM surviving a reboot or a wipe landing between two of the
-// FRAM writes that make up a cached delivery (arming commit, sparse
-// machine commits, batch finalize). The same fine-grained budget
-// sweeps as above land a brown-out at every one of those writes with
-// the cache enabled; the runs must match an uncached continuous-power
-// reference byte for byte.
+// FRAM writes that make up a delivery (arming commit, sparse machine
+// commits, batch finalize). The same fine-grained budget sweeps as
+// above land a brown-out at every one of those writes; each run must
+// match the reference engine byte for byte, and its cache counters
+// must show that every reboot wiped the shadows exactly once and that
+// the run really refilled them from FRAM.
 // ---------------------------------------------------------------------------
 
-/// Per-event cached delivery under the arming/commit crash sweep:
-/// every budget reboots mid-delivery, wiping warm shadows at every
-/// possible FRAM-write boundary, and must still match the uncached
-/// reference's verdicts and FRAM-visible state.
+/// Checks one swept run's cache accounting: one invalidation per
+/// reboot, and cold refills whenever a reboot happened.
+fn assert_cache_wiped_per_reboot(stats: CacheStats, reboots: u64, budget_nj: u64) {
+    assert_eq!(
+        stats.invalidations, reboots,
+        "every reboot must wipe the shadows exactly once (budget {budget_nj} nJ)"
+    );
+    if reboots > 0 {
+        assert!(stats.misses > 0, "no cold refill at budget {budget_nj} nJ");
+    }
+}
+
+/// Per-event delivery under the arming/commit crash sweep: every budget
+/// reboots mid-delivery, wiping warm shadows at every possible
+/// FRAM-write boundary, and must still match the reference engine's
+/// verdicts and FRAM-visible state.
 #[test]
 fn cached_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vu, su) = engine_run_opts(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut dev_u,
-        InstallOptions {
-            cache: CacheMode::Disabled,
-            ..InstallOptions::default()
-        },
-    );
+    let (vu, su) = crash_reference(&app, &events);
 
     let mut total_reboots = 0u64;
     for budget_nj in (700..3_000).step_by(25) {
-        let mut dev_c = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let (vc, sc) = engine_run_opts(
-            &app,
-            CRASH_SPEC,
-            &events,
-            &mut dev_c,
-            InstallOptions {
-                cache: CacheMode::Enabled,
-                ..InstallOptions::default()
-            },
-        );
+        let mut dev_c = intermittent_device(budget_nj);
+        let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
+        let ((vc, sc), stats) = engine_run_stats(&app, suite, &events, &mut dev_c, production());
         assert_eq!(vc, vu, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sc, su, "state divergence at budget {budget_nj} nJ");
+        assert_cache_wiped_per_reboot(stats, dev_c.reboots(), budget_nj);
         total_reboots += dev_c.reboots();
     }
     assert!(
@@ -1331,35 +1031,24 @@ fn cached_crash_windows_preserve_verdicts_and_state() {
     );
 }
 
-/// Batch cached delivery under the batch crash sweep: brown-outs land
-/// inside the batch arming commit, between per-machine batch commits,
-/// and during the finalize/readback window — all with warm shadows
-/// that the reboot must invalidate.
+/// Batch delivery under the batch crash sweep: brown-outs land inside
+/// the batch arming commit, between per-machine batch commits, and
+/// during the finalize/readback window — all with warm shadows that the
+/// reboot must invalidate.
 #[test]
 fn cached_batch_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
     let events = crash_events();
-    let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    let (vu, su) = engine_run_batch_cache(
-        &app,
-        CRASH_SPEC,
-        &events,
-        &mut dev_u,
-        4,
-        CacheMode::Disabled,
-    );
+    let (vu, su) = crash_reference(&app, &events);
 
     let mut total_reboots = 0u64;
     for budget_nj in (900..3_200).step_by(25) {
-        let mut dev_c = DeviceBuilder::msp430fr5994()
-            .trace_disabled()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
-            .build();
-        let (vc, sc) =
-            engine_run_batch_cache(&app, CRASH_SPEC, &events, &mut dev_c, 4, CacheMode::Enabled);
+        let mut dev_c = intermittent_device(budget_nj);
+        let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
+        let ((vc, sc), stats) = engine_run_batch_suite(&app, suite, &events, &mut dev_c, 4);
         assert_eq!(vc, vu, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sc, su, "state divergence at budget {budget_nj} nJ");
+        assert_cache_wiped_per_reboot(stats, dev_c.reboots(), budget_nj);
         total_reboots += dev_c.reboots();
     }
     assert!(
@@ -1369,24 +1058,17 @@ fn cached_batch_crash_windows_preserve_verdicts_and_state() {
 }
 
 /// A fully committed batch redelivered after multiple reboots must be
-/// a pure no-op: same verdicts back, not one byte of FRAM-visible
-/// machine state changed, no machine re-stepped.
+/// a pure no-op: the reference engine's verdicts for that batch come
+/// back, and the FRAM-visible machine state stays the reference
+/// engine's — no machine re-stepped.
 #[test]
 fn redelivered_completed_batch_is_a_noop() {
     let app = rich_app();
     let events = crash_events();
+    let (ref_verdicts, ref_state) = crash_reference(&app, &events);
     let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
     let mut dev = DeviceBuilder::msp430fr5994().build();
-    let engine = MonitorEngine::install_with(
-        &mut dev,
-        suite,
-        &app,
-        InstallOptions {
-            batch: BatchMode::Enabled { max_events: 4 },
-            ..InstallOptions::default()
-        },
-    )
-    .unwrap();
+    let engine = MonitorEngine::install_with(&mut dev, suite, &app, batched(4)).unwrap();
     engine.reset_monitor(&mut dev).unwrap();
 
     // Deliver the stream in batches of 4, keeping the last batch.
@@ -1413,6 +1095,8 @@ fn redelivered_completed_batch_is_a_noop() {
     }
     let batch = &timed[(seq - 1) as usize..];
     let snap = engine.snapshot(&dev);
+    assert_eq!(verdicts, ref_verdicts[(seq - 1) as usize..]);
+    assert_eq!(snap, ref_state);
 
     // Replay the committed batch across several reboots: the sequence
     // check must short-circuit everything but the verdict readback.
@@ -1434,20 +1118,27 @@ fn redelivered_completed_batch_is_a_noop() {
 
 /// Redelivering a seq whose armed worklist already ran to completion
 /// must return the recorded verdicts without re-stepping any machine —
-/// on live redelivery and after a reboot.
+/// on live redelivery and after a reboot — and those verdicts and the
+/// machine state are the reference engine's for the same stream.
 #[test]
 fn redelivered_completed_seq_only_replays_verdicts() {
     let app = rich_app();
-    let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
-    let mut dev = DeviceBuilder::msp430fr5994().build();
-    let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-    engine.reset_monitor(&mut dev).unwrap();
-    assert_eq!(engine.routing_mode(), RoutingMode::Routed);
-
     let a = TaskId(0);
+    let ev = |us| MonitorEvent::start(a, SimInstant::from_micros(us));
+    let install = |dev: &mut Device, opts| {
+        let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
+        let engine = MonitorEngine::install_with(dev, suite, &app, opts).unwrap();
+        engine.reset_monitor(dev).unwrap();
+        engine
+    };
+    let mut dev = DeviceBuilder::msp430fr5994().build();
+    let engine = install(&mut dev, production());
+    assert_eq!(engine.routing_mode(), RoutingMode::Routed);
+    let mut dev_ref = DeviceBuilder::msp430fr5994().build();
+    let reference = install(&mut dev_ref, InstallOptions::reference());
+
     // Rapid-fire starts until a property fires (maxTries: 3 fires by
     // the fourth attempt at the latest).
-    let ev = |us| MonitorEvent::start(a, SimInstant::from_micros(us));
     let mut seq = 0u64;
     let first = loop {
         seq += 1;
@@ -1455,11 +1146,16 @@ fn redelivered_completed_seq_only_replays_verdicts() {
         let v = engine
             .call_monitor(&mut dev, seq, &ev(seq * 1_000))
             .unwrap();
+        let want = reference
+            .call_monitor(&mut dev_ref, seq, &ev(seq * 1_000))
+            .unwrap();
+        assert_eq!(v, want, "seq {seq} diverged from the reference engine");
         if !v.is_empty() {
             break v;
         }
     };
     let snap = engine.snapshot(&dev);
+    assert_eq!(snap, reference.snapshot(&dev_ref));
 
     // Live redelivery: same verdicts, no FRAM-visible state change.
     let again = engine
@@ -1485,8 +1181,8 @@ fn redelivered_completed_seq_only_replays_verdicts() {
 // The routed completion bitmap holds one bit per installed machine, so
 // a suite of any size keeps worklists, sparse deltas, the shadow cache
 // and diff commits. The suites below put more than 64 machines on one
-// worklist (and on one merged batch worklist) and hold routed delivery
-// to the interpreter/full-scan oracle, under random power failures and
+// worklist (and on one merged batch worklist) and hold production
+// delivery to the reference engine, under random power failures and
 // under crashes placed on the entries around the first word boundary
 // and at the end of the bitmap's last byte.
 // ---------------------------------------------------------------------------
@@ -1575,21 +1271,11 @@ fn wide_suite(app: &AppGraph, ir: &str) -> MonitorSuite {
     suite
 }
 
-/// The reference the wide tests compare against: the tree-walking
-/// interpreter with full-scan dispatch, on continuous power.
+/// The reference the wide tests compare against: the reference engine
+/// on continuous power.
 fn wide_oracle(app: &AppGraph, suite: MonitorSuite, events: &[(Ev, Option<u32>)]) -> RunOutcome {
     let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-    engine_run_suite(
-        app,
-        suite,
-        events,
-        &mut dev,
-        InstallOptions {
-            mode: ExecMode::Interpreter,
-            routing: RoutingMode::FullScan,
-            ..base_opts()
-        },
-    )
+    engine_run_suite(app, suite, events, &mut dev, InstallOptions::reference())
 }
 
 /// A device that browns out after `budget_nj` and recharges in 100 ms.
@@ -1607,8 +1293,8 @@ fn intermittent_device(budget_nj: u64) -> Device {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Routed compiled delivery of a wide suite on an intermittent
-    /// device vs the interpreter/full-scan oracle on continuous power:
+    /// Production delivery of a wide suite on an intermittent device vs
+    /// the reference engine on continuous power:
     /// identical verdicts and FRAM-visible machine state, with the
     /// worklist walk resuming across every bitmap byte and word.
     #[test]
@@ -1620,14 +1306,14 @@ proptest! {
         let app = rich_app();
         let (vo, so) = wide_oracle(&app, wide_suite(&app, &ir), &events);
         let mut dev = intermittent_device(budget_nj);
-        let (vr, sr) = engine_run_suite(&app, wide_suite(&app, &ir), &events, &mut dev, base_opts());
+        let (vr, sr) = engine_run_suite(&app, wide_suite(&app, &ir), &events, &mut dev, production());
         prop_assert_eq!(vr, vo, "verdict divergence, budget {} nJ", budget_nj);
         prop_assert_eq!(sr, so, "state divergence, budget {} nJ", budget_nj);
     }
 
     /// Group-commit batches over a wide suite — merged worklists of more
-    /// than 64 entries — on an intermittent device vs the
-    /// interpreter/full-scan oracle on continuous power.
+    /// than 64 entries — on an intermittent device vs the reference
+    /// engine on continuous power.
     #[test]
     fn wide_batched_equals_interpreter_full_scan_under_random_power_failures(
         ir in wide_suite_strategy(),
@@ -1638,8 +1324,8 @@ proptest! {
         let app = rich_app();
         let (vo, so) = wide_oracle(&app, wide_suite(&app, &ir), &events);
         let mut dev = intermittent_device(budget_nj);
-        let (vb, sb) = engine_run_batch_suite(
-            &app, wide_suite(&app, &ir), &events, &mut dev, chunk, env_cache_mode());
+        let ((vb, sb), _) = engine_run_batch_suite(
+            &app, wide_suite(&app, &ir), &events, &mut dev, chunk);
         prop_assert_eq!(vb, vo, "verdicts, chunk {}, budget {} nJ", chunk, budget_nj);
         prop_assert_eq!(sb, so, "state, chunk {}, budget {} nJ", chunk, budget_nj);
     }
@@ -1692,26 +1378,19 @@ struct WidePlan {
 }
 
 impl WidePlan {
-    fn per_event(cache: CacheMode) -> Self {
+    fn per_event() -> Self {
         WidePlan {
             deliveries: &[0..1, 1..2, 2..3, 3..4, 4..5, 5..6],
             crash: 3,
-            opts: InstallOptions {
-                cache,
-                ..base_opts()
-            },
+            opts: production(),
         }
     }
 
-    fn batched(cache: CacheMode) -> Self {
+    fn batched() -> Self {
         WidePlan {
             deliveries: &[0..3, 3..5, 5..6],
             crash: 1,
-            opts: InstallOptions {
-                cache,
-                batch: BatchMode::Enabled { max_events: 3 },
-                ..base_opts()
-            },
+            opts: batched(3),
         }
     }
 }
@@ -1825,8 +1504,8 @@ fn wide_crash_boundary(
 /// the first power failure lands while that entry is pending, and
 /// crashes at five points across it (the load, the step, and the
 /// writes of its commit). Every run must recover to exactly the
-/// interpreter/full-scan oracle's verdicts and FRAM-visible state —
-/// per-event and batched, with the shadow cache on and off.
+/// reference engine's verdicts and FRAM-visible state — per-event and
+/// batched.
 #[test]
 fn wide_worklist_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
@@ -1838,11 +1517,7 @@ fn wide_worklist_crash_windows_preserve_verdicts_and_state() {
             &mut dev,
             wide.suite.clone(),
             &app,
-            InstallOptions {
-                mode: ExecMode::Interpreter,
-                routing: RoutingMode::FullScan,
-                ..base_opts()
-            },
+            InstallOptions::reference(),
         )
         .unwrap();
         engine.reset_monitor(&mut dev).unwrap();
@@ -1850,13 +1525,8 @@ fn wide_worklist_crash_windows_preserve_verdicts_and_state() {
         (v, engine.snapshot(&dev))
     };
 
-    for plan in [
-        WidePlan::per_event(CacheMode::Enabled),
-        WidePlan::per_event(CacheMode::Disabled),
-        WidePlan::batched(CacheMode::Enabled),
-        WidePlan::batched(CacheMode::Disabled),
-    ] {
-        let ctx = format!("{:?}, {:?}", plan.opts.cache, plan.opts.batch);
+    for plan in [WidePlan::per_event(), WidePlan::batched()] {
+        let ctx = format!("{:?}", plan.opts.batch);
         let ((none, verdicts, state), used) = wide_crash_run(&wide, &plan, None);
         assert_eq!(none, None, "undrained run must not crash ({ctx})");
         assert_eq!(verdicts, oracle_verdicts, "undrained verdicts ({ctx})");
