@@ -795,183 +795,16 @@ pub(crate) fn guarded_sparse_suite() -> (
     (suite, app, t0)
 }
 
-/// **Batch benchmark (beyond the paper's figures)** — per-event FRAM
-/// traffic of the production engine on the sparse-handler dispatch
-/// suite, delivered event by event and in group-commit batches. One
-/// sparse transaction arms the whole batch, each machine steps every
-/// event in volatile scratch and commits its coalesced net effect once,
-/// so the arming and per-machine commit overheads amortise across the
-/// batch: larger batches spend fewer FRAM ops per event. The shadow
-/// cache keeps every steady-state delivery write-only.
-pub fn batch() -> Report {
-    use artemis_core::event::MonitorEvent;
-    use artemis_monitor::{BatchMode, InstallOptions, MonitorEngine};
-    use intermittent_sim::DeviceBuilder;
-
-    const EVENTS: u64 = 200;
-    /// Batch capacities swept (200 events divide evenly into each).
-    const SIZES: [usize; 4] = [1, 2, 4, 8];
-
-    struct Sample {
-        reads: u64,
-        writes: u64,
-        read_bytes: u64,
-        write_bytes: u64,
-        time: SimDuration,
-    }
-    impl Sample {
-        fn ops_per_event(&self) -> f64 {
-            (self.reads + self.writes) as f64 / EVENTS as f64
-        }
-    }
-
-    let (suite, app, t0) = sparse_dispatch_suite();
-
-    // Feed the same 200-event stream either through the per-event
-    // entry point or through `deliver_batch` in full chunks of `b`.
-    let run = |batch: Option<usize>| -> Sample {
-        let opts = InstallOptions {
-            batch: match batch {
-                Some(b) => BatchMode::Enabled { max_events: b },
-                None => BatchMode::Disabled,
-            },
-            ..InstallOptions::default()
-        };
-        let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let engine =
-            MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).expect("installs");
-        engine.reset_monitor(&mut dev).expect("reset");
-        let reads0 = dev.fram().read_ops();
-        let writes0 = dev.fram().write_ops();
-        let rbytes0 = dev.fram().read_bytes();
-        let wbytes0 = dev.fram().write_bytes();
-        let time0 = dev.stats().time(CostCategory::Monitor);
-        let event = |seq: u64| MonitorEvent::start(t0, artemis_core::SimInstant::from_micros(seq));
-        match batch {
-            None => {
-                for seq in 1..=EVENTS {
-                    engine
-                        .call_monitor(&mut dev, seq, &event(seq))
-                        .expect("event");
-                }
-            }
-            Some(b) => {
-                let mut seq = 1;
-                while seq <= EVENTS {
-                    let n = (b as u64).min(EVENTS - seq + 1);
-                    let chunk: Vec<MonitorEvent> = (0..n).map(|i| event(seq + i)).collect();
-                    engine.deliver_batch(&mut dev, seq, &chunk).expect("batch");
-                    seq += n;
-                }
-            }
-        }
-        Sample {
-            reads: dev.fram().read_ops() - reads0,
-            writes: dev.fram().write_ops() - writes0,
-            read_bytes: dev.fram().read_bytes() - rbytes0,
-            write_bytes: dev.fram().write_bytes() - wbytes0,
-            time: dev.stats().time(CostCategory::Monitor) - time0,
-        }
-    };
-
-    let mut r = Report::new(
-        "batch",
-        "per-event FRAM ops: group-commit batches vs per-event delivery",
-        &[
-            "mode",
-            "FRAM reads",
-            "FRAM writes",
-            "reads/event",
-            "ops/event",
-            "time/event (us)",
-            "read B/event",
-            "write B/event",
-        ],
-    );
-
-    let mut emit = |name: String, s: &Sample| {
-        r.row(vec![
-            name,
-            s.reads.to_string(),
-            s.writes.to_string(),
-            format!("{:.1}", s.reads as f64 / EVENTS as f64),
-            format!("{:.1}", s.ops_per_event()),
-            format!("{:.2}", s.time.as_secs_f64() * 1e6 / EVENTS as f64),
-            format!("{:.1}", s.read_bytes as f64 / EVENTS as f64),
-            format!("{:.1}", s.write_bytes as f64 / EVENTS as f64),
-        ]);
-    };
-
-    let baseline = run(None);
-    emit("per-event".to_string(), &baseline);
-    let mut samples = Vec::new();
-    for b in SIZES {
-        let s = run(Some(b));
-        emit(format!("batch-{b}"), &s);
-        samples.push((b, s));
-    }
-
-    let at = |b: usize| -> f64 {
-        samples
-            .iter()
-            .find(|(sb, _)| *sb == b)
-            .expect("swept size")
-            .1
-            .ops_per_event()
-    };
-    r.note(format!(
-        "batch-4 vs per-event FRAM op reduction: {:.2}x \
-         (acceptance target: >= 1.5x on the sparse dispatch workload)",
-        baseline.ops_per_event() / at(4)
-    ));
-    r.note(format!(
-        "batch-1 vs per-event: {:.1} vs {:.1} ops/event \
-         (acceptance target: within noise — batching must not tax unbatched traffic)",
-        at(1),
-        baseline.ops_per_event()
-    ));
-    r.note(format!(
-        "steady-state FRAM reads/event: {:.1} per-event, {:.1} batch-8 (acceptance \
-         target: = 0 — the shadow cache makes delivery write-only)",
-        baseline.reads as f64 / EVENTS as f64,
-        samples
-            .iter()
-            .find(|(b, _)| *b == 8)
-            .map_or(0.0, |(_, s)| s.reads as f64 / EVENTS as f64)
-    ));
-
-    let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-    let key = artemis_ir::suite_bounds(&compiled);
-    let key = key.worst_event().expect("has event keys");
-    r.note(format!(
-        "per-event static bound: {} warm ops/event (measured {:.1}; dirty-diff commits \
-         undercut the slot-granular model), cold-miss refill after a reboot <= {} extra \
-         reads (flag + seq + one block fill per armed machine)",
-        key.cached_ops(),
-        baseline.ops_per_event(),
-        key.cold_extra_reads
-    ));
-    for (b, s) in &samples {
-        let bound = artemis_ir::batch_bounds(&compiled, *b);
-        debug_assert!(bound.cached_ops_per_event_ceil() as f64 >= s.ops_per_event());
-        r.note(format!(
-            "batch-{b} static bound: {} warm ops/event ceiling, {} B worst commit \
-             (measured {:.1} ops/event stays under it)",
-            bound.cached_ops_per_event_ceil(),
-            bound.worst_commit_bytes,
-            s.ops_per_event()
-        ));
-    }
-    r
-}
-
 /// **Dispatch benchmark (beyond the paper's figures)** — per-event FRAM
 /// traffic of the two engines on a monitor-heavy workload: every event
 /// drives every variable of every machine, the worst case for the
 /// reference engine's one-cell-per-variable layout. The production
 /// engine loads each machine as one block (from its shadow cache when
 /// warm) and commits it as one journal entry, so its op count is flat
-/// in the variable count.
+/// in the variable count. A third row runs the production engine on
+/// the sparse-handler suite ([`sparse_dispatch_suite`]), where each
+/// event touches one variable per machine: its sparse dirty-diff
+/// commits keep steady-state delivery write-only.
 pub fn dispatch() -> Report {
     use artemis_core::event::MonitorEvent;
     use artemis_monitor::{InstallOptions, MonitorEngine};
@@ -979,7 +812,8 @@ pub fn dispatch() -> Report {
 
     const EVENTS: u64 = 200;
 
-    let (suite, app, t0) = dispatch_suite();
+    let dense = dispatch_suite();
+    let sparse = sparse_dispatch_suite();
 
     let mut r = Report::new(
         "dispatch",
@@ -997,13 +831,15 @@ pub fn dispatch() -> Report {
         ],
     );
     let mut ops_per_event = Vec::new();
-    for (name, opts) in [
-        ("reference", InstallOptions::reference()),
-        ("production", InstallOptions::default()),
+    for (name, (suite, app, t0), opts) in [
+        ("reference", &dense, InstallOptions::reference()),
+        ("production", &dense, InstallOptions::default()),
+        ("production-sparse", &sparse, InstallOptions::default()),
     ] {
+        let t0 = *t0;
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let engine =
-            MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).expect("installs");
+            MonitorEngine::install_with(&mut dev, suite.clone(), app, opts).expect("installs");
         engine.reset_monitor(&mut dev).expect("reset");
 
         let reads0 = dev.fram().read_ops();
@@ -1041,17 +877,30 @@ pub fn dispatch() -> Report {
         "FRAM op reduction: {:.2}x (acceptance target: >= 3x)",
         ops_per_event[0] / ops_per_event[1]
     ));
-    let compiled =
-        artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("suite compiles");
-    let bounds = artemis_ir::suite_bounds(&compiled);
-    let key = bounds
-        .worst_event()
-        .expect("the stress suite has at least one event key");
+    let worst_key = |(suite, app, _): &(artemis_ir::fsm::MonitorSuite, _, _)| {
+        let compiled =
+            artemis_ir::compile::CompiledSuite::compile(suite, app).expect("suite compiles");
+        let bounds = artemis_ir::suite_bounds(&compiled);
+        bounds
+            .worst_event()
+            .expect("the stress suites have at least one event key")
+            .clone()
+    };
     r.note(format!(
         "static per-event bound (analysis::bounds, worst key): {} warm FRAM ops \
          >= measured production {:.1}",
-        key.cached_ops(),
+        worst_key(&dense).cached_ops(),
         ops_per_event[1]
+    ));
+    let sparse_key = worst_key(&sparse);
+    r.note(format!(
+        "production-sparse: every event updates only v0; static bound {} warm FRAM ops \
+         >= measured {:.1} (dirty-diff commits undercut the slot-granular model), \
+         cold-miss refill after a reboot <= {} extra reads (flag + seq + one block \
+         fill per armed machine)",
+        sparse_key.cached_ops(),
+        ops_per_event[2],
+        sparse_key.cold_extra_reads
     ));
     r
 }
@@ -1594,7 +1443,6 @@ pub fn all() -> Vec<Report> {
         ablation_scalability(),
         scaling(),
         dispatch(),
-        batch(),
         energy(),
         fleet_smoke(),
     ]
@@ -1697,9 +1545,14 @@ mod tests {
         );
     }
 
+    /// The modelled plane is deterministic, so the ARTEMIS runtime
+    /// column is pinned exactly: a runtime FRAM write on the per-event
+    /// path that no run needs moves it.
     #[test]
     fn fig15_artemis_overhead_slightly_above_mayfly() {
         let r = fig15();
+        assert_eq!(r.rows[0][0], "ARTEMIS");
+        assert_eq!(r.rows[0][1], "63.69", "ARTEMIS runtime column (ms) drifted");
         let artemis: f64 = r.rows[0][3].parse().unwrap();
         let mayfly: f64 = r.rows[1][3].parse().unwrap();
         assert!(
@@ -1792,14 +1645,23 @@ mod tests {
         );
     }
 
+    /// Column `i` of the `dispatch` row named `mode`.
+    fn dispatch_col(r: &Report, mode: &str, i: usize) -> f64 {
+        r.rows
+            .iter()
+            .find(|row| row[0] == mode)
+            .unwrap_or_else(|| panic!("missing row {mode}"))[i]
+            .parse()
+            .unwrap()
+    }
+
     /// The production engine's sparse delta commits keep the sparse
     /// dispatch workload at no more than half the 156 ops/event its
     /// whole-block commits cost before delta commits existed.
     #[test]
     fn delta_cuts_dispatch_fram_ops_2x() {
-        let r = batch();
-        let per_event: f64 = r.rows[0][4].parse().unwrap();
-        assert_eq!(r.rows[0][0], "per-event");
+        let r = dispatch();
+        let per_event = dispatch_col(&r, "production-sparse", 5);
         assert!(
             per_event * 2.0 <= 156.0,
             "delta commits must cut dispatch FRAM ops >= 2x vs the 156 ops/event \
@@ -1807,68 +1669,27 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batch_cuts_sparse_dispatch_fram_ops_1_5x() {
-        let r = batch();
-        let ops = |mode: &str| -> f64 {
-            r.rows
-                .iter()
-                .find(|row| row[0] == mode)
-                .unwrap_or_else(|| panic!("missing row {mode}"))[4]
-                .parse()
-                .unwrap()
-        };
-        let baseline = ops("per-event");
-        let b4 = ops("batch-4");
-        assert!(
-            b4 * 1.5 <= baseline,
-            "batch-4 must cut FRAM ops >= 1.5x vs per-event: \
-             {baseline} vs {b4} ({:.2}x)",
-            baseline / b4
-        );
-        // Size-1 batches pay the arming record for nothing: they may
-        // not beat the per-event path, but must stay within noise.
-        let b1 = ops("batch-1");
-        assert!(
-            b1 <= baseline * 1.1,
-            "batch-1 must stay within noise of per-event: {baseline} vs {b1}"
-        );
-        // Larger batches amortise more.
-        assert!(ops("batch-8") < b4, "batch-8 must beat batch-4");
-        assert!(b4 < ops("batch-2"), "batch-4 must beat batch-2");
-    }
-
     /// The shadow cache's acceptance criteria on the production
-    /// engine: steady-state delivery is write-only (reads/event = 0 per
-    /// event and at batch-8), the totals stay strictly below the
-    /// uncached 71 ops/event (B=1) and 9 ops/event (B=8) figures, and
-    /// the warm static bound dominates the measured cost.
+    /// engine: steady-state delivery on the sparse dispatch workload is
+    /// write-only (reads/event = 0), the total stays strictly below the
+    /// uncached 71 ops/event figure, and the warm static bound
+    /// dominates the measured cost.
     #[test]
     fn cache_eliminates_steady_state_reads() {
-        let r = batch();
-        let row = |mode: &str| -> &Vec<String> {
-            r.rows
-                .iter()
-                .find(|row| row[0] == mode)
-                .unwrap_or_else(|| panic!("missing row {mode}"))
-        };
-        let reads = |mode: &str| -> f64 { row(mode)[3].parse().unwrap() };
-        let ops = |mode: &str| -> f64 { row(mode)[4].parse().unwrap() };
+        let r = dispatch();
+        let reads = dispatch_col(&r, "production-sparse", 4);
+        let ops = dispatch_col(&r, "production-sparse", 5);
 
         // Write-only steady state: not one FRAM read per event.
-        assert_eq!(reads("per-event"), 0.0);
-        assert_eq!(reads("batch-8"), 0.0);
-        assert!(ops("per-event") < 71.0, "per-event: {}", ops("per-event"));
-        assert!(ops("batch-8") < 9.0, "batch-8: {}", ops("batch-8"));
+        assert_eq!(reads, 0.0);
+        assert!(ops < 71.0, "production-sparse: {ops}");
 
         let (suite, app, _t0) = sparse_dispatch_suite();
         let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
         assert_eq!(key.cached_reads, 0);
-        assert!(key.cached_ops() as f64 >= ops("per-event"));
-        let b8 = artemis_ir::batch_bounds(&compiled, 8);
-        assert!(b8.cached_ops_per_event_ceil() as f64 >= ops("batch-8"));
+        assert!(key.cached_ops() as f64 >= ops);
     }
 
     /// The packed layout + dirty-diff commits of the production engine
@@ -1877,16 +1698,9 @@ mod tests {
     /// deliveries are read-free, and the static byte bounds dominate.
     #[test]
     fn bytes_packed_diff_meets_acceptance() {
-        let r = batch();
-        let col = |mode: &str, i: usize| -> f64 {
-            r.rows
-                .iter()
-                .find(|row| row[0] == mode)
-                .unwrap_or_else(|| panic!("missing row {mode}"))[i]
-                .parse()
-                .unwrap()
-        };
-        let (read_b, write_b) = (col("per-event", 6), col("per-event", 7));
+        let r = dispatch();
+        let read_b = dispatch_col(&r, "production-sparse", 7);
+        let write_b = dispatch_col(&r, "production-sparse", 8);
         assert_eq!(read_b, 0.0, "warm deliveries must be read-free");
         assert!(
             (read_b + write_b) * 1.5 <= 858.0,
@@ -1900,28 +1714,6 @@ mod tests {
         let key = bounds.worst_event().expect("has event keys");
         assert_eq!(key.cached_read_bytes, 0);
         assert!(key.write_bytes as f64 >= write_b);
-        let b8 = artemis_ir::batch_bounds(&compiled, 8);
-        assert!(b8.write_bytes as f64 / 8.0 >= col("batch-8", 7));
-    }
-
-    /// Same soundness direction as
-    /// [`dispatch_static_bound_dominates_measured`], for the batch
-    /// path: the per-batch static bound divided by the batch size must
-    /// never under-estimate the measured per-event cost.
-    #[test]
-    fn batch_static_bound_dominates_measured() {
-        let r = batch();
-        let (suite, app, _t0) = sparse_dispatch_suite();
-        let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
-        for row in r.rows.iter().filter(|row| row[0].starts_with("batch-")) {
-            let b: usize = row[0]["batch-".len()..].parse().unwrap();
-            let measured: f64 = row[4].parse().unwrap();
-            let bound = artemis_ir::batch_bounds(&compiled, b).cached_ops_per_event_ceil();
-            assert!(
-                bound as f64 >= measured,
-                "batch-{b}: static bound {bound} must dominate measured {measured} ops/event"
-            );
-        }
     }
 
     /// The static resource-bound pass must dominate what the production

@@ -81,10 +81,7 @@
 //! So a post-reboot delivery — fresh or resumed — makes at most
 //! [`EventCost::reads`] + [`EventCost::replay_reads`] read ops and
 //! moves at most [`EventCost::read_bytes`] +
-//! [`EventCost::cold_extra_read_bytes`] read bytes. The same split
-//! exists on the batch path ([`BatchBounds::cached_reads`] — always
-//! `0`, every batch commit is sparse — and the batch's cold and replay
-//! fields). Write bounds are identical warm and cold: the cache is
+//! [`EventCost::cold_extra_read_bytes`] read bytes. Write bounds are identical warm and cold: the cache is
 //! write-through and never changes what the engine commits, and a
 //! replay applies what the torn commit would have applied.
 
@@ -523,264 +520,6 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
     }
 }
 
-/// Worst-case cost of delivering one **batch** of up to `max_events`
-/// events through the engine's group-commit path.
-///
-/// The model is deliberately conservative — it must dominate any
-/// actual batch the engine can run:
-///
-/// - **arming**: recovery-flag + batch-seq reads, then one 5-sub-write
-///   sparse commit (events region, batch seq, verdict count, merged
-///   worklist, done bitmap). The events region entry carries a `u16`
-///   count plus `max_events` encoded events; the merged worklist is
-///   bounded by the whole suite.
-/// - **batch setup**: worklist count + done bitmap + worklist items +
-///   events count + events payload — 5 reads.
-/// - **per machine** (all machines may be armed): the footprint is the
-///   union of the machine's access sets over *every* dispatch key, and
-///   a machine emits if *any* of its transitions emits. One covering
-///   span read (whole block when any key degrades), a verdict-count
-///   read for emitters, then a single sparse commit of: the state word
-///   (or the whole block image) + every merged write slot + up to
-///   `max_events` verdict cells + the count + the done bit.
-/// - **verdict readback**: count read + up to `max_events` cells per
-///   emitter.
-///
-/// Dominance over the engine's dynamic cost follows from the same
-/// arguments as [`suite_bounds`], plus: the merged worklist is a subset
-/// of all machines, a batch's dynamic merged access set unions access
-/// sets of *delivered* keys only (⊆ union over all keys), and a machine
-/// emits at most one verdict per event in the batch.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BatchBounds {
-    /// Batch capacity the bound was derived for.
-    pub max_events: usize,
-    /// Journal bytes of the batch arming commit.
-    pub arming_commit_bytes: usize,
-    /// Largest single journal commit the batch path can stage (arming
-    /// or any machine's coalesced commit).
-    pub worst_commit_bytes: usize,
-    /// Journal bytes the batch cells add to the whole-suite reset
-    /// commit (batch sequence, cleared events region, empty merged
-    /// worklist, done bitmap) — add to
-    /// [`SuiteBounds::reset_commit_bytes`] when sizing a journal for a
-    /// batch-enabled engine.
-    pub reset_extra_bytes: usize,
-    /// Worst-case FRAM reads for one full batch.
-    pub reads: usize,
-    /// Worst-case FRAM writes for one full batch.
-    pub writes: usize,
-    /// Worst-case FRAM reads for one full batch with the volatile
-    /// shadow cache warm. The batch path commits exclusively through
-    /// sparse records (zero protocol reads), so a steady-state batch
-    /// reads **nothing** from FRAM.
-    pub cached_reads: usize,
-    /// Extra FRAM reads the first batch after a reboot pays to refill
-    /// the shadow: recovery flag + batch sequence + one whole-block
-    /// fill per armed machine. A resumed (pre-crash) batch makes at
-    /// most [`BatchBounds::reads`] read ops.
-    pub cold_extra_reads: usize,
-    /// FRAM reads of replaying the largest torn batch record (count
-    /// word + header and payload per sub-write): a post-reboot batch
-    /// makes at most `reads + replay_reads` read ops.
-    pub replay_reads: usize,
-    /// Extra FRAM bytes a post-reboot batch can read beyond
-    /// [`BatchBounds::read_bytes`]: whole-block refills of machines
-    /// the uncached pattern reads only up to their covering span, plus
-    /// the re-read of a torn record.
-    pub cold_extra_read_bytes: usize,
-    /// Worst-case FRAM bytes read for one full batch by the uncached
-    /// read pattern.
-    pub read_bytes: usize,
-    /// Worst-case warm-cache FRAM bytes read — always `0`, mirroring
-    /// [`BatchBounds::cached_reads`].
-    pub cached_read_bytes: usize,
-    /// Worst-case FRAM bytes written for one full batch.
-    pub write_bytes: usize,
-    /// Worst-case engine CPU cycles for one full batch. Routing is
-    /// charged twice per event (lookup at arming, again when the batch
-    /// runs), then each machine pays dispatch + worst-key stepping per
-    /// event.
-    pub cycles: u64,
-}
-
-impl BatchBounds {
-    /// Total FRAM operations (reads + writes) for one full batch.
-    pub fn ops(&self) -> usize {
-        self.reads + self.writes
-    }
-
-    /// Worst-case FRAM ops per event when the batch is full — the
-    /// number the bench's measured per-event figure must stay under.
-    pub fn ops_per_event_ceil(&self) -> usize {
-        self.ops().div_ceil(self.max_events.max(1))
-    }
-
-    /// Total FRAM operations for one full batch with the shadow cache
-    /// warm.
-    pub fn cached_ops(&self) -> usize {
-        self.cached_reads + self.writes
-    }
-
-    /// Worst-case warm-cache FRAM ops per event when the batch is
-    /// full.
-    pub fn cached_ops_per_event_ceil(&self) -> usize {
-        self.cached_ops().div_ceil(self.max_events.max(1))
-    }
-}
-
-/// Computes the batch-path resource bound for batches of up to
-/// `max_events` events (see [`BatchBounds`]).
-pub fn batch_bounds(compiled: &CompiledSuite, max_events: usize) -> BatchBounds {
-    let machines = compiled.machines();
-    let task_count = compiled.task_count();
-    let done_b = done_bytes(machines.len());
-
-    // Arming: flag + batch-seq reads, one 5-sub-write sparse commit.
-    let mut reads = 2;
-    let mut read_bytes = FLAG_BYTES + U64_BYTES;
-    let mut writes = sparse_commit_writes(5);
-    let arming_entry_bytes = entry_bytes(2 + ENCODED_EVENT_BYTES * max_events)
-        + entry_bytes(U64_BYTES)
-        + entry_bytes(U32_BYTES)
-        + u16_list_entry_bytes(machines.len())
-        + entry_bytes(done_b);
-    let arming_commit_bytes = sparse_record_bytes(arming_entry_bytes);
-    let arming_data_bytes = (2 + ENCODED_EVENT_BYTES * max_events)
-        + U64_BYTES
-        + U32_BYTES
-        + (2 + 2 * machines.len())
-        + done_b;
-    let mut write_bytes = arming_commit_bytes + arming_data_bytes + 2 * FLAG_BYTES;
-    let mut commit = arming_commit_bytes;
-    let mut replay = (replay_reads(5), arming_commit_bytes);
-    // Routing is looked up per event at arming and again when the
-    // batch runs.
-    let mut cycles = 2 * ROUTING_LOOKUP_CYCLES * max_events as u64;
-
-    // Batch setup: worklist count + done bitmap + items + events count
-    // + events payload.
-    reads += 5;
-    read_bytes += 2 + done_b + 2 * machines.len() + 2 + ENCODED_EVENT_BYTES * max_events;
-
-    let mut emitters = 0;
-    let mut cold_extra_read_bytes = 0;
-    for m in machines {
-        // Merged footprint over every key the machine can see, plus
-        // the worst per-event dispatch length for the cycle bound.
-        let mut access = crate::compile::AccessSet::default();
-        let mut emits = false;
-        let mut worst_step_cycles = 0u64;
-        for kind in [EventKind::StartTask, EventKind::EndTask] {
-            for key_task in 0..=task_count {
-                let probe = if key_task == task_count {
-                    u32::MAX
-                } else {
-                    key_task as u32
-                };
-                access.union_with(m.access(kind, probe));
-                let list = m.transition_list(kind, probe);
-                worst_step_cycles = worst_step_cycles.max(m.step_cost(kind, probe).cycles);
-                emits |= list
-                    .iter()
-                    .any(|&ti| m.transitions[ti as usize].emit.is_some());
-            }
-        }
-        if emits {
-            emitters += 1;
-        }
-        // Worst static step ceiling over every key the machine can see
-        // — the engine bills the actual key's ceiling per event, so
-        // the batch bound stays sound for any event mix.
-        cycles += max_events as u64 * (COMPILED_DISPATCH_CYCLES + worst_step_cycles);
-
-        // Span (or block) read + verdict-count read for emitters.
-        reads += 1 + usize::from(emits);
-        let block_b = m.layout().block_len;
-        let span_b = if access.whole_block {
-            block_b
-        } else {
-            m.layout().span(access.max_touched_slot())
-        };
-        read_bytes += span_b + if emits { U32_BYTES } else { 0 };
-        cold_extra_read_bytes += block_b - span_b;
-
-        let verdict_subs = if emits { max_events + 1 } else { 0 };
-        let state_subs = if access.whole_block {
-            1 // whole block image in one raw sub-write
-        } else {
-            1 + access.writes.len()
-        };
-        let k = state_subs + verdict_subs + 1;
-        writes += sparse_commit_writes(k);
-
-        let verdict_entry_bytes = if emits {
-            max_events * entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES)
-        } else {
-            0
-        };
-        let verdict_data = if emits {
-            max_events * VERDICT_BYTES + U32_BYTES
-        } else {
-            0
-        };
-        let state_b = m.layout().state_bytes;
-        let slots_b: usize = access.writes.iter().map(|&s| slot_bytes(m, s)).sum();
-        let delta_entries = entry_bytes(state_b)
-            + access
-                .writes
-                .iter()
-                .map(|&s| entry_bytes(slot_bytes(m, s)))
-                .sum::<usize>()
-            + verdict_entry_bytes
-            + entry_bytes(done_b);
-        let block_entries = entry_bytes(block_b) + verdict_entry_bytes + entry_bytes(done_b);
-        // Write bytes follow the format the engine actually uses for
-        // this machine (block image when the merged set degrades); the
-        // diff record only ever commits fewer runs and fewer bytes (see
-        // `suite_bounds`), so the slot-granular figure dominates.
-        let (record_entries, commit_data) = if access.whole_block {
-            (block_entries, block_b + verdict_data + done_b)
-        } else {
-            (delta_entries, state_b + slots_b + verdict_data + done_b)
-        };
-        write_bytes += sparse_record_bytes(record_entries) + commit_data + 2 * FLAG_BYTES;
-        replay = max_pair(
-            replay,
-            (replay_reads(k), sparse_record_bytes(record_entries)),
-        );
-        commit = commit
-            .max(sparse_record_bytes(delta_entries))
-            .max(sparse_record_bytes(block_entries));
-    }
-
-    // Verdict readback: count + up to `max_events` cells per emitter.
-    reads += 1 + emitters * max_events;
-    read_bytes += U32_BYTES + VERDICT_BYTES * emitters * max_events;
-
-    // Reset surcharge: batch seq + cleared events count (a 2-byte raw
-    // image) + empty merged worklist + done bitmap.
-    let reset_extra_bytes =
-        entry_bytes(U64_BYTES) + entry_bytes(2) + u16_list_entry_bytes(0) + entry_bytes(done_b);
-
-    BatchBounds {
-        max_events,
-        arming_commit_bytes,
-        worst_commit_bytes: commit,
-        reset_extra_bytes,
-        reads,
-        writes,
-        cached_reads: 0,
-        cold_extra_reads: 2 + machines.len(),
-        replay_reads: replay.0,
-        cold_extra_read_bytes: cold_extra_read_bytes + replay.1,
-        read_bytes,
-        cached_read_bytes: 0,
-        write_bytes,
-        cycles,
-    }
-}
-
 /// Cross-checks the suite's static bounds against a journal capacity.
 /// With `journal_capacity: None` the check degenerates to computing the
 /// bounds (no findings).
@@ -1014,49 +753,6 @@ mod tests {
         assert!(start_a.commit_bytes >= entry_bytes(1 + 8 + 11) + entry_bytes(1));
     }
 
-    #[test]
-    fn batch_bounds_amortise_arming_and_grow_with_capacity() {
-        let app = app();
-        let suite = crate::compile(
-            "a { maxTries: 2 onFail: skipPath; }\n\
-             b { maxTries: 2 onFail: skipTask; }",
-            &app,
-        )
-        .unwrap();
-        let cs = CompiledSuite::compile(&suite, &app).unwrap();
-        let b1 = batch_bounds(&cs, 1);
-        let b4 = batch_bounds(&cs, 4);
-        // Arming once for four events amortises: a full batch costs
-        // far less than four batches of one, so per-event ops shrink.
-        assert!(b4.ops() < 4 * b1.ops());
-        assert!(b4.ops_per_event_ceil() < b1.ops());
-        // Bigger batches stage bigger arming records and commits.
-        assert!(b4.arming_commit_bytes > b1.arming_commit_bytes);
-        assert!(b4.worst_commit_bytes >= b1.worst_commit_bytes);
-        assert!(b4.worst_commit_bytes >= b4.arming_commit_bytes);
-        // Every batch commit is sparse: the warm-cache read bound is
-        // zero at any capacity, and cold refill scales with the suite
-        // (whole blocks that the degraded machines read anyway).
-        assert_eq!(b1.cached_reads, 0);
-        assert_eq!(b4.cached_reads, 0);
-        assert_eq!(b4.cold_extra_reads, 2 + 2);
-        // Degraded machines read their whole block anyway; only a torn
-        // record's re-read is extra — here an emitting machine's record
-        // (block + four verdict cells + count + done bit).
-        assert_eq!(b4.replay_reads, replay_reads(1 + 4 + 1 + 1));
-        assert!(b4.cold_extra_read_bytes >= b4.arming_commit_bytes);
-        assert!(b4.cold_extra_read_bytes <= b4.worst_commit_bytes);
-        assert_eq!(b4.cached_ops(), b4.writes);
-        assert!(b4.cached_ops_per_event_ceil() <= b4.ops_per_event_ceil());
-        // Bytes and cycles grow with capacity; warm-cache byte traffic
-        // is zero (all commits sparse); routing + dispatch are charged
-        // per event, so the cycle bound scales exactly linearly.
-        assert_eq!(b4.cached_read_bytes, 0);
-        assert!(b4.read_bytes > b1.read_bytes);
-        assert!(b4.write_bytes > b1.write_bytes);
-        assert_eq!(b4.cycles, 4 * b1.cycles);
-    }
-
     /// Packing changes bytes, never ops: two machines with the same
     /// bytecode shape, one storing a constant the interval analysis
     /// packs into 1 byte (`v0 := 5`) and one needing all 8
@@ -1094,14 +790,6 @@ mod tests {
         assert!(armed > 0, "no key arms the machine");
         assert!(narrow.worst_commit_bytes <= wide.worst_commit_bytes);
         assert!(narrow.reset_commit_bytes < wide.reset_commit_bytes);
-
-        let (bn, bw) = (batch_bounds(&narrow_cs, 4), batch_bounds(&wide_cs, 4));
-        assert_eq!(bn.reads, bw.reads);
-        assert_eq!(bn.writes, bw.writes);
-        assert_eq!(bn.cycles, bw.cycles);
-        assert!(bn.read_bytes < bw.read_bytes);
-        assert!(bn.write_bytes < bw.write_bytes);
-        assert!(bn.worst_commit_bytes <= bw.worst_commit_bytes);
     }
 
     #[test]

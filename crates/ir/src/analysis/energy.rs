@@ -69,7 +69,7 @@ use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
 use intermittent_sim::{CostModel, Energy, EnergyProfile};
 
-use crate::analysis::bounds::{BatchBounds, EventCost, SuiteBounds};
+use crate::analysis::bounds::{EventCost, SuiteBounds};
 use crate::compile::CompiledSuite;
 
 /// Constant allowance for the task runtime's own per-attempt FRAM
@@ -115,30 +115,6 @@ pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
 /// every delivered event pays, warm or cold.
 pub fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.arming_writes, cost.arming_write_bytes, 0)
-}
-
-/// Energy of one worst-case full batch under `bounds`, warm or cold
-/// (the uncached read pattern plus the cold refill and replay reads).
-pub fn batch_energy(bounds: &BatchBounds, model: &CostModel) -> Energy {
-    model.traffic_energy(
-        bounds.reads + bounds.replay_reads,
-        bounds.read_bytes + bounds.cold_extra_read_bytes,
-        bounds.writes,
-        bounds.write_bytes,
-        bounds.cycles,
-    )
-}
-
-/// Energy of one worst-case warm-cache full batch (every batch commit
-/// is sparse, so the warm read traffic is zero).
-pub fn batch_energy_cached(bounds: &BatchBounds, model: &CostModel) -> Energy {
-    model.traffic_energy(
-        bounds.cached_reads,
-        bounds.cached_read_bytes,
-        bounds.writes,
-        bounds.write_bytes,
-        bounds.cycles,
-    )
 }
 
 /// Energy of one declared task body execution priced through `model`:
@@ -384,8 +360,6 @@ mod tests {
             assert!(event_energy_cached(cost, &model) <= event_energy(cost, &model));
             assert!(arming_energy(cost, &model) <= event_energy_cached(cost, &model));
         }
-        let b4 = crate::analysis::batch_bounds(&cs, 4);
-        assert!(batch_energy_cached(&b4, &model) <= batch_energy(&b4, &model));
     }
 
     /// Packed slot widths flow into every energy ceiling the

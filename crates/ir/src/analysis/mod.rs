@@ -42,11 +42,11 @@ pub mod energy;
 pub mod reachability;
 pub mod verifier;
 
-pub use bounds::{batch_bounds, check_bounds, suite_bounds, BatchBounds, EventCost, SuiteBounds};
+pub use bounds::{check_bounds, suite_bounds, EventCost, SuiteBounds};
 pub use conflicts::check_conflicts;
 pub use energy::{
-    arming_energy, batch_energy, batch_energy_cached, body_energy, check_energy, event_energy,
-    event_energy_cached, task_feasibility, TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
+    arming_energy, body_energy, check_energy, event_energy, event_energy_cached, task_feasibility,
+    TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
 };
 pub use reachability::check_reachability;
 pub use verifier::{verify_machine, MachineEnv};

@@ -238,22 +238,6 @@ impl AccessSet {
         }
         n
     }
-
-    /// Folds `other` into `self`: reads and writes become the sorted,
-    /// deduplicated union and `whole_block` is sticky. Used by the
-    /// batch delivery path to merge the footprints of every event a
-    /// machine sees in one burst before committing a single coalesced
-    /// record.
-    pub fn union_with(&mut self, other: &AccessSet) {
-        fn merge(dst: &mut Vec<u16>, src: &[u16]) {
-            dst.extend_from_slice(src);
-            dst.sort_unstable();
-            dst.dedup();
-        }
-        merge(&mut self.reads, &other.reads);
-        merge(&mut self.writes, &other.writes);
-        self.whole_block |= other.whole_block;
-    }
 }
 
 /// Computes the access set of one dispatch list by scanning the guard
@@ -657,16 +641,6 @@ impl CompiledMachine {
     /// count the interpreter scans).
     pub fn dispatch_len(&self, kind: EventKind, task: u32) -> usize {
         self.transition_list(kind, task).len()
-    }
-
-    /// `true` when some transition the `(kind, task)` key dispatches
-    /// can emit a failure action — i.e. delivering such an event may
-    /// produce a verdict from this machine. The static gate callers
-    /// use before reordering deliveries around the event.
-    pub fn may_emit(&self, kind: EventKind, task: u32) -> bool {
-        self.transition_list(kind, task)
-            .iter()
-            .any(|&ti| self.transitions[ti as usize].emit.is_some())
     }
 
     /// Explodes the machine into its raw parts (cloned).
@@ -1570,35 +1544,6 @@ mod tests {
         let far = c.access(EventKind::StartTask, 999);
         assert!(far.reads.is_empty() && far.writes.is_empty());
         assert_eq!(far.max_touched_slot(), None);
-    }
-
-    #[test]
-    fn access_set_union_merges_sorted_and_sticks_whole_block() {
-        let mut a = AccessSet {
-            reads: vec![1, 4],
-            writes: vec![4],
-            whole_block: false,
-        };
-        let b = AccessSet {
-            reads: vec![0, 4, 7],
-            writes: vec![2, 4],
-            whole_block: false,
-        };
-        a.union_with(&b);
-        assert_eq!(a.reads, vec![0, 1, 4, 7]);
-        assert_eq!(a.writes, vec![2, 4]);
-        assert!(!a.whole_block);
-
-        // Empty other is the identity; whole_block is sticky.
-        let before = a.clone();
-        a.union_with(&AccessSet::default());
-        assert_eq!(a, before);
-        a.union_with(&AccessSet {
-            whole_block: true,
-            ..AccessSet::default()
-        });
-        assert!(a.whole_block);
-        assert_eq!(a.reads, before.reads);
     }
 
     #[test]

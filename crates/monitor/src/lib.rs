@@ -3,9 +3,9 @@
 //!
 //! The engine is the runtime realisation of the paper's
 //! application-specific monitors (§3.3–§4.2). It keeps every machine's
-//! `(state, variables)` in FRAM, processes each observable event
-//! through an ImmortalThreads-style [`Routine`] — one crash-atomic step
-//! per machine — and exposes the paper's three entry points:
+//! `(state, variables)` in FRAM, processes each observable event as
+//! one crash-atomic step per machine, and exposes the paper's three
+//! entry points:
 //!
 //! - [`MonitorEngine::reset_monitor`] — the initial hard reset
 //!   (Figure 8, `resetMonitor`);
@@ -49,9 +49,8 @@
 //!   "intermittent run ≡ continuous run" criterion of Surbatovich et
 //!   al.
 //!
-//! Any other combination — and group-commit batching on the reference
-//! engine — is rejected with [`InstallError::UnsupportedEngine`] before
-//! any FRAM is allocated.
+//! Any other combination is rejected with
+//! [`InstallError::UnsupportedEngine`] before any FRAM is allocated.
 //!
 //! # Event routing
 //!
@@ -97,35 +96,6 @@
 //! slot-granular record (state word + every write-set slot) that the
 //! static bounds price.
 //!
-//! # Batch delivery (group commit)
-//!
-//! Events arrive in bursts at task boundaries — an `EndTask`, the next
-//! `StartTask`, `collect` samples — yet the per-event path pays a full
-//! arming transaction and one commit per machine *per event*.
-//! [`BatchMode::Enabled`] adds a group-commit path
-//! ([`MonitorEngine::deliver_batch`]): a burst of up to `max_events`
-//! events under consecutive sequence numbers is armed in ONE sparse
-//! transaction (the encoded event array, the batch sequence number, the
-//! **merged** interested worklist, and a single per-machine completion
-//! bitmap), then each armed machine steps through *all* its events of
-//! the batch in volatile scratch and commits **once**: repeated writes
-//! to the same variable slot coalesce to the last value over the
-//! merged static [`AccessSet`](artemis_ir::AccessSet) of the events it
-//! dispatched, with one verdict cell per emitting event folded into
-//! the same record as its done-bit.
-//!
-//! Crash correctness is the same argument as the per-event path, one
-//! level up: the arming commit fixes the events and the merged
-//! worklist; a machine's bit flips only in the transaction that
-//! persists the *net* effect of all its steps, so a reboot anywhere
-//! resumes from the first incomplete machine and observes either none
-//! or all of a machine's batch effects — indistinguishable from an
-//! event-at-a-time execution that crashed between machines.
-//! Redelivering a committed batch (same first sequence number) returns
-//! the recorded verdicts without re-stepping. Differential proptests
-//! pin batched ≡ event-at-a-time ≡ the reference engine on verdicts and
-//! FRAM state, including reboots injected inside the batch window.
-//!
 //! # Volatile shadow cache (write-only steady state)
 //!
 //! The production engine keeps a volatile **shadow** of every FRAM
@@ -158,7 +128,7 @@ use std::sync::Arc;
 
 use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskId};
-use artemis_core::event::{EventKind, MonitorEvent};
+use artemis_core::event::MonitorEvent;
 use artemis_core::property::OnFail;
 use artemis_ir::compile::{AccessSet, CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite};
 use artemis_ir::exec::{step, IrEvent, MachineState};
@@ -169,7 +139,7 @@ use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use immortal::Routine;
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
-use intermittent_sim::fram::{NvCell, NvData};
+use intermittent_sim::fram::NvCell;
 use intermittent_sim::journal::{encode_u16_list, u16_list_bytes, Journal, SparseTx, TxWriter};
 
 use state::{EncodedEvent, NvValue};
@@ -197,13 +167,15 @@ pub trait Monitoring {
         event: &MonitorEvent,
     ) -> Result<Vec<MonitorVerdict>, Interrupt>;
 
-    /// Delivers a burst of events under consecutive sequence numbers
-    /// (`first_seq`, `first_seq + 1`, …) and returns one verdict list
-    /// per event, in delivery order. Redelivering a processed batch
-    /// (same `first_seq` and events) must not double-step.
+    /// Delivers events under consecutive sequence numbers
+    /// (`first_seq`, `first_seq + 1`, …) through
+    /// [`Monitoring::call_monitor`], one verdict list per event.
     ///
-    /// The default forwards to [`Monitoring::call_monitor`] event by
-    /// event; deployments with a group-commit path override it.
+    /// No deployment overrides it and the runtime never calls it: it
+    /// stays only because the benchmark harness under `perf/` forwards
+    /// it, and the next change to that benchmark removes it together
+    /// with [`Monitoring::batch_capacity`] and
+    /// [`Monitoring::end_event_is_silent`].
     fn deliver_batch(
         &self,
         dev: &mut Device,
@@ -217,16 +189,14 @@ pub trait Monitoring {
         Ok(out)
     }
 
-    /// Largest burst [`Monitoring::deliver_batch`] can commit as one
-    /// group (1 = no group-commit path; the default loop applies).
+    /// Always 1. Kept only for the benchmark harness under `perf/`
+    /// (see [`Monitoring::deliver_batch`]).
     fn batch_capacity(&self) -> usize {
         1
     }
 
-    /// `true` when delivering `EndTask(task)` provably produces no
-    /// verdicts — the static gate the runtime uses before folding an
-    /// end event into a batch whose later events it must not depend
-    /// on. Conservative deployments return `false`.
+    /// Always `false`. Kept only for the benchmark harness under
+    /// `perf/` (see [`Monitoring::deliver_batch`]).
     fn end_event_is_silent(&self, _task: TaskId) -> bool {
         false
     }
@@ -261,8 +231,7 @@ const COMPILED_DISPATCH_CYCLES: u64 = 10;
 const ROUTING_LOOKUP_CYCLES: u64 = 12;
 
 /// Most machines any engine supports: machine indices are 16-bit
-/// throughout — the routing index and worklists store `u16` indices,
-/// and a verdict cell keeps the machine index in its low half-word.
+/// throughout — the routing index and worklists store `u16` indices.
 /// Every install, production or reference, of a larger suite is
 /// rejected with [`InstallError::TooManyMachines`] rather than
 /// wrapping an index.
@@ -292,28 +261,6 @@ pub enum ExecMode {
     /// The tree-walking reference interpreter over one FRAM cell per
     /// variable — the reference engine's core.
     Interpreter,
-}
-
-/// Most events one batch can carry: the per-machine event mask is a
-/// half-word and the encoded-event array must stay journal-sized.
-/// [`BatchMode::Enabled`] requests above this clamp to it.
-pub const MAX_BATCH_EVENTS: usize = 16;
-
-/// Whether the engine allocates the group-commit batch path
-/// ([`MonitorEngine::deliver_batch`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum BatchMode {
-    /// No batch state; `deliver_batch` falls back to the per-event
-    /// path — the default.
-    #[default]
-    Disabled,
-    /// Arm up to `max_events` events in one transaction and commit each
-    /// machine once per batch (clamped to [`MAX_BATCH_EVENTS`]).
-    /// Production engine only; the reference engine rejects it.
-    Enabled {
-        /// Batch capacity in events.
-        max_events: usize,
-    },
 }
 
 /// Shadow-cache effectiveness counters
@@ -348,17 +295,14 @@ pub struct ExecStats {
 
 /// Everything [`MonitorEngine::install_with`] can be told. The default
 /// is the production engine; `mode: Interpreter, routing: FullScan`
-/// (batching off) selects the reference engine. No other `mode` ×
-/// `routing` pair installs.
+/// selects the reference engine. No other `mode` × `routing` pair
+/// installs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct InstallOptions {
     /// Execution core (compiled bytecode by default).
     pub mode: ExecMode,
     /// Event dispatch strategy (routed worklists by default).
     pub routing: RoutingMode,
-    /// Group-commit batch delivery (off by default; production engine
-    /// only).
-    pub batch: BatchMode,
     /// Bytecode optimization level for ahead-of-time compilation
     /// ([`OptLevel::Full`] by default). [`OptLevel::None`] ships the
     /// straight-from-lowering bytecode and serves as the differential
@@ -369,7 +313,8 @@ pub struct InstallOptions {
     /// Journal capacity override in payload bytes. `None` derives the
     /// capacity from the static resource bounds: the worst-case single
     /// commit any event or reset can stage (see
-    /// [`artemis_ir::suite_bounds`]). The bound pass checks the suite
+    /// [`artemis_ir::suite_bounds`]), raised on the reference engine to
+    /// cover its per-cell reset commit. Install checks the suite
     /// against whatever capacity ends up in force, so an undersized
     /// override rejects the install with [`InstallError::Analysis`]
     /// instead of faulting with `JournalOverflow` mid-run.
@@ -389,7 +334,7 @@ pub struct InstallOptions {
 
 impl InstallOptions {
     /// The reference engine: tree-walking interpreter, full-scan
-    /// dispatch, no batching.
+    /// dispatch.
     pub fn reference() -> Self {
         InstallOptions {
             mode: ExecMode::Interpreter,
@@ -432,15 +377,13 @@ pub enum InstallError {
         max: usize,
     },
     /// The options name neither the production engine (compiled +
-    /// routed) nor the reference engine (interpreter + full scan,
-    /// batching off). No FRAM was touched.
+    /// routed) nor the reference engine (interpreter + full scan). No
+    /// FRAM was touched.
     UnsupportedEngine {
         /// Requested execution core.
         mode: ExecMode,
         /// Requested dispatch.
         routing: RoutingMode,
-        /// Requested batching.
-        batch: BatchMode,
     },
     /// Device-level failure (FRAM exhaustion) during installation.
     Device(Interrupt),
@@ -463,15 +406,10 @@ impl core::fmt::Display for InstallError {
                 f,
                 "{machines} machines exceed the machine-index capacity of {max}"
             ),
-            InstallError::UnsupportedEngine {
-                mode,
-                routing,
-                batch,
-            } => write!(
+            InstallError::UnsupportedEngine { mode, routing } => write!(
                 f,
-                "{mode:?} execution with {routing:?} dispatch and {batch:?} batching is \
-                 neither the production engine (Compiled + Routed) nor the reference \
-                 engine (Interpreter + FullScan, batching off)"
+                "{mode:?} execution with {routing:?} dispatch is neither the production \
+                 engine (Compiled + Routed) nor the reference engine (Interpreter + FullScan)"
             ),
             InstallError::Device(i) => write!(f, "{i}"),
         }
@@ -570,14 +508,11 @@ impl DoneCell {
 /// suite the 16-bit machine index cannot address.
 fn check_install(machines: usize, opts: &InstallOptions) -> Result<(), InstallError> {
     let production = opts.mode == ExecMode::Compiled && opts.routing == RoutingMode::Routed;
-    let reference = opts.mode == ExecMode::Interpreter
-        && opts.routing == RoutingMode::FullScan
-        && opts.batch == BatchMode::Disabled;
+    let reference = opts.mode == ExecMode::Interpreter && opts.routing == RoutingMode::FullScan;
     if !production && !reference {
         return Err(InstallError::UnsupportedEngine {
             mode: opts.mode,
             routing: opts.routing,
-            batch: opts.batch,
         });
     }
     if machines > MAX_ROUTED_MACHINES {
@@ -671,12 +606,10 @@ struct Scratch {
     verdicts: Vec<MonitorVerdict>,
     /// Worklist staging at arming time (production engine).
     worklist: Vec<u16>,
-    /// The armed worklist a delivery walks (routed and batch paths).
-    /// Taken out of the scratch for the walk, since each step borrows
-    /// the scratch itself, and put back afterwards.
+    /// The armed worklist a delivery walks (production engine). Taken
+    /// out of the scratch for the walk, since each step borrows the
+    /// scratch itself, and put back afterwards.
     armed: Vec<u16>,
-    /// Per-entry event masks of the armed batch worklist.
-    masks: Vec<u32>,
 }
 
 /// Persistent state of the production engine's routed event path: the
@@ -688,19 +621,13 @@ struct RoutedState {
     done: DoneCell,
 }
 
-/// Persistent state of the group-commit batch path, all fixed by one
-/// arming transaction: the encoded event array (`u16` count +
-/// `max_events` × [`EncodedEvent`]), the batch's first sequence
-/// number, the **merged** interested worklist, and the per-machine
-/// completion bitmap. Separate from [`RoutedState`] so batch and
-/// per-event deliveries can interleave without clobbering each other's
-/// pending-work detection.
-struct BatchState {
-    max_events: usize,
-    seq_cell: NvCell<u64>,
-    events_addr: usize,
-    worklist_addr: usize,
-    done: DoneCell,
+/// The persistent dispatch state, which is what tells the two engines
+/// apart in FRAM.
+enum Dispatch {
+    /// Production engine: armed worklists.
+    Routed(RoutedState),
+    /// Reference engine: the full-scan step counter.
+    FullScan(Routine),
 }
 
 /// An encoded verdict cell: `(machine index, (action tag, path))` —
@@ -746,10 +673,6 @@ struct ShadowCache {
     /// Generation-tagged verdict cells, indexed like `verdict_cells`.
     verdicts: Vec<(u64, VerdictCell)>,
     machines: Vec<MachineShadow>,
-    batch_seq: Option<u64>,
-    batch_events: Option<Vec<EncodedEvent>>,
-    batch_worklist: Option<Vec<u16>>,
-    batch_done: Option<usize>,
     stats: CacheStats,
 }
 
@@ -773,10 +696,6 @@ impl ShadowCache {
                 };
                 machines
             ],
-            batch_seq: None,
-            batch_events: None,
-            batch_worklist: None,
-            batch_done: None,
             stats: CacheStats::default(),
         }
     }
@@ -794,26 +713,7 @@ impl ShadowCache {
         self.worklist = None;
         self.done = None;
         self.verdict_count = None;
-        self.batch_seq = None;
-        self.batch_events = None;
-        self.batch_worklist = None;
-        self.batch_done = None;
     }
-}
-
-/// Field accessors so the worklist read helpers can serve both the
-/// routed and the batch list region (plain `fn` pointers — no capture).
-fn shadow_routed_wl(c: &ShadowCache) -> &Option<Vec<u16>> {
-    &c.worklist
-}
-fn shadow_routed_wl_mut(c: &mut ShadowCache) -> &mut Option<Vec<u16>> {
-    &mut c.worklist
-}
-fn shadow_batch_wl(c: &ShadowCache) -> &Option<Vec<u16>> {
-    &c.batch_worklist
-}
-fn shadow_batch_wl_mut(c: &mut ShadowCache) -> &mut Option<Vec<u16>> {
-    &mut c.batch_worklist
 }
 
 /// The engine. Create with [`MonitorEngine::install`] (the production
@@ -824,20 +724,12 @@ pub struct MonitorEngine {
     /// ids through it).
     compiled: Arc<CompiledSuite>,
     machines: Vec<LoadedMachine>,
-    /// The reference engine's step counter. The production engine
-    /// allocates it too but never steps through it: dropping it would
-    /// move every later FRAM allocation and change the install's
-    /// energy bill.
-    routine: Routine,
+    dispatch: Dispatch,
     journal: Journal,
     event_cell: NvCell<EncodedEvent>,
     seq_cell: NvCell<u64>,
     verdict_count: NvCell<u32>,
     verdict_cells: Vec<NvCell<(u32, (u8, u32))>>,
-    /// `Some` iff this is the production engine.
-    routed: Option<RoutedState>,
-    /// `Some` iff [`BatchMode::Enabled`] (production engine only).
-    batch: Option<BatchState>,
     /// The volatile shadow of the hot path's FRAM reads: `Some` iff
     /// this is the production engine.
     cache: Option<RefCell<ShadowCache>>,
@@ -941,67 +833,37 @@ impl MonitorEngine {
     ) -> Result<Self, InstallError> {
         check_install(suite.len(), &opts)?;
         let production = opts.mode == ExecMode::Compiled;
-        let batch_events = match opts.batch {
-            BatchMode::Enabled { max_events } => Some(max_events.clamp(1, MAX_BATCH_EVENTS)),
-            BatchMode::Disabled => None,
-        };
 
         // Default journal capacity = the static worst-case transaction
         // bound: the largest of the whole-suite reset commit and any
         // event key's worst commit (see `suite_bounds` for the
-        // documented over-approximations it includes). With batching
-        // enabled the per-batch bound joins the max (the batch arming
-        // record carries the whole event array). The reference
+        // documented over-approximations it includes). The reference
         // engine's per-cell layout stages one entry per variable, so
         // its reset commit is costed separately.
         let bounds = artemis_ir::suite_bounds(&compiled);
-        let bbounds = batch_events.map(|n| artemis_ir::batch_bounds(&compiled, n));
-        // The batch cells ride along in the whole-suite reset commit,
-        // so a batch-enabled engine's reset can outgrow both per-event
-        // figures — it joins the max too.
-        let batch_floor = bbounds.as_ref().map_or(0, |b| {
-            b.worst_commit_bytes
-                .max(bounds.reset_commit_bytes + b.reset_extra_bytes)
-        });
-        let capacity = opts.journal_capacity.unwrap_or_else(|| {
-            let derived = bounds.worst_commit_bytes.max(batch_floor);
-            if production {
-                derived
-            } else {
-                derived.max(
-                    suite
-                        .machines()
-                        .iter()
-                        .map(|m| 10 + 15 * m.vars.len())
-                        .sum::<usize>()
-                        + u16_list_bytes(suite.len())
-                        + 64,
-                )
-            }
-        });
-        // The analysis gate below checks per-event commits against the
-        // capacity; the batch path's larger transactions get the same
-        // install-time rejection here.
-        if bbounds.is_some() && batch_floor > capacity {
-            return Err(InstallError::Analysis(artemis_spec::Diagnostic::error(
-                "bounds",
-                "batch",
-                format!(
-                    "worst-case batch commit of {batch_floor} journal bytes \
-                     exceeds the capacity of {capacity}"
-                ),
-            )));
-        }
+        let floor = if production {
+            bounds.worst_commit_bytes
+        } else {
+            bounds.worst_commit_bytes.max(
+                suite
+                    .machines()
+                    .iter()
+                    .map(|m| 10 + 15 * m.vars.len())
+                    .sum::<usize>()
+                    + u16_list_bytes(suite.len())
+                    + 64,
+            )
+        };
+        let capacity = opts.journal_capacity.unwrap_or(floor);
         // The analyzer checks the reset and per-key commits; an
         // override must also cover the rest of the worst-case figure
         // the derived capacity is sized by.
-        if production && bounds.worst_commit_bytes > capacity {
+        if floor > capacity {
             return Err(InstallError::Analysis(artemis_spec::Diagnostic::error(
                 "bounds",
                 "journal",
                 format!(
-                    "worst-case commit of {} journal bytes exceeds the capacity of {capacity}",
-                    bounds.worst_commit_bytes
+                    "worst-case commit of {floor} journal bytes exceeds the capacity of {capacity}"
                 ),
             )));
         }
@@ -1031,7 +893,12 @@ impl MonitorEngine {
         dev.set_category(CostCategory::Monitor);
 
         let result = (|| {
-            let routine = Routine::new(dev, owner, "monitor.routine").map_err(dev_err)?;
+            // The reference engine's full-scan step counter.
+            let routine = if production {
+                None
+            } else {
+                Some(Routine::new(dev, owner, "monitor.routine").map_err(dev_err)?)
+            };
             let journal = dev.make_journal(capacity, owner).map_err(dev_err)?;
             let event_cell = dev
                 .nv_alloc(EncodedEvent::default(), owner, "monitor.event")
@@ -1044,51 +911,17 @@ impl MonitorEngine {
             // Routed dispatch: the armed-worklist region (count word +
             // one u16 per machine) and the completion bitmap (one bit
             // per machine), both zeroed, i.e. "no event pending".
-            let done_len = artemis_ir::analysis::bounds::done_bytes(suite.len());
-            let routed = if production {
-                let worklist_addr = dev
-                    .nv_alloc_raw(u16_list_bytes(suite.len()), owner, "monitor.worklist")
-                    .map_err(dev_err)?;
-                let done_addr = dev
-                    .nv_alloc_raw(done_len, owner, "monitor.worklist.done")
-                    .map_err(dev_err)?;
-                Some(RoutedState {
-                    worklist_addr,
-                    done: DoneCell {
-                        addr: done_addr,
-                        len: done_len,
-                    },
-                })
-            } else {
-                None
-            };
-
-            // Batch delivery: the encoded event array, the batch
-            // sequence number, the merged worklist, and the
-            // per-machine completion bitmap — all zeroed ("no batch
-            // pending").
-            let batch_state = match batch_events {
-                Some(max_events) => {
-                    let seq_cell = dev
-                        .nv_alloc(0u64, owner, "monitor.batch.seq")
-                        .map_err(dev_err)?;
-                    let events_addr = dev
-                        .nv_alloc_raw(
-                            2 + EncodedEvent::SIZE * max_events,
-                            owner,
-                            "monitor.batch.events",
-                        )
-                        .map_err(dev_err)?;
+            let dispatch = match routine {
+                Some(routine) => Dispatch::FullScan(routine),
+                None => {
+                    let done_len = artemis_ir::analysis::bounds::done_bytes(suite.len());
                     let worklist_addr = dev
-                        .nv_alloc_raw(u16_list_bytes(suite.len()), owner, "monitor.batch.worklist")
+                        .nv_alloc_raw(u16_list_bytes(suite.len()), owner, "monitor.worklist")
                         .map_err(dev_err)?;
                     let done_addr = dev
-                        .nv_alloc_raw(done_len, owner, "monitor.batch.done")
+                        .nv_alloc_raw(done_len, owner, "monitor.worklist.done")
                         .map_err(dev_err)?;
-                    Some(BatchState {
-                        max_events,
-                        seq_cell,
-                        events_addr,
+                    Dispatch::Routed(RoutedState {
                         worklist_addr,
                         done: DoneCell {
                             addr: done_addr,
@@ -1096,15 +929,12 @@ impl MonitorEngine {
                         },
                     })
                 }
-                None => None,
             };
 
-            // One verdict cell per machine per event the largest
-            // delivery can carry (a batched machine can emit once per
-            // event it dispatches).
-            let verdict_slots = suite.len() * batch_events.unwrap_or(1).max(1);
-            let mut verdict_cells = Vec::with_capacity(verdict_slots);
-            for i in 0..verdict_slots {
+            // One verdict cell per machine: an event steps each machine
+            // at most once.
+            let mut verdict_cells = Vec::with_capacity(suite.len());
+            for i in 0..suite.len() {
                 verdict_cells.push(
                     dev.nv_alloc(
                         (0u32, (0u8, 0u32)),
@@ -1197,7 +1027,6 @@ impl MonitorEngine {
                 verdicts: Vec::new(),
                 worklist: Vec::with_capacity(machines.len()),
                 armed: Vec::with_capacity(machines.len()),
-                masks: Vec::with_capacity(machines.len()),
             });
 
             // The epoch starts at the device's *current* reboot
@@ -1213,14 +1042,12 @@ impl MonitorEngine {
             Ok(MonitorEngine {
                 compiled,
                 machines,
-                routine,
+                dispatch,
                 journal,
                 event_cell,
                 seq_cell,
                 verdict_count,
                 verdict_cells,
-                routed,
-                batch: batch_state,
                 cache,
                 exec: RefCell::new(ExecStats::default()),
                 scratch,
@@ -1234,10 +1061,9 @@ impl MonitorEngine {
     /// the production engine, [`ExecMode::Interpreter`] for the
     /// reference engine.
     pub fn mode(&self) -> ExecMode {
-        if self.routed.is_some() {
-            ExecMode::Compiled
-        } else {
-            ExecMode::Interpreter
+        match self.dispatch {
+            Dispatch::Routed(_) => ExecMode::Compiled,
+            Dispatch::FullScan(_) => ExecMode::Interpreter,
         }
     }
 
@@ -1245,10 +1071,9 @@ impl MonitorEngine {
     /// production engine, [`RoutingMode::FullScan`] for the reference
     /// engine.
     pub fn routing_mode(&self) -> RoutingMode {
-        if self.routed.is_some() {
-            RoutingMode::Routed
-        } else {
-            RoutingMode::FullScan
+        match self.dispatch {
+            Dispatch::Routed(_) => RoutingMode::Routed,
+            Dispatch::FullScan(_) => RoutingMode::FullScan,
         }
     }
 
@@ -1369,50 +1194,42 @@ impl MonitorEngine {
             .expect("the production engine keeps a shadow cache")
     }
 
-    /// Shadow-aware read of a worklist region's count word. A cold
-    /// count read only fills the shadow when the list is empty — a
-    /// non-empty list's items are still unknown, and the shadow never
-    /// stores partial knowledge.
-    fn list_count_cached(
-        &self,
-        dev: &mut Device,
-        addr: usize,
-        field: fn(&ShadowCache) -> &Option<Vec<u16>>,
-        field_mut: fn(&mut ShadowCache) -> &mut Option<Vec<u16>>,
-    ) -> Result<usize, Interrupt> {
+    /// Shadow-aware read of the armed worklist's count word (0 =
+    /// nothing pending). A cold count read only fills the shadow when
+    /// the list is empty — a non-empty list's items are still unknown,
+    /// and the shadow never stores partial knowledge.
+    fn read_worklist_count(&self, dev: &mut Device, rs: &RoutedState) -> Result<usize, Interrupt> {
         let cache = self.shadow();
-        let hit = field(&cache.borrow()).as_ref().map(Vec::len);
+        let hit = cache.borrow().worklist.as_ref().map(Vec::len);
         if let Some(n) = hit {
             cache.borrow_mut().stats.hits += 1;
             return Ok(n);
         }
-        let bytes = dev.nv_read_raw(addr, 2)?;
+        let bytes = dev.nv_read_raw(rs.worklist_addr, 2)?;
         let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
         let mut c = cache.borrow_mut();
         if n == 0 {
-            *field_mut(&mut c) = Some(Vec::new());
+            c.worklist = Some(Vec::new());
         }
         c.stats.misses += 1;
         Ok(n)
     }
 
-    /// Shadow-aware read of a worklist's items (`count` already known
-    /// and non-zero) into `wl`. The count and item reads stay separate
-    /// ops, so a cold delivery reads the list exactly as the static
-    /// bounds price it.
-    fn list_items_cached(
+    /// Shadow-aware read of the armed worklist's items (`count` already
+    /// known and non-zero) into `wl`. The count and item reads stay
+    /// separate ops, so a cold delivery reads the list exactly as the
+    /// static bounds price it.
+    fn read_worklist_items(
         &self,
         dev: &mut Device,
-        addr: usize,
+        rs: &RoutedState,
         count: usize,
         wl: &mut Vec<u16>,
-        field: fn(&ShadowCache) -> &Option<Vec<u16>>,
-        field_mut: fn(&mut ShadowCache) -> &mut Option<Vec<u16>>,
     ) -> Result<(), Interrupt> {
         let cache = self.shadow();
         let copied = {
             let c = cache.borrow();
-            match field(&c) {
+            match &c.worklist {
                 Some(list) if list.len() == count => {
                     wl.clear();
                     wl.extend_from_slice(list);
@@ -1425,7 +1242,7 @@ impl MonitorEngine {
             cache.borrow_mut().stats.hits += 1;
             return Ok(());
         }
-        let bytes = dev.nv_read_raw(addr + 2, count * 2)?;
+        let bytes = dev.nv_read_raw(rs.worklist_addr + 2, count * 2)?;
         wl.clear();
         wl.extend(
             bytes
@@ -1433,7 +1250,7 @@ impl MonitorEngine {
                 .map(|ch| u16::from_le_bytes([ch[0], ch[1]])),
         );
         let mut c = cache.borrow_mut();
-        *field_mut(&mut c) = Some(wl.clone());
+        c.worklist = Some(wl.clone());
         c.stats.misses += 1;
         Ok(())
     }
@@ -1551,46 +1368,6 @@ impl MonitorEngine {
         )
     }
 
-    /// Shadow-aware read of the batch completed-entry count.
-    fn read_batch_done_cached(
-        &self,
-        dev: &mut Device,
-        bs: &BatchState,
-    ) -> Result<usize, Interrupt> {
-        self.cache_read(
-            dev,
-            |c| c.batch_done,
-            |c, v| c.batch_done = Some(*v),
-            |d| bs.done.read(d),
-        )
-    }
-
-    /// Shadow-aware read of the armed batch's encoded event array
-    /// (count word + payload — two FRAM ops cold, zero warm).
-    fn read_batch_events_cached(
-        &self,
-        dev: &mut Device,
-        bs: &BatchState,
-    ) -> Result<Vec<EncodedEvent>, Interrupt> {
-        self.cache_read(
-            dev,
-            |c| c.batch_events.clone(),
-            |c, v| c.batch_events = Some(v.clone()),
-            |d| {
-                let n = {
-                    let b = d.nv_read_raw(bs.events_addr, 2)?;
-                    u16::from_le_bytes([b[0], b[1]]) as usize
-                };
-                let mut events = Vec::with_capacity(n);
-                let bytes = d.nv_read_raw(bs.events_addr + 2, n * EncodedEvent::SIZE)?;
-                for ch in bytes.chunks_exact(EncodedEvent::SIZE) {
-                    events.push(EncodedEvent::load(ch));
-                }
-                Ok(events)
-            },
-        )
-    }
-
     /// Costless read of every machine's persistent `(state, vars)` —
     /// the FRAM-visible monitor state, independent of storage layout.
     /// For differential tests and debugging; does not bill the device.
@@ -1644,16 +1421,10 @@ impl MonitorEngine {
             }
             tx.write(&self.verdict_count, 0u32);
             tx.write(&self.seq_cell, 0u64);
-            if let Some(rs) = &self.routed {
+            if let Dispatch::Routed(rs) = &self.dispatch {
                 // An empty worklist means "no event pending".
                 tx.write_u16_list(rs.worklist_addr, &[]);
                 rs.done.stage(&mut tx, 0);
-            }
-            if let Some(bs) = &self.batch {
-                tx.write(&bs.seq_cell, 0u64);
-                tx.write_raw(bs.events_addr, vec![0u8; 2]);
-                tx.write_u16_list(bs.worklist_addr, &[]);
-                bs.done.stage(&mut tx, 0);
             }
             dev.commit(&self.journal, &tx)?;
             // The reset commit just (re)wrote every location the cache
@@ -1663,16 +1434,8 @@ impl MonitorEngine {
                 c.journal_clean = true;
                 c.seq = Some(0);
                 c.verdict_count = Some(0);
-                if self.routed.is_some() {
-                    c.worklist = Some(Vec::new());
-                    c.done = Some(0);
-                }
-                if self.batch.is_some() {
-                    c.batch_seq = Some(0);
-                    c.batch_events = Some(Vec::new());
-                    c.batch_worklist = Some(Vec::new());
-                    c.batch_done = Some(0);
-                }
+                c.worklist = Some(Vec::new());
+                c.done = Some(0);
                 let ShadowCache { gen, machines, .. } = &mut *c;
                 for (ms, lm) in machines.iter_mut().zip(&self.machines) {
                     let b = lm.block();
@@ -1697,18 +1460,8 @@ impl MonitorEngine {
             self.cache_sync(dev);
             // Repair a torn journal commit first.
             self.recover_cached(dev)?;
-            // A batch interrupted mid-window resumes from the first
-            // incomplete machine (the events and merged worklist were
-            // fixed by the batch arming commit).
-            if let Some(bs) = &self.batch {
-                let count = self.read_batch_worklist_count(dev, bs)?;
-                if count > 0 && self.read_batch_done_cached(dev, bs)? < count {
-                    self.run_batch(dev, bs)?;
-                    return Ok(true);
-                }
-            }
-            match &self.routed {
-                Some(rs) => {
+            match &self.dispatch {
+                Dispatch::Routed(rs) => {
                     // Pending iff an armed worklist has unfinished bits.
                     let count = self.read_worklist_count(dev, rs)?;
                     if count == 0 {
@@ -1720,8 +1473,8 @@ impl MonitorEngine {
                     self.run_worklist(dev, rs)?;
                     Ok(true)
                 }
-                None => {
-                    if self.routine.is_complete(dev)? {
+                Dispatch::FullScan(routine) => {
+                    if routine.is_complete(dev)? {
                         return Ok(false);
                     }
                     self.run_steps(dev)?;
@@ -1764,8 +1517,8 @@ impl MonitorEngine {
                 // commit resumes exactly the armed set, a failure
                 // before it re-arms cleanly.
                 let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
-                match &self.routed {
-                    Some(rs) => {
+                match &self.dispatch {
+                    Dispatch::Routed(rs) => {
                         // Sparse arming: the whole record is staged
                         // with one write and the five sub-writes apply
                         // from RAM — no journal re-reads.
@@ -1782,13 +1535,12 @@ impl MonitorEngine {
                         rs.done.push(&mut stx, 0);
                         dev.commit_sparse(&self.journal, &stx)?;
                     }
-                    None => {
+                    Dispatch::FullScan(routine) => {
                         let mut tx = TxWriter::new();
                         tx.write(&self.event_cell, encoded);
                         tx.write(&self.seq_cell, seq);
                         tx.write(&self.verdict_count, 0u32);
-                        self.routine
-                            .stage_begin(&mut tx, self.machines.len() as u32);
+                        routine.stage_begin(&mut tx, self.machines.len() as u32);
                         dev.commit(&self.journal, &tx)?;
                     }
                 }
@@ -1800,10 +1552,8 @@ impl MonitorEngine {
                     c.seq = Some(seq);
                     c.event = Some(encoded);
                     c.verdict_count = Some(0);
-                    if self.routed.is_some() {
-                        c.worklist = Some(self.scratch.borrow().worklist.clone());
-                        c.done = Some(0);
-                    }
+                    c.worklist = Some(self.scratch.borrow().worklist.clone());
+                    c.done = Some(0);
                 });
             }
             self.run_steps(dev)?;
@@ -1813,378 +1563,6 @@ impl MonitorEngine {
             self.cache_wipe();
         }
         r
-    }
-
-    /// Delivers a burst of events under consecutive sequence numbers
-    /// (`first_seq`, `first_seq + 1`, …) through the group-commit path
-    /// and returns one verdict list per event, in delivery order.
-    ///
-    /// One sparse transaction arms the whole batch (event array, batch
-    /// sequence, merged worklist, cleared bitmap); each interested
-    /// machine then steps through all its events in volatile scratch
-    /// and commits its coalesced net effect once. Redelivering a
-    /// processed batch (same `first_seq` and events) only finishes
-    /// pending machines and returns the recorded verdicts. Bursts
-    /// longer than the installed capacity split into maximal groups;
-    /// engines without batch state fall back to per-event delivery.
-    pub fn deliver_batch(
-        &self,
-        dev: &mut Device,
-        first_seq: u64,
-        events: &[MonitorEvent],
-    ) -> Result<Vec<Vec<MonitorVerdict>>, Interrupt> {
-        let Some(bs) = &self.batch else {
-            let mut out = Vec::with_capacity(events.len());
-            for (i, event) in events.iter().enumerate() {
-                out.push(self.call_monitor(dev, first_seq + i as u64, event)?);
-            }
-            return Ok(out);
-        };
-        if events.is_empty() {
-            return Ok(Vec::new());
-        }
-        if events.len() > bs.max_events {
-            let mut out = Vec::with_capacity(events.len());
-            for (ci, chunk) in events.chunks(bs.max_events).enumerate() {
-                let seq = first_seq + (ci * bs.max_events) as u64;
-                out.extend(self.deliver_batch(dev, seq, chunk)?);
-            }
-            return Ok(out);
-        }
-        assert!(first_seq >= 1, "sequence numbers start at 1");
-
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
-            self.recover_cached(dev)?;
-            let last = self.cache_read(
-                dev,
-                |c| c.batch_seq,
-                |c, v| c.batch_seq = Some(*v),
-                |d| d.nv_read(&bs.seq_cell),
-            )?;
-            if last != first_seq {
-                // Arm the whole batch atomically: the encoded event
-                // array, the batch sequence, the verdict reset, the
-                // MERGED interested worklist, and the cleared
-                // per-machine bitmap — one staged record, five
-                // sub-writes, no matter how many events the burst
-                // carries.
-                dev.compute(ROUTING_LOOKUP_CYCLES * events.len() as u64)?;
-                let mut region = vec![0u8; 2 + EncodedEvent::SIZE * events.len()];
-                region[0..2].copy_from_slice(&(events.len() as u16).to_le_bytes());
-                let mut merged: Vec<u16> = Vec::new();
-                let mut encoded_events = Vec::with_capacity(events.len());
-                for (i, event) in events.iter().enumerate() {
-                    let encoded =
-                        EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
-                    let off = 2 + EncodedEvent::SIZE * i;
-                    encoded.store(&mut region[off..off + EncodedEvent::SIZE]);
-                    self.compute_worklist(&encoded);
-                    merged.extend_from_slice(&self.scratch.borrow().worklist);
-                    encoded_events.push(encoded);
-                }
-                merged.sort_unstable();
-                merged.dedup();
-
-                let mut stx = SparseTx::new();
-                stx.push_raw(bs.events_addr, region);
-                stx.push(&bs.seq_cell, first_seq);
-                stx.push(&self.verdict_count, 0u32);
-                stx.push_raw(bs.worklist_addr, encode_u16_list(&merged));
-                bs.done.push(&mut stx, 0);
-                dev.commit_sparse(&self.journal, &stx)?;
-                // Shadow the whole armed batch: the window below runs
-                // without a single FRAM read.
-                self.cache_put(|c| {
-                    c.journal_clean = true;
-                    c.batch_seq = Some(first_seq);
-                    c.batch_events = Some(encoded_events);
-                    c.verdict_count = Some(0);
-                    c.batch_worklist = Some(merged);
-                    c.batch_done = Some(0);
-                });
-            }
-            self.run_batch(dev, bs)?;
-            self.read_batch_verdicts(dev, events.len())
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
-    }
-
-    /// The armed batch worklist's entry count (0 = no batch pending).
-    fn read_batch_worklist_count(
-        &self,
-        dev: &mut Device,
-        bs: &BatchState,
-    ) -> Result<usize, Interrupt> {
-        self.list_count_cached(dev, bs.worklist_addr, shadow_batch_wl, shadow_batch_wl_mut)
-    }
-
-    /// Steps the pending machines of the armed batch. Everything the
-    /// loop depends on — the event array, the merged worklist, the
-    /// per-machine interest masks (a deterministic function of the
-    /// stored events) — was fixed by the arming commit, so a resume
-    /// after any power failure processes exactly the armed batch;
-    /// completed machines are skipped via the bitmap.
-    fn run_batch(&self, dev: &mut Device, bs: &BatchState) -> Result<(), Interrupt> {
-        let count = self.read_batch_worklist_count(dev, bs)?;
-        if count == 0 {
-            return Ok(());
-        }
-        let done = self.read_batch_done_cached(dev, bs)?;
-        if done >= count {
-            return Ok(());
-        }
-
-        let (mut wl, mut masks) = {
-            let mut scratch = self.scratch.borrow_mut();
-            (
-                core::mem::take(&mut scratch.armed),
-                core::mem::take(&mut scratch.masks),
-            )
-        };
-        let r = self.run_batch_entries(dev, bs, count, done, &mut wl, &mut masks);
-        let mut scratch = self.scratch.borrow_mut();
-        scratch.armed = wl;
-        scratch.masks = masks;
-        r
-    }
-
-    /// [`MonitorEngine::run_batch`]'s walk over the pending entries
-    /// `done..count`, with the worklist and mask buffers lent out of
-    /// the scratch.
-    fn run_batch_entries(
-        &self,
-        dev: &mut Device,
-        bs: &BatchState,
-        count: usize,
-        done: usize,
-        wl: &mut Vec<u16>,
-        masks: &mut Vec<u32>,
-    ) -> Result<(), Interrupt> {
-        self.list_items_cached(
-            dev,
-            bs.worklist_addr,
-            count,
-            wl,
-            shadow_batch_wl,
-            shadow_batch_wl_mut,
-        )?;
-        let events = self.read_batch_events_cached(dev, bs)?;
-        let n = events.len();
-
-        dev.compute(ROUTING_LOOKUP_CYCLES * n as u64)?;
-        masks.clear();
-        masks.resize(count, 0);
-        for (e, encoded) in events.iter().enumerate() {
-            self.compute_worklist(encoded);
-            // The merged worklist is sorted (deduplicated at arming).
-            for &mi in &*self.scratch.borrow().worklist {
-                if let Ok(j) = wl.binary_search(&mi) {
-                    masks[j] |= 1 << e;
-                }
-            }
-        }
-
-        for j in done..count {
-            self.step_batch_machine(dev, u32::from(wl[j]), &events, masks[j], j + 1, bs)?;
-        }
-        Ok(())
-    }
-
-    /// Steps one machine through every batch event it dispatches, in
-    /// delivery order, and commits the **coalesced** net effect once:
-    /// repeated writes to a slot collapse to the last value in scratch,
-    /// and the sparse record carries the changed bytes of the covering
-    /// span (or the whole block image for degraded machines), one
-    /// verdict per emitting event, and the machine's done-bit.
-    fn step_batch_machine(
-        &self,
-        dev: &mut Device,
-        i: u32,
-        events: &[EncodedEvent],
-        mask: u32,
-        done: usize,
-        bs: &BatchState,
-    ) -> Result<(), Interrupt> {
-        let lm = &self.machines[i as usize];
-        let block = lm.block();
-        let cm = &self.compiled.machines()[i as usize];
-
-        // Merge the static footprints of the events this machine will
-        // actually dispatch; bill each dispatch-table test.
-        let mut access = AccessSet::default();
-        let mut step_mask = 0u32;
-        let mut cycles = 0u64;
-        for (e, encoded) in events.iter().enumerate() {
-            if mask & (1 << e) == 0 {
-                continue;
-            }
-            let kind = encoded.kind();
-            let dispatched = cm.dispatch_len(kind, encoded.task);
-            cycles += COMPILED_DISPATCH_CYCLES;
-            if dispatched > 0 {
-                // Same static per-key compute ceiling the per-event
-                // path bills (see `step_compiled`).
-                cycles += cm.step_cost(kind, encoded.task).cycles;
-                access.union_with(cm.access(kind, encoded.task));
-                step_mask |= 1 << e;
-            }
-        }
-        dev.compute(cycles)?;
-        if step_mask == 0 {
-            // Every event dismissed: plain idempotent done-bit write.
-            bs.done.write(dev, done)?;
-            self.cache_put(|c| c.batch_done = Some(done));
-            return Ok(());
-        }
-
-        // Degraded machines load and commit the full block image;
-        // sparse ones the covering span.
-        let whole = access.whole_block;
-        let covered = if whole {
-            block.layout.var_count()
-        } else {
-            access.max_touched_slot().map_or(0, |s| s as usize + 1)
-        };
-        let span = if whole {
-            block.layout.block_len
-        } else {
-            block.layout.span(access.max_touched_slot())
-        };
-
-        let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, span, scratch)?;
-        let mut state = 0u32;
-        block
-            .layout
-            .decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
-        scratch.vars.resize(cm.var_count(), Value::Int(0));
-
-        let mut emits: Vec<(usize, OnFail, Option<u32>)> = Vec::new();
-        for (e, encoded) in events.iter().enumerate() {
-            if step_mask & (1 << e) != 0 {
-                if let Some(fail) = self.run_bytecode(cm, &mut state, encoded, scratch) {
-                    emits.push((e, fail.action, fail.path.or(lm.machine.path)));
-                }
-            }
-        }
-
-        // Change detection over the merged written footprint: the
-        // re-encoded prefix is diffed byte-for-byte against the
-        // authoritative old image (canonical encoding makes the
-        // comparison exact).
-        block
-            .layout
-            .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-        let runs = if whole {
-            Vec::new()
-        } else {
-            diff_runs(&scratch.block, &scratch.block_new)
-        };
-        let changed = if whole {
-            scratch.block_new != scratch.block
-        } else {
-            !runs.is_empty()
-        };
-        if emits.is_empty() && !changed {
-            bs.done.write(dev, done)?;
-            self.cache_put(|c| c.batch_done = Some(done));
-            return Ok(());
-        }
-
-        let mut stx = SparseTx::new();
-        if whole {
-            stx.push_raw(block.addr, scratch.block_new.clone());
-        } else {
-            for &(s, e) in &runs {
-                stx.push_raw(block.addr + s, scratch.block_new[s..e].to_vec());
-            }
-        }
-        let mut count = 0;
-        if !emits.is_empty() {
-            count = self.read_verdict_count_cached(dev)?;
-            for (k, (e, action, path)) in emits.iter().enumerate() {
-                stx.push(
-                    &self.verdict_cells[count as usize + k],
-                    (i | ((*e as u32) << 16), encode_action(*action, *path)),
-                );
-            }
-            stx.push(&self.verdict_count, count + emits.len() as u32);
-        }
-        bs.done.push(&mut stx, done);
-        dev.commit_sparse(&self.journal, &stx)?;
-        self.shadow_machine_update(
-            i as usize,
-            state,
-            &scratch.vars,
-            if whole { None } else { Some(&access.writes) },
-        );
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            c.batch_done = Some(done);
-            if !emits.is_empty() {
-                let gen = c.gen;
-                for (k, (e, action, path)) in emits.iter().enumerate() {
-                    c.verdicts[count as usize + k] = (
-                        gen,
-                        (i | ((*e as u32) << 16), encode_action(*action, *path)),
-                    );
-                }
-                c.verdict_count = Some(count + emits.len() as u32);
-            }
-        });
-        Ok(())
-    }
-
-    /// Regroups the verdict log of the armed batch by event position.
-    /// Machines run in ascending suite order and push their events in
-    /// delivery order, so each per-event list comes back in the same
-    /// machine order the per-event path produces.
-    fn read_batch_verdicts(
-        &self,
-        dev: &mut Device,
-        n_events: usize,
-    ) -> Result<Vec<Vec<MonitorVerdict>>, Interrupt> {
-        let mut out = vec![Vec::new(); n_events];
-        let count = self.read_verdict_count_cached(dev)?;
-        for slot in 0..count {
-            let (packed, encoded) = self.read_verdict_cell_cached(dev, slot as usize)?;
-            let e = (packed >> 16) as usize;
-            let mi = (packed & 0xFFFF) as usize;
-            if let (Some(list), Some(action)) = (out.get_mut(e), decode_action(encoded)) {
-                list.push(MonitorVerdict {
-                    machine_index: mi,
-                    machine: self.machines[mi].machine.name.clone(),
-                    action,
-                });
-            }
-        }
-        for list in &mut out {
-            list.sort_by_key(|v| v.machine_index);
-        }
-        Ok(out)
-    }
-
-    /// Largest burst the group-commit path can arm at once (1 when
-    /// batching is disabled).
-    pub fn batch_capacity(&self) -> usize {
-        self.batch.as_ref().map_or(1, |b| b.max_events)
-    }
-
-    /// Static gate for runtime bursts: `true` iff no machine interested
-    /// in `EndTask(task)` has an emitting transition in that dispatch
-    /// list — delivering the event can then never produce a verdict, so
-    /// the runtime may fold it into a batch whose later events must not
-    /// depend on its (necessarily empty) verdicts.
-    pub fn end_event_is_silent(&self, task: TaskId) -> bool {
-        self.compiled
-            .routing()
-            .interested(EventKind::EndTask, task.0)
-            .iter()
-            .all(|&mi| !self.compiled.machines()[mi as usize].may_emit(EventKind::EndTask, task.0))
     }
 
     /// Reads back the verdicts of the most recently processed event.
@@ -2230,11 +1608,10 @@ impl MonitorEngine {
     }
 
     fn run_steps(&self, dev: &mut Device) -> Result<(), Interrupt> {
-        match &self.routed {
-            Some(rs) => self.run_worklist(dev, rs),
-            None => {
-                let routine = self.routine;
-                routine.run(dev, &mut |dev, i| self.step_machine(dev, i))
+        match &self.dispatch {
+            Dispatch::Routed(rs) => self.run_worklist(dev, rs),
+            Dispatch::FullScan(routine) => {
+                routine.run(dev, &mut |dev, i| self.step_machine(dev, routine, i))
             }
         }
     }
@@ -2261,16 +1638,6 @@ impl MonitorEngine {
                 scratch.worklist.push(mi);
             }
         }
-    }
-
-    /// The armed worklist's entry count (0 = nothing pending).
-    fn read_worklist_count(&self, dev: &mut Device, rs: &RoutedState) -> Result<usize, Interrupt> {
-        self.list_count_cached(
-            dev,
-            rs.worklist_addr,
-            shadow_routed_wl,
-            shadow_routed_wl_mut,
-        )
     }
 
     /// Routed dispatch: step the pending entries of the armed worklist.
@@ -2304,14 +1671,7 @@ impl MonitorEngine {
         done: usize,
         wl: &mut Vec<u16>,
     ) -> Result<(), Interrupt> {
-        self.list_items_cached(
-            dev,
-            rs.worklist_addr,
-            count,
-            wl,
-            shadow_routed_wl,
-            shadow_routed_wl_mut,
-        )?;
+        self.read_worklist_items(dev, rs, count, wl)?;
         let encoded = self.cache_read(
             dev,
             |c| c.event,
@@ -2345,7 +1705,7 @@ impl MonitorEngine {
     /// as one crash-atomic step of the full-scan [`Routine`] (the event
     /// cell is re-read per machine and dismissal is tested
     /// dynamically).
-    fn step_machine(&self, dev: &mut Device, i: u32) -> Result<(), Interrupt> {
+    fn step_machine(&self, dev: &mut Device, routine: &Routine, i: u32) -> Result<(), Interrupt> {
         let lm = &self.machines[i as usize];
         let MachineStore::Cells {
             state_cell,
@@ -2374,7 +1734,7 @@ impl MonitorEngine {
             path_dismissed || matches!(observed, Some(tasks) if !tasks.contains(&encoded.task));
         if dismissed {
             dev.compute(STEP_BASE_CYCLES)?;
-            return self.routine.complete_step(dev, i);
+            return routine.complete_step(dev, i);
         }
 
         // Model the compute cost of the generated step function.
@@ -2414,7 +1774,7 @@ impl MonitorEngine {
         // no journal round-trip (matches the generated C, which only
         // touches FRAM on actual assignments).
         if emit.is_none() && mstate.state == before_state && scratch.vars == scratch.before_vars {
-            return self.routine.complete_step(dev, i);
+            return routine.complete_step(dev, i);
         }
 
         let mut tx = TxWriter::new();
@@ -2433,7 +1793,7 @@ impl MonitorEngine {
         if let Some(fail) = emit {
             self.stage_verdict(dev, &mut tx, i, fail.action, fail.path.or(lm.machine.path))?;
         }
-        self.routine.atomic_step(dev, &self.journal, i, &mut tx)
+        routine.atomic_step(dev, &self.journal, i, &mut tx)
     }
 
     /// Production step of worklist entry `done − 1` (machine `i`):
@@ -2647,10 +2007,8 @@ impl MonitorEngine {
         let scratch = &mut *self.scratch.borrow_mut();
         scratch.verdicts.clear();
         for slot in 0..count {
-            let (packed, encoded) = self.read_verdict_cell_cached(dev, slot as usize)?;
-            // Batch deliveries pack the event position into the high
-            // half-word; the machine index is the low half either way.
-            let machine_index = (packed & 0xFFFF) as usize;
+            let (machine_index, encoded) = self.read_verdict_cell_cached(dev, slot as usize)?;
+            let machine_index = machine_index as usize;
             if let Some(action) = decode_action(encoded) {
                 scratch.verdicts.push(MonitorVerdict {
                     machine_index,
@@ -2690,23 +2048,6 @@ impl Monitoring for MonitorEngine {
         event: &MonitorEvent,
     ) -> Result<Vec<MonitorVerdict>, Interrupt> {
         MonitorEngine::call_monitor(self, dev, seq, event)
-    }
-
-    fn deliver_batch(
-        &self,
-        dev: &mut Device,
-        first_seq: u64,
-        events: &[MonitorEvent],
-    ) -> Result<Vec<Vec<MonitorVerdict>>, Interrupt> {
-        MonitorEngine::deliver_batch(self, dev, first_seq, events)
-    }
-
-    fn batch_capacity(&self) -> usize {
-        MonitorEngine::batch_capacity(self)
-    }
-
-    fn end_event_is_silent(&self, task: TaskId) -> bool {
-        MonitorEngine::end_event_is_silent(self, task)
     }
 
     fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
@@ -2765,6 +2106,7 @@ fn decode_action(encoded: (u8, u32)) -> Option<Action> {
 mod tests {
     use super::*;
     use artemis_core::app::AppGraphBuilder;
+    use artemis_core::event::EventKind;
     use artemis_core::time::SimDuration;
     use intermittent_sim::capacitor::Capacitor;
     use intermittent_sim::device::DeviceBuilder;
@@ -3400,56 +2742,6 @@ mod tests {
         }
     }
 
-    /// Batched counterpart of [`energy_model_matches_engine`]: a full
-    /// warm batch on the flip workload must draw exactly the static
-    /// [`artemis_ir::BatchBounds`] warm energy (warm batches are
-    /// write-only, so the prediction is writes + cycles alone). An odd
-    /// batch size makes every machine end each batch in the other state
-    /// with `b` flipped, so the coalesced diff record carries both runs
-    /// the slot-granular model prices.
-    #[test]
-    fn batch_energy_model_matches_engine() {
-        use artemis_ir::analysis::{batch_energy, batch_energy_cached};
-
-        const BATCH: usize = 7;
-        const BATCHES: u64 = 5;
-
-        let (suite, app) = flip_suite(8, 4);
-        let t0 = app.task_by_name("t0").unwrap();
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let bound = artemis_ir::batch_bounds(&compiled, BATCH);
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let model = *dev.cost_model();
-        let engine = MonitorEngine::install_with(
-            &mut dev,
-            suite.clone(),
-            &app,
-            InstallOptions {
-                batch: BatchMode::Enabled { max_events: BATCH },
-                ..InstallOptions::default()
-            },
-        )
-        .unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
-
-        let spent0 = dev.stats().energy(CostCategory::Monitor);
-        for batch in 0..BATCHES {
-            let first_seq = 1 + batch * BATCH as u64;
-            let events: Vec<MonitorEvent> = (0..BATCH)
-                .map(|i| MonitorEvent::start(t0, t(first_seq + i as u64)))
-                .collect();
-            engine.deliver_batch(&mut dev, first_seq, &events).unwrap();
-        }
-        let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
-        assert_eq!(
-            spent,
-            batch_energy_cached(&bound, &model).saturating_mul(BATCHES),
-            "batch energy model drifted"
-        );
-        assert!(spent <= batch_energy(&bound, &model).saturating_mul(BATCHES));
-    }
-
     /// Every delivery after a reboot — fresh, or resumed through
     /// `monitor_finalize` after a crash mid-worklist — stays under the
     /// feasibility ceiling `event_energy`, even when the cold refill
@@ -3653,13 +2945,12 @@ mod tests {
     }
 
     /// Only the production and reference engines install: a mixed
-    /// `mode` × `routing` pair, or batching on the reference engine, is
-    /// rejected with a typed error before any FRAM is allocated.
+    /// `mode` × `routing` pair is rejected with a typed error before any
+    /// FRAM is allocated.
     #[test]
     fn mixed_engine_pairs_are_rejected() {
         let app = app();
         let suite = artemis_ir::compile("accel { maxTries: 3 onFail: skipPath; }", &app).unwrap();
-        let batch = BatchMode::Enabled { max_events: 4 };
         for opts in [
             InstallOptions {
                 routing: RoutingMode::FullScan,
@@ -3669,35 +2960,18 @@ mod tests {
                 mode: ExecMode::Interpreter,
                 ..InstallOptions::default()
             },
-            InstallOptions {
-                batch,
-                ..InstallOptions::reference()
-            },
         ] {
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let used = dev.fram().used_by(MemOwner::Monitor);
             match MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts) {
-                Err(InstallError::UnsupportedEngine {
-                    mode,
-                    routing,
-                    batch,
-                }) => assert_eq!(
-                    (mode, routing, batch),
-                    (opts.mode, opts.routing, opts.batch)
-                ),
+                Err(InstallError::UnsupportedEngine { mode, routing }) => {
+                    assert_eq!((mode, routing), (opts.mode, opts.routing))
+                }
                 Err(other) => panic!("expected UnsupportedEngine, got {other}"),
                 Ok(_) => panic!("{opts:?} must not install"),
             }
             assert_eq!(dev.fram().used_by(MemOwner::Monitor), used);
         }
-        // Batching on the production engine installs.
-        let mut dev = DeviceBuilder::msp430fr5994().build();
-        let opts = InstallOptions {
-            batch,
-            ..InstallOptions::default()
-        };
-        let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-        assert_eq!(engine.batch_capacity(), 4);
     }
 
     /// Steady-state deliveries are all hits, a power cycle invalidates
@@ -3847,6 +3121,62 @@ mod tests {
                 other => panic!("expected a bounds rejection, got {other}"),
             }
         }
+    }
+
+    /// The reference engine's per-cell reset commit outgrows the
+    /// production engine's worst commit on the paper's Figure 5 suite,
+    /// so an override sized for the production engine must reject the
+    /// reference install up front, before any FRAM is allocated,
+    /// instead of faulting in `reset_monitor`.
+    #[test]
+    fn reference_engine_rejects_a_production_sized_journal() {
+        let mut b = AppGraphBuilder::new();
+        let body = b.task("bodyTemp");
+        let avg = b.task_with_var("calcAvg", "avgTemp");
+        let heart = b.task("heartRate");
+        let accel = b.task("accel");
+        let classify = b.task("classify");
+        let mic = b.task("micSense");
+        let filter = b.task("filter");
+        let send = b.task("send");
+        b.path(&[body, avg, heart, send]);
+        b.path(&[accel, classify, send]);
+        b.path(&[mic, filter, send]);
+        let app = b.build().unwrap();
+        let suite = artemis_ir::compile(artemis_spec::samples::FIGURE5, &app).unwrap();
+        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+        let sized = Some(artemis_ir::suite_bounds(&compiled).worst_commit_bytes);
+
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let opts = InstallOptions {
+            journal_capacity: sized,
+            ..InstallOptions::default()
+        };
+        let engine = MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let used = dev.fram().used_by(MemOwner::Monitor);
+        let opts = InstallOptions {
+            journal_capacity: sized,
+            ..InstallOptions::reference()
+        };
+        match MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts) {
+            Err(InstallError::Analysis(d)) => {
+                assert!(d.is_error());
+                assert_eq!(d.pass, "bounds");
+            }
+            Err(other) => panic!("expected a bounds rejection, got {other}"),
+            Ok(_) => panic!("a {sized:?}-byte journal cannot hold the reference reset commit"),
+        }
+        assert_eq!(dev.fram().used_by(MemOwner::Monitor), used);
+
+        // The reference engine's own derived capacity installs and
+        // resets.
+        let engine =
+            MonitorEngine::install_with(&mut dev, suite, &app, InstallOptions::reference())
+                .unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
     }
 
     #[test]

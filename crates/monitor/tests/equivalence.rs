@@ -18,9 +18,7 @@ use artemis_core::time::{SimDuration, SimInstant};
 use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::{CompiledSuite, MonitorSuite, OptLevel};
-use artemis_monitor::{
-    BatchMode, CacheStats, InstallOptions, MonitorEngine, MonitorVerdict, RoutingMode,
-};
+use artemis_monitor::{CacheStats, InstallOptions, MonitorEngine, MonitorVerdict, RoutingMode};
 use intermittent_sim::capacitor::Capacitor;
 use intermittent_sim::device::{Device, DeviceBuilder};
 use intermittent_sim::energy::Energy;
@@ -56,14 +54,6 @@ fn production() -> InstallOptions {
     InstallOptions {
         opt: env_opt_level(),
         ..InstallOptions::default()
-    }
-}
-
-/// The production engine with group-commit batches of `chunk` events.
-fn batched(chunk: usize) -> InstallOptions {
-    InstallOptions {
-        batch: BatchMode::Enabled { max_events: chunk },
-        ..production()
     }
 }
 
@@ -267,10 +257,9 @@ fn rich_ev_strategy() -> impl Strategy<Value = Vec<(Ev, Option<u32>)>> {
     )
 }
 
-/// Events shaped like the runtime's task-boundary bursts: whole runs
-/// of correlated `EndTask` → next `StartTask` pairs (tiny in-burst
-/// gaps), separated by larger inter-burst gaps — the traffic the
-/// group-commit batch path is built for.
+/// Events shaped like the runtime's task boundaries: whole runs of
+/// correlated `EndTask` → next `StartTask` pairs (tiny in-burst gaps),
+/// separated by larger inter-burst gaps.
 fn burst_ev_strategy() -> impl Strategy<Value = Vec<(Ev, Option<u32>)>> {
     let pair = (
         any::<bool>(),                   // ending task
@@ -371,67 +360,6 @@ fn engine_run_stats(
             }
             results[idx] = verdicts;
             dev.nv_write(&done, (idx + 1) as u32)?;
-        }
-    });
-    assert!(outcome.is_completed(), "stream never finished");
-    let snapshot = engine.snapshot(dev);
-    ((results, snapshot), engine.cache_stats())
-}
-
-/// Like [`engine_run_opts`], but delivers the stream through the
-/// group-commit batch path in chunks of `chunk` events. The persistent
-/// cursor advances a whole chunk at a time, so a power failure inside
-/// a batch redelivers the same chunk — exercising arming replay,
-/// mid-batch resume via the done bitmap, and verdict readback.
-fn engine_run_batch(
-    app: &AppGraph,
-    spec: &str,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    chunk: usize,
-) -> RunOutcome {
-    let suite = artemis_ir::compile(spec, app).unwrap();
-    engine_run_batch_suite(app, suite, events, dev, chunk).0
-}
-
-/// [`engine_run_batch`] over an already-built suite, also returning
-/// the engine's shadow-cache counters at the end of the run.
-fn engine_run_batch_suite(
-    app: &AppGraph,
-    suite: MonitorSuite,
-    events: &[(Ev, Option<u32>)],
-    dev: &mut Device,
-    chunk: usize,
-) -> (RunOutcome, CacheStats) {
-    let engine = MonitorEngine::install_with(dev, suite, app, batched(chunk)).unwrap();
-    let done = dev
-        .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
-        .unwrap();
-    let sim = Simulator::new(RunLimit::reboots(100_000));
-
-    let mut results: Vec<Vec<MonitorVerdict>> = Vec::new();
-    let outcome = sim.run(dev, &mut |dev: &mut Device| {
-        engine.monitor_finalize(dev)?;
-        loop {
-            let idx = dev.nv_read(&done)? as usize;
-            if idx >= events.len() {
-                return Ok(());
-            }
-            let n = chunk.min(events.len() - idx);
-            let mut batch = Vec::with_capacity(n);
-            for (j, (e, dep)) in events[idx..idx + n].iter().enumerate() {
-                let t: u64 = events[..=idx + j]
-                    .iter()
-                    .map(|(e, _)| e.gap_ms * 1_000)
-                    .sum();
-                batch.push(rich_event(e, *dep, t));
-            }
-            let verdicts = engine.deliver_batch(dev, idx as u64 + 1, &batch)?;
-            if results.len() < idx + n {
-                results.resize(idx + n, Vec::new());
-            }
-            results[idx..idx + n].clone_from_slice(&verdicts);
-            dev.nv_write(&done, (idx + n) as u32)?;
         }
     });
     assert!(outcome.is_completed(), "stream never finished");
@@ -579,50 +507,6 @@ proptest! {
         let (vf, sf) = engine_run_opts(&app, &spec, &events, &mut dev_f, InstallOptions::reference());
         prop_assert_eq!(vr, vf, "verdict divergence on spec: {}", spec);
         prop_assert_eq!(sr, sf, "state divergence on spec: {}", spec);
-    }
-
-    /// Group-commit batch delivery vs the per-event production path vs
-    /// the reference engine, on burst-shaped streams: all three must
-    /// agree on every verdict and on the final FRAM-visible machine
-    /// state, for every batch size.
-    #[test]
-    fn batched_equals_per_event_and_interpreter_on_burst_streams(
-        spec in spec_strategy(),
-        events in burst_ev_strategy(),
-        chunk in 1usize..5,
-    ) {
-        let app = rich_app();
-        let mut dev_b = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_e = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut dev_b, chunk);
-        let (ve, se) = engine_run_opts(&app, &spec, &events, &mut dev_e, production());
-        let (vi, si) = engine_run_opts(&app, &spec, &events, &mut dev_i, InstallOptions::reference());
-        prop_assert_eq!(&vb, &ve, "batch(chunk {}) vs per-event verdicts, spec: {}", chunk, spec);
-        prop_assert_eq!(&sb, &se, "batch(chunk {}) vs per-event state, spec: {}", chunk, spec);
-        prop_assert_eq!(&vb, &vi, "batch(chunk {}) vs reference verdicts, spec: {}", chunk, spec);
-        prop_assert_eq!(&sb, &si, "batch(chunk {}) vs reference state, spec: {}", chunk, spec);
-    }
-
-    /// Batch delivery on an intermittent device vs the reference
-    /// engine's per-event delivery on continuous power: reboots land
-    /// inside the batch window — after arming, between per-machine
-    /// commits, during readback — and must never change a verdict or a
-    /// variable.
-    #[test]
-    fn batched_equals_per_event_under_random_power_failures(
-        spec in spec_strategy(),
-        events in burst_ev_strategy(),
-        chunk in 2usize..5,
-        budget_nj in 4_000u64..40_000,
-    ) {
-        let app = rich_app();
-        let mut dev_b = intermittent_device(budget_nj);
-        let mut dev_e = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vb, sb) = engine_run_batch(&app, &spec, &events, &mut dev_b, chunk);
-        let (ve, se) = engine_run_opts(&app, &spec, &events, &mut dev_e, InstallOptions::reference());
-        prop_assert_eq!(vb, ve, "verdicts, chunk {}, budget {} nJ, spec: {}", chunk, budget_nj, spec);
-        prop_assert_eq!(sb, se, "state, chunk {}, budget {} nJ, spec: {}", chunk, budget_nj, spec);
     }
 
     /// Routed dispatch on an intermittent device vs the reference
@@ -945,48 +829,12 @@ fn diff_commit_crash_windows_never_tear() {
 }
 
 // ---------------------------------------------------------------------------
-// Batch crash windows (deterministic).
-//
-// The group-commit path adds crash windows of its own: after the batch
-// arming commit but before any machine steps, between two per-machine
-// batch commits (some done bits set), and during verdict readback. The
-// same fine-grained budget sweep as the arming tests lands brown-outs
-// in each of them; the chunked cursor in `engine_run_batch` then
-// redelivers the interrupted batch, exercising the bitmap resume.
-// ---------------------------------------------------------------------------
-
-/// Budget sweep over the whole batch protocol on the multi-machine
-/// crash stream: verdicts and FRAM state must match the reference
-/// engine at every budget. The floor sits just above the batch
-/// engine's install cost (the batch regions make installation a little
-/// dearer than the per-event engine's 700 nJ).
-#[test]
-fn batch_crash_windows_preserve_verdicts_and_state() {
-    let app = rich_app();
-    let events = crash_events();
-    let (vf, sf) = crash_reference(&app, &events);
-
-    let mut total_reboots = 0u64;
-    for budget_nj in (900..3_200).step_by(25) {
-        let mut dev_b = intermittent_device(budget_nj);
-        let (vb, sb) = engine_run_batch(&app, CRASH_SPEC, &events, &mut dev_b, 4);
-        assert_eq!(vb, vf, "verdict divergence at budget {budget_nj} nJ");
-        assert_eq!(sb, sf, "state divergence at budget {budget_nj} nJ");
-        total_reboots += dev_b.reboots();
-    }
-    assert!(
-        total_reboots > 100,
-        "sweep too gentle to hit the batch crash windows ({total_reboots} reboots)"
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Shadow-cache crash windows (deterministic).
 //
 // The cache is strictly write-through, so its only failure mode is
 // stale RAM surviving a reboot or a wipe landing between two of the
 // FRAM writes that make up a delivery (arming commit, sparse machine
-// commits, batch finalize). The same fine-grained budget sweeps as
+// commits). The same fine-grained budget sweeps as
 // above land a brown-out at every one of those writes; each run must
 // match the reference engine byte for byte, and its cache counters
 // must show that every reboot wiped the shadows exactly once and that
@@ -1029,91 +877,6 @@ fn cached_crash_windows_preserve_verdicts_and_state() {
         total_reboots > 100,
         "sweep too gentle to hit the cached crash windows ({total_reboots} reboots)"
     );
-}
-
-/// Batch delivery under the batch crash sweep: brown-outs land inside
-/// the batch arming commit, between per-machine batch commits, and
-/// during the finalize/readback window — all with warm shadows that the
-/// reboot must invalidate.
-#[test]
-fn cached_batch_crash_windows_preserve_verdicts_and_state() {
-    let app = rich_app();
-    let events = crash_events();
-    let (vu, su) = crash_reference(&app, &events);
-
-    let mut total_reboots = 0u64;
-    for budget_nj in (900..3_200).step_by(25) {
-        let mut dev_c = intermittent_device(budget_nj);
-        let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
-        let ((vc, sc), stats) = engine_run_batch_suite(&app, suite, &events, &mut dev_c, 4);
-        assert_eq!(vc, vu, "verdict divergence at budget {budget_nj} nJ");
-        assert_eq!(sc, su, "state divergence at budget {budget_nj} nJ");
-        assert_cache_wiped_per_reboot(stats, dev_c.reboots(), budget_nj);
-        total_reboots += dev_c.reboots();
-    }
-    assert!(
-        total_reboots > 100,
-        "sweep too gentle to hit the cached batch crash windows ({total_reboots} reboots)"
-    );
-}
-
-/// A fully committed batch redelivered after multiple reboots must be
-/// a pure no-op: the reference engine's verdicts for that batch come
-/// back, and the FRAM-visible machine state stays the reference
-/// engine's — no machine re-stepped.
-#[test]
-fn redelivered_completed_batch_is_a_noop() {
-    let app = rich_app();
-    let events = crash_events();
-    let (ref_verdicts, ref_state) = crash_reference(&app, &events);
-    let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
-    let mut dev = DeviceBuilder::msp430fr5994().build();
-    let engine = MonitorEngine::install_with(&mut dev, suite, &app, batched(4)).unwrap();
-    engine.reset_monitor(&mut dev).unwrap();
-
-    // Deliver the stream in batches of 4, keeping the last batch.
-    let timed: Vec<MonitorEvent> = {
-        let mut t = 0u64;
-        events
-            .iter()
-            .map(|(e, dep)| {
-                t += e.gap_ms * 1_000;
-                rich_event(e, *dep, t)
-            })
-            .collect()
-    };
-    let mut seq = 1u64;
-    let mut verdicts = Vec::new();
-    let mut idx = 0usize;
-    while idx < timed.len() {
-        let n = 4.min(timed.len() - idx);
-        seq = idx as u64 + 1;
-        verdicts = engine
-            .deliver_batch(&mut dev, seq, &timed[idx..idx + n])
-            .unwrap();
-        idx += n;
-    }
-    let batch = &timed[(seq - 1) as usize..];
-    let snap = engine.snapshot(&dev);
-    assert_eq!(verdicts, ref_verdicts[(seq - 1) as usize..]);
-    assert_eq!(snap, ref_state);
-
-    // Replay the committed batch across several reboots: the sequence
-    // check must short-circuit everything but the verdict readback.
-    for round in 0..3 {
-        dev.power_cycle();
-        assert!(
-            !engine.monitor_finalize(&mut dev).unwrap(),
-            "nothing may be pending on round {round}"
-        );
-        let again = engine.deliver_batch(&mut dev, seq, batch).unwrap();
-        assert_eq!(again, verdicts, "verdicts changed on round {round}");
-        assert_eq!(
-            engine.snapshot(&dev),
-            snap,
-            "state changed on round {round}"
-        );
-    }
 }
 
 /// Redelivering a seq whose armed worklist already ran to completion
@@ -1181,8 +944,7 @@ fn redelivered_completed_seq_only_replays_verdicts() {
 // The routed completion bitmap holds one bit per installed machine, so
 // a suite of any size keeps worklists, sparse deltas, the shadow cache
 // and diff commits. The suites below put more than 64 machines on one
-// worklist (and on one merged batch worklist) and hold production
-// delivery to the reference engine, under random power failures and
+// worklist and hold production delivery to the reference engine, under random power failures and
 // under crashes placed on the entries around the first word boundary
 // and at the end of the bitmap's last byte.
 // ---------------------------------------------------------------------------
@@ -1310,25 +1072,6 @@ proptest! {
         prop_assert_eq!(vr, vo, "verdict divergence, budget {} nJ", budget_nj);
         prop_assert_eq!(sr, so, "state divergence, budget {} nJ", budget_nj);
     }
-
-    /// Group-commit batches over a wide suite — merged worklists of more
-    /// than 64 entries — on an intermittent device vs the reference
-    /// engine on continuous power.
-    #[test]
-    fn wide_batched_equals_interpreter_full_scan_under_random_power_failures(
-        ir in wide_suite_strategy(),
-        events in burst_ev_strategy(),
-        chunk in 2usize..5,
-        budget_nj in 40_000u64..120_000,
-    ) {
-        let app = rich_app();
-        let (vo, so) = wide_oracle(&app, wide_suite(&app, &ir), &events);
-        let mut dev = intermittent_device(budget_nj);
-        let ((vb, sb), _) = engine_run_batch_suite(
-            &app, wide_suite(&app, &ir), &events, &mut dev, chunk);
-        prop_assert_eq!(vb, vo, "verdicts, chunk {}, budget {} nJ", chunk, budget_nj);
-        prop_assert_eq!(sb, so, "state, chunk {}, budget {} nJ", chunk, budget_nj);
-    }
 }
 
 /// Machines of the crash-sweep suite: nine full bitmap bytes, so the
@@ -1368,45 +1111,24 @@ fn wide_crash_events() -> Vec<MonitorEvent> {
         .collect()
 }
 
-/// How one crash-sweep run delivers the event stream: per event, or in
-/// group-commit batches. `crash` indexes the delivery the drained
-/// capacitor browns out in.
-struct WidePlan {
-    deliveries: &'static [std::ops::Range<usize>],
-    crash: usize,
-    opts: InstallOptions,
-}
-
-impl WidePlan {
-    fn per_event() -> Self {
-        WidePlan {
-            deliveries: &[0..1, 1..2, 2..3, 3..4, 4..5, 5..6],
-            crash: 3,
-            opts: production(),
-        }
-    }
-
-    fn batched() -> Self {
-        WidePlan {
-            deliveries: &[0..3, 3..5, 5..6],
-            crash: 1,
-            opts: batched(3),
-        }
-    }
-}
+/// Index of the event whose delivery the drained capacitor browns out
+/// in.
+const WIDE_CRASH_EVENT: usize = 3;
 
 /// Per-event verdicts of one crash-sweep run.
 type WideVerdicts = Vec<Vec<MonitorVerdict>>;
 
-/// Delivers `events[range]` under sequence numbers starting at
-/// `range.start + 1`.
+/// Delivers `events[range]` one by one, event `i` under sequence
+/// number `i + 1`.
 fn wide_deliver(
     engine: &MonitorEngine,
     dev: &mut Device,
     events: &[MonitorEvent],
     range: std::ops::Range<usize>,
 ) -> Result<WideVerdicts, intermittent_sim::Interrupt> {
-    engine.deliver_batch(dev, range.start as u64 + 1, &events[range])
+    range
+        .map(|i| engine.call_monitor(dev, i as u64 + 1, &events[i]))
+        .collect()
 }
 
 /// Outcome of one crash-sweep run: the completed worklist entries at
@@ -1414,13 +1136,14 @@ fn wide_deliver(
 /// the per-event verdicts, and the final FRAM-visible machine state.
 type WideCrash = (Option<usize>, WideVerdicts, Vec<(u32, Vec<Value>)>);
 
-/// One crash-sweep run: the deliveries before `plan.crash` run on a
-/// large capacitor, which is then drained to `left` compute cycles'
-/// worth of charge (`None`: no drain) so the crash delivery browns out
-/// part-way; the run then recovers by reboot, finalize and redelivery
-/// and finishes the stream. Also returns the charge an uninterrupted
-/// crash delivery used, in compute cycles (0 after a crash).
-fn wide_crash_run(wide: &WideCrashSuite, plan: &WidePlan, left: Option<u64>) -> (WideCrash, u64) {
+/// One crash-sweep run: the deliveries before [`WIDE_CRASH_EVENT`] run
+/// on a large capacitor, which is then drained to `left` compute
+/// cycles' worth of charge (`None`: no drain) so the crash delivery
+/// browns out part-way; the run then recovers by reboot, finalize and
+/// redelivery and finishes the stream. Also returns the charge an
+/// uninterrupted crash delivery used, in compute cycles (0 after a
+/// crash).
+fn wide_crash_run(wide: &WideCrashSuite, left: Option<u64>) -> (WideCrash, u64) {
     let app = rich_app();
     let events = wide_crash_events();
     let mut dev = intermittent_device(2_000_000);
@@ -1430,22 +1153,19 @@ fn wide_crash_run(wide: &WideCrashSuite, plan: &WidePlan, left: Option<u64>) -> 
         wide.suite.clone(),
         Arc::clone(&wide.compiled),
         &app,
-        plan.opts,
+        production(),
     )
     .unwrap();
     assert_eq!(engine.routing_mode(), RoutingMode::Routed);
     engine.reset_monitor(&mut dev).unwrap();
 
-    let mut verdicts = Vec::new();
-    for range in &plan.deliveries[..plan.crash] {
-        verdicts.extend(wide_deliver(&engine, &mut dev, &events, range.clone()).unwrap());
-    }
+    let mut verdicts = wide_deliver(&engine, &mut dev, &events, 0..WIDE_CRASH_EVENT).unwrap();
     let before = engine.snapshot(&dev);
     let charge = dev.energy_level().as_pico_joules() / per_cycle;
     if let Some(left) = left {
         dev.compute(charge.saturating_sub(left)).unwrap();
     }
-    let crash = plan.deliveries[plan.crash].clone();
+    let crash = WIDE_CRASH_EVENT..WIDE_CRASH_EVENT + 1;
     let (completed, used) = match wide_deliver(&engine, &mut dev, &events, crash.clone()) {
         Ok(v) => {
             verdicts.extend(v);
@@ -1470,9 +1190,8 @@ fn wide_crash_run(wide: &WideCrashSuite, plan: &WidePlan, left: Option<u64>) -> 
         }
         Err(other) => panic!("unexpected interrupt {other:?}"),
     };
-    for range in &plan.deliveries[plan.crash + 1..] {
-        verdicts.extend(wide_deliver(&engine, &mut dev, &events, range.clone()).unwrap());
-    }
+    let rest = WIDE_CRASH_EVENT + 1..events.len();
+    verdicts.extend(wide_deliver(&engine, &mut dev, &events, rest).unwrap());
     ((completed, verdicts, engine.snapshot(&dev)), used)
 }
 
@@ -1480,16 +1199,10 @@ fn wide_crash_run(wide: &WideCrashSuite, plan: &WidePlan, left: Option<u64>) -> 
 /// leaves at least `entries` worklist entries complete. Completed
 /// entries never shrink as the charge grows, so a binary search finds
 /// it.
-fn wide_crash_boundary(
-    wide: &WideCrashSuite,
-    plan: &WidePlan,
-    entries: usize,
-    mut lo: u64,
-    mut hi: u64,
-) -> u64 {
+fn wide_crash_boundary(wide: &WideCrashSuite, entries: usize, mut lo: u64, mut hi: u64) -> u64 {
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let ((completed, ..), _) = wide_crash_run(wide, plan, Some(mid));
+        let ((completed, ..), _) = wide_crash_run(wide, Some(mid));
         if completed.is_none_or(|c| c >= entries) {
             hi = mid;
         } else {
@@ -1504,8 +1217,7 @@ fn wide_crash_boundary(
 /// the first power failure lands while that entry is pending, and
 /// crashes at five points across it (the load, the step, and the
 /// writes of its commit). Every run must recover to exactly the
-/// reference engine's verdicts and FRAM-visible state — per-event and
-/// batched.
+/// reference engine's verdicts and FRAM-visible state.
 #[test]
 fn wide_worklist_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
@@ -1525,25 +1237,22 @@ fn wide_worklist_crash_windows_preserve_verdicts_and_state() {
         (v, engine.snapshot(&dev))
     };
 
-    for plan in [WidePlan::per_event(), WidePlan::batched()] {
-        let ctx = format!("{:?}", plan.opts.batch);
-        let ((none, verdicts, state), used) = wide_crash_run(&wide, &plan, None);
-        assert_eq!(none, None, "undrained run must not crash ({ctx})");
-        assert_eq!(verdicts, oracle_verdicts, "undrained verdicts ({ctx})");
-        assert_eq!(state, oracle_state, "undrained state ({ctx})");
+    let ((none, verdicts, state), used) = wide_crash_run(&wide, None);
+    assert_eq!(none, None, "undrained run must not crash");
+    assert_eq!(verdicts, oracle_verdicts, "undrained verdicts");
+    assert_eq!(state, oracle_state, "undrained state");
 
-        for entry in WIDE_CRASH_ENTRIES {
-            let start = wide_crash_boundary(&wide, &plan, entry, 0, used + 1);
-            let end = wide_crash_boundary(&wide, &plan, entry + 1, start, used + 1);
-            assert!(start < end, "no crash window for entry {entry} ({ctx})");
-            for q in 0..=4u64 {
-                let left = start + (end - 1 - start) * q / 4;
-                let ((completed, verdicts, state), _) = wide_crash_run(&wide, &plan, Some(left));
-                let at = format!("entry {entry}, {left} cycles left ({ctx})");
-                assert_eq!(completed, Some(entry), "crash missed its window at {at}");
-                assert_eq!(verdicts, oracle_verdicts, "verdict divergence at {at}");
-                assert_eq!(state, oracle_state, "state divergence at {at}");
-            }
+    for entry in WIDE_CRASH_ENTRIES {
+        let start = wide_crash_boundary(&wide, entry, 0, used + 1);
+        let end = wide_crash_boundary(&wide, entry + 1, start, used + 1);
+        assert!(start < end, "no crash window for entry {entry}");
+        for q in 0..=4u64 {
+            let left = start + (end - 1 - start) * q / 4;
+            let ((completed, verdicts, state), _) = wide_crash_run(&wide, Some(left));
+            let at = format!("entry {entry}, {left} cycles left");
+            assert_eq!(completed, Some(entry), "crash missed its window at {at}");
+            assert_eq!(verdicts, oracle_verdicts, "verdict divergence at {at}");
+            assert_eq!(state, oracle_state, "state divergence at {at}");
         }
     }
 }

@@ -25,27 +25,6 @@
 //!   inside the task-commit transaction and never re-stamped, so a
 //!   power failure between commit and monitor delivery can neither
 //!   alter the finish time nor double-count the completion.
-//!
-//! # Task-boundary bursts
-//!
-//! With [`ArtemisRuntimeBuilder::burst`] enabled and a monitoring
-//! deployment that has a group-commit path
-//! ([`Monitoring::batch_capacity`] ≥ 2), the loop folds each task
-//! boundary's `EndTask` + next `StartTask` pair into one
-//! [`Monitoring::deliver_batch`] call — one arming transaction and one
-//! commit per machine for the pair. The fold is gated on
-//! [`Monitoring::end_event_is_silent`]: the end event must provably
-//! produce no verdicts, because its corrective action (there is none)
-//! can no longer run before the start event is delivered. A persistent
-//! `start_delivered` marker, committed atomically with the advance,
-//! records that the next task's start already went out; the following
-//! loop iteration redelivers the same batch (idempotent by its first
-//! sequence number) to pick up the start verdicts, and the marker
-//! clears when the task actually runs. Two documented deviations from
-//! unbatched delivery: the start timestamp and energy level are
-//! sampled at batch arming (just before the advance rather than just
-//! after), and a crash inside the short advance→run window redelivers
-//! the recorded start instead of stamping a fresh attempt.
 
 pub mod channel;
 
@@ -200,7 +179,6 @@ pub struct ArtemisRuntimeBuilder {
     app: AppGraph,
     bodies: Vec<Option<TaskBody>>,
     channels: Vec<String>,
-    burst: bool,
 }
 
 impl ArtemisRuntimeBuilder {
@@ -211,18 +189,7 @@ impl ArtemisRuntimeBuilder {
             app,
             bodies: (0..n).map(|_| None).collect(),
             channels: Vec::new(),
-            burst: false,
         }
-    }
-
-    /// Enables task-boundary bursts: `EndTask` + next `StartTask`
-    /// pairs go through [`Monitoring::deliver_batch`] when the
-    /// deployment supports batching and the end event is provably
-    /// silent (off by default; see the module docs for the exact
-    /// semantics).
-    pub fn burst(&mut self, enabled: bool) -> &mut Self {
-        self.burst = enabled;
-        self
     }
 
     /// Registers the body of a task.
@@ -327,9 +294,6 @@ impl ArtemisRuntimeBuilder {
             path_results: dev
                 .nv_alloc([PATH_PENDING; MAX_PATHS], owner, "rt.path_results")
                 .map_err(dev_err)?,
-            start_delivered: dev
-                .nv_alloc(0u8, owner, "rt.start_delivered")
-                .map_err(dev_err)?,
         };
 
         let mut channels = HashMap::new();
@@ -357,7 +321,6 @@ impl ArtemisRuntimeBuilder {
             journal,
             cells,
             channels,
-            burst: self.burst,
             current_task_cached: TaskId(0),
         })
     }
@@ -382,9 +345,6 @@ struct Cells {
     emergency: NvCell<u8>,
     /// Per-path outcome codes.
     path_results: NvCell<[u8; MAX_PATHS]>,
-    /// 1 while the current task's `StartTask` event already went out
-    /// as part of a task-boundary burst (see the module docs).
-    start_delivered: NvCell<u8>,
 }
 
 /// The installed runtime; drive it with
@@ -399,7 +359,6 @@ pub struct ArtemisRuntime<M: Monitoring = MonitorEngine> {
     journal: Journal,
     cells: Cells,
     channels: HashMap<String, Channel>,
-    burst: bool,
     /// Volatile: the task the loop is currently looking at, for trace
     /// attribution only (re-derived on every iteration).
     current_task_cached: TaskId,
@@ -446,7 +405,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             tx.write(&self.cells.unmonitored, 0u8);
             tx.write(&self.cells.emergency, 0u8);
             tx.write(&self.cells.path_results, [PATH_PENDING; MAX_PATHS]);
-            tx.write(&self.cells.start_delivered, 0u8);
             dev.commit(&self.journal, &tx)
         })
     }
@@ -471,12 +429,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
     /// Executes the current task body and commits its effects.
     fn run_task(&mut self, dev: &mut Device, task: TaskId) -> Result<(), Interrupt> {
-        if self.burst {
-            // The burst marker has served its purpose once the task
-            // actually starts running; a crash before this write only
-            // causes one more idempotent batch redelivery.
-            dev.nv_write(&self.cells.start_delivered, 0u8)?;
-        }
         let attempt = dev.nv_read(&self.cells.attempt)? + 1;
         dev.nv_write(&self.cells.attempt, attempt)?;
         dev.trace_push(TraceEvent::TaskStart { task, attempt });
@@ -532,7 +484,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         let mut tx = TxWriter::new();
         tx.write(&self.cells.status, STATUS_READY);
         tx.write(&self.cells.attempt, 0u32);
-        tx.write(&self.cells.start_delivered, 0u8);
 
         if cur_idx + 1 < path_len {
             tx.write(&self.cells.cur_idx, cur_idx + 1);
@@ -583,7 +534,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 tx.write(&self.cells.cur_idx, 0u32);
                 tx.write(&self.cells.status, STATUS_READY);
                 tx.write(&self.cells.attempt, 0u32);
-                tx.write(&self.cells.start_delivered, 0u8);
                 dev.commit(&self.journal, &tx)?;
                 dev.trace_push(TraceEvent::PathStart { path: p });
             }
@@ -599,7 +549,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 tx.write(&self.cells.cur_idx, 0u32);
                 tx.write(&self.cells.status, STATUS_READY);
                 tx.write(&self.cells.attempt, 0u32);
-                tx.write(&self.cells.start_delivered, 0u8);
                 dev.commit(&self.journal, &tx)?;
             }
             Action::CompletePath(_) => {
@@ -656,40 +605,9 @@ impl<M: Monitoring> ArtemisRuntime<M> {
 
             if status == STATUS_READY {
                 let action = if monitored {
-                    let redelivered =
-                        self.burst && cur_idx > 0 && dev.nv_read(&self.cells.start_delivered)? != 0;
-                    let verdicts = if redelivered {
-                        // This task's StartTask already went out as the
-                        // second half of a task-boundary burst.
-                        // Redeliver the same batch — a no-op by its
-                        // first sequence number — to pick up the start
-                        // verdicts; the reconstructed event contents
-                        // are ignored on the dedup hit.
-                        let end_seq = dev.nv_read(&self.cells.end_seq)?;
-                        let end_time = dev.nv_read(&self.cells.end_time)?;
-                        let (has_dep, dep_bits) = dev.nv_read(&self.cells.end_dep)?;
-                        let prev = self.app.path(PathId(cur_path)).tasks[cur_idx as usize - 1];
-                        let end_event = if has_dep != 0 {
-                            MonitorEvent::end_with_data(prev, end_time, f64::from_bits(dep_bits))
-                        } else {
-                            MonitorEvent::end(prev, end_time)
-                        }
-                        .on_path(PathId(cur_path));
-                        let start_event =
-                            MonitorEvent::start(task, dev.now()).on_path(PathId(cur_path));
-                        let mut vs =
-                            self.engine
-                                .deliver_batch(dev, end_seq, &[end_event, start_event])?;
-                        if vs.len() > 1 {
-                            vs.swap_remove(1)
-                        } else {
-                            Vec::new()
-                        }
-                    } else {
-                        let seq = self.fresh_seq(dev)?;
-                        let event = MonitorEvent::start(task, dev.now()).on_path(PathId(cur_path));
-                        self.engine.call_monitor(dev, seq, &event)?
-                    };
+                    let seq = self.fresh_seq(dev)?;
+                    let event = MonitorEvent::start(task, dev.now()).on_path(PathId(cur_path));
+                    let verdicts = self.engine.call_monitor(dev, seq, &event)?;
                     self.arbitrate(dev, &verdicts)
                 } else {
                     None
@@ -716,48 +634,6 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             } else {
                 // STATUS_FINISHED: deliver the EndTask event under its
                 // reserved sequence number (exactly-once).
-                let path_len = self.app.path(PathId(cur_path)).tasks.len() as u32;
-                let can_burst = monitored
-                    && self.burst
-                    && self.engine.batch_capacity() >= 2
-                    && cur_idx + 1 < path_len
-                    && self.engine.end_event_is_silent(task);
-                if can_burst {
-                    // Fold this EndTask with the next task's StartTask
-                    // into one group commit: one arming transaction and
-                    // one FRAM commit per machine for the pair. Gated
-                    // on the end event being provably verdict-free, so
-                    // skipping its (empty) arbitration is sound.
-                    let end_seq = dev.nv_read(&self.cells.end_seq)?;
-                    let end_time = dev.nv_read(&self.cells.end_time)?;
-                    let (has_dep, dep_bits) = dev.nv_read(&self.cells.end_dep)?;
-                    let end_event = if has_dep != 0 {
-                        MonitorEvent::end_with_data(task, end_time, f64::from_bits(dep_bits))
-                    } else {
-                        MonitorEvent::end(task, end_time)
-                    }
-                    .on_path(PathId(cur_path));
-                    let next = self.app.path(PathId(cur_path)).tasks[cur_idx as usize + 1];
-                    let start_seq = end_seq + 1;
-                    let start_event =
-                        MonitorEvent::start(next, dev.now()).on_path(PathId(cur_path));
-                    let verdicts =
-                        self.engine
-                            .deliver_batch(dev, end_seq, &[end_event, start_event])?;
-                    debug_assert!(verdicts.first().map(Vec::is_empty).unwrap_or(true));
-                    // Advance atomically with the start-delivered
-                    // marker and the consumed sequence number; the
-                    // next iteration picks up the start verdicts.
-                    dev.compute(ADVANCE_CYCLES)?;
-                    let mut tx = TxWriter::new();
-                    tx.write(&self.cells.status, STATUS_READY);
-                    tx.write(&self.cells.attempt, 0u32);
-                    tx.write(&self.cells.cur_idx, cur_idx + 1);
-                    tx.write(&self.cells.seq, start_seq);
-                    tx.write(&self.cells.start_delivered, 1u8);
-                    dev.commit(&self.journal, &tx)?;
-                    continue;
-                }
                 let action = if monitored {
                     let end_seq = dev.nv_read(&self.cells.end_seq)?;
                     let end_time = dev.nv_read(&self.cells.end_time)?;

@@ -63,40 +63,6 @@ fn committed_sends(rt: &ArtemisRuntime, dev: &mut Device) -> usize {
     ch.len(dev, &tx).unwrap()
 }
 
-/// Like [`install`], but deploys the engine with a group-commit batch
-/// and (optionally) enables task-boundary bursts on the runtime.
-fn install_burst(dev: &mut Device, app: &AppGraph, spec: &str, burst: bool) -> ArtemisRuntime {
-    use artemis_monitor::{BatchMode, InstallOptions, MonitorEngine};
-    let suite = artemis_ir::compile(spec, app).unwrap();
-    let engine = MonitorEngine::install_with(
-        dev,
-        suite,
-        app,
-        InstallOptions {
-            batch: BatchMode::Enabled { max_events: 4 },
-            ..InstallOptions::default()
-        },
-    )
-    .unwrap();
-    let mut rb = ArtemisRuntimeBuilder::new(app.clone());
-    rb.burst(burst);
-    rb.channel("samples");
-    rb.channel("sent");
-    rb.body("sense", |ctx| {
-        let v = ctx.sample(Peripheral::TemperatureAdc)?;
-        ctx.push("samples", v)
-    });
-    rb.body("send", |ctx| {
-        for _ in 0..5 {
-            ctx.compute(2_000)?;
-        }
-        let n = ctx.channel_len("samples")? as f64;
-        ctx.consume("samples")?;
-        ctx.push("sent", n)
-    });
-    rb.install_with(dev, engine).unwrap()
-}
-
 #[test]
 fn completes_on_continuous_power() {
     let mut dev = continuous_device();
@@ -533,142 +499,6 @@ fn start_triggered_complete_path_runs_task_unmonitored() {
     assert_eq!(
         dev.trace().attempts_of(app.task_by_name("other").unwrap()),
         0
-    );
-}
-
-#[test]
-fn burst_delivery_matches_unbursted_and_saves_fram_writes() {
-    // Same app, same spec, same batch-capable engine; the only
-    // difference is the runtime-side burst fold. Observable behaviour
-    // must be identical and the burst run must touch FRAM less.
-    let app = sense_send_app();
-    let spec = "sense { maxTries: 10 onFail: skipPath; }";
-
-    let mut plain_dev = continuous_device();
-    let mut plain = install_burst(&mut plain_dev, &app, spec, false);
-    let plain_out = plain
-        .run_once(&mut plain_dev, RunLimit::unbounded())
-        .completed()
-        .unwrap();
-
-    let mut burst_dev = continuous_device();
-    let mut burst = install_burst(&mut burst_dev, &app, spec, true);
-    // The gate's premises hold for this suite: batching is on and the
-    // maxTries machine emits nothing on EndTask.
-    assert!(burst.engine().batch_capacity() >= 2);
-    assert!(burst
-        .engine()
-        .end_event_is_silent(app.task_by_name("sense").unwrap()));
-    let burst_out = burst
-        .run_once(&mut burst_dev, RunLimit::unbounded())
-        .completed()
-        .unwrap();
-
-    assert_eq!(plain_out, burst_out);
-    for task in ["sense", "send"] {
-        let id = app.task_by_name(task).unwrap();
-        assert_eq!(
-            plain_dev.trace().completions_of(id),
-            burst_dev.trace().completions_of(id),
-            "{task}"
-        );
-    }
-    assert_eq!(
-        committed_sends(&plain, &mut plain_dev),
-        committed_sends(&burst, &mut burst_dev)
-    );
-    // The whole point: one arming transaction and one commit per
-    // machine for the end+start pair beats two per-event deliveries.
-    assert!(
-        burst_dev.fram().write_ops() < plain_dev.fram().write_ops(),
-        "burst {} vs plain {} FRAM writes",
-        burst_dev.fram().write_ops(),
-        plain_dev.fram().write_ops()
-    );
-}
-
-#[test]
-fn burst_verdicts_survive_the_marker_redelivery() {
-    // A start-triggered property on the *second* task of the path: its
-    // verdict is produced inside the batch and must surface through the
-    // next iteration's idempotent redelivery.
-    let app = sense_send_app();
-    let spec = "send { period: 10min onFail: restartTask; }";
-
-    let mut counts = Vec::new();
-    for burst in [false, true] {
-        let mut dev = continuous_device();
-        let mut rt = install_burst(&mut dev, &app, spec, burst);
-        // First run arms the periodicity baseline; the stalled second
-        // run violates it on send's StartTask.
-        rt.run_once(&mut dev, RunLimit::unbounded())
-            .completed()
-            .unwrap();
-        rt.rearm(&mut dev).unwrap();
-        dev.idle(SimDuration::from_mins(15)).unwrap();
-        let out = rt
-            .run_once(&mut dev, RunLimit::unbounded())
-            .completed()
-            .unwrap();
-        assert!(out.all_completed(), "burst={burst}");
-        counts.push((
-            dev.trace()
-                .count(|e| matches!(e, TraceEvent::Violation { .. })),
-            dev.trace().count(|e| {
-                matches!(
-                    e,
-                    TraceEvent::ActionTaken {
-                        action: Action::RestartTask
-                    }
-                )
-            }),
-        ));
-    }
-    assert_eq!(counts[0], counts[1], "burst run diverged: {counts:?}");
-    assert!(counts[0].0 >= 1, "the stalled run must violate the period");
-}
-
-#[test]
-fn burst_is_crash_consistent_across_budget_sweep() {
-    // Deterministic crash-window sweep over the whole burst protocol:
-    // arming, per-machine batch commits, the advance+marker commit and
-    // the redelivery all get interrupted at some budget. The committed
-    // application output must match the continuous-power run at every
-    // budget.
-    let app = sense_send_app();
-    // A machine interested in both sense events, with a bound generous
-    // enough that no budget in the sweep ever triggers it.
-    let spec = "sense { maxTries: 100000 onFail: skipPath; }";
-
-    let mut cont = continuous_device();
-    let mut rt = install_burst(&mut cont, &app, spec, true);
-    rt.run_once(&mut cont, RunLimit::unbounded())
-        .completed()
-        .unwrap();
-    let expected = committed_sends(&rt, &mut cont);
-
-    let mut total_reboots = 0usize;
-    for budget_nj in (7_000u64..17_000).step_by(50) {
-        let mut dev = DeviceBuilder::msp430fr5994()
-            .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
-            .build();
-        let mut rt = install_burst(&mut dev, &app, spec, true);
-        let out = rt
-            .run_once(&mut dev, RunLimit::reboots(1_000_000))
-            .completed()
-            .unwrap_or_else(|| panic!("budget {budget_nj} nJ did not complete"));
-        assert!(out.all_completed(), "budget {budget_nj}");
-        assert_eq!(
-            committed_sends(&rt, &mut dev),
-            expected,
-            "budget {budget_nj} nJ diverged from continuous burst run"
-        );
-        total_reboots += dev.reboots() as usize;
-    }
-    assert!(
-        total_reboots > 100,
-        "sweep too coarse to hit the burst windows: {total_reboots} reboots"
     );
 }
 
