@@ -800,11 +800,11 @@ pub(crate) fn guarded_sparse_suite() -> (
 /// drives every variable of every machine, the worst case for the
 /// reference engine's one-cell-per-variable layout. The production
 /// engine loads each machine as one block (from its shadow cache when
-/// warm) and commits it as one journal entry, so its op count is flat
-/// in the variable count. A third row runs the production engine on
-/// the sparse-handler suite ([`sparse_dispatch_suite`]), where each
-/// event touches one variable per machine: its sparse dirty-diff
-/// commits keep steady-state delivery write-only.
+/// warm, so steady-state delivery is write-only) and commits only the
+/// changed bytes as one sparse dirty-diff record. A third row runs the
+/// production engine on the sparse-handler suite
+/// (`sparse_dispatch_suite`), where each event touches one variable
+/// per machine.
 pub fn dispatch() -> Report {
     use artemis_core::event::MonitorEvent;
     use artemis_monitor::{InstallOptions, MonitorEngine};
@@ -877,6 +877,13 @@ pub fn dispatch() -> Report {
         "FRAM op reduction: {:.2}x (acceptance target: >= 3x)",
         ops_per_event[0] / ops_per_event[1]
     ));
+    r.note(format!(
+        "production: each event changes one byte of each of the {DISPATCH_VARS} counters, \
+         too far apart to merge, so every machine commits {DISPATCH_VARS} one-byte runs + \
+         the done bit; these sub-writes cost more ops than the retired whole-block entry \
+         ({:.0} vs 120 ops/event) but no reads and fewer bytes",
+        ops_per_event[1]
+    ));
     let worst_key = |(suite, app, _): &(artemis_ir::fsm::MonitorSuite, _, _)| {
         let compiled =
             artemis_ir::compile::CompiledSuite::compile(suite, app).expect("suite compiles");
@@ -889,7 +896,7 @@ pub fn dispatch() -> Report {
     r.note(format!(
         "static per-event bound (analysis::bounds, worst key): {} warm FRAM ops \
          >= measured production {:.1}",
-        worst_key(&dense).cached_ops(),
+        worst_key(&dense).writes,
         ops_per_event[1]
     ));
     let sparse_key = worst_key(&sparse);
@@ -898,9 +905,7 @@ pub fn dispatch() -> Report {
          >= measured {:.1} (dirty-diff commits undercut the slot-granular model), \
          cold-miss refill after a reboot <= {} extra reads (flag + seq + one block \
          fill per armed machine)",
-        sparse_key.cached_ops(),
-        ops_per_event[2],
-        sparse_key.cold_extra_reads
+        sparse_key.writes, ops_per_event[2], sparse_key.cold_extra_reads
     ));
     r
 }
@@ -1553,6 +1558,7 @@ mod tests {
         let r = fig15();
         assert_eq!(r.rows[0][0], "ARTEMIS");
         assert_eq!(r.rows[0][1], "63.69", "ARTEMIS runtime column (ms) drifted");
+        assert_eq!(r.rows[0][2], "26.99", "ARTEMIS monitor column (ms) drifted");
         let artemis: f64 = r.rows[0][3].parse().unwrap();
         let mayfly: f64 = r.rows[1][3].parse().unwrap();
         assert!(
@@ -1688,8 +1694,7 @@ mod tests {
         let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
-        assert_eq!(key.cached_reads, 0);
-        assert!(key.cached_ops() as f64 >= ops);
+        assert!(key.writes as f64 >= ops);
     }
 
     /// The packed layout + dirty-diff commits of the production engine
@@ -1712,14 +1717,13 @@ mod tests {
         let compiled = artemis_ir::compile::CompiledSuite::compile(&suite, &app).expect("compiles");
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
-        assert_eq!(key.cached_read_bytes, 0);
         assert!(key.write_bytes as f64 >= write_b);
     }
 
     /// The static resource-bound pass must dominate what the production
     /// engine actually does on the dispatch workload — the soundness
-    /// direction of the bound (the monitor crate pins exact equality
-    /// for this shape; here it must at least never under-estimate).
+    /// direction of the bound (here the engine's dirty diffs undercut
+    /// the slot-granular model; it must never under-estimate).
     #[test]
     fn dispatch_static_bound_dominates_measured() {
         let r = dispatch();
@@ -1730,9 +1734,9 @@ mod tests {
         let bounds = artemis_ir::suite_bounds(&compiled);
         let key = bounds.worst_event().expect("has event keys");
         assert!(
-            key.cached_ops() as f64 >= measured,
+            key.writes as f64 >= measured,
             "static bound {} must dominate measured production ops/event {measured}",
-            key.cached_ops()
+            key.writes
         );
     }
 

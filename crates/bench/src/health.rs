@@ -102,7 +102,8 @@ pub fn nominal_minutes(n: u64) -> SimDuration {
 ///
 /// The declarations mirror the bodies in [`artemis_builder`] exactly:
 /// the same compute cycles and idle periods, plus the peripheral and
-/// radio draws priced from [`PeripheralBank::thunderboard_defaults`]
+/// radio draws priced from
+/// [`PeripheralBank::thunderboard_defaults`](intermittent_sim::PeripheralBank::thunderboard_defaults)
 /// (the single source of those constants). Channel FRAM traffic is
 /// deliberately left out: declarations are trusted as *lower* bounds
 /// on a successful execution, so omitting it keeps Infeasible verdicts
@@ -411,6 +412,43 @@ mod tests {
         // Path 1 collected ten bodyTemp samples.
         let body = rt.app().task_by_name("bodyTemp").unwrap();
         assert_eq!(dev.trace().completions_of(body), 10);
+    }
+
+    /// The shadow cache's headline promise on the paper's own spec:
+    /// after `resetMonitor`, steady-state deliveries read no FRAM at
+    /// all — every Fig. 5 machine step commits a sparse record, which
+    /// never re-reads the journal.
+    #[test]
+    fn figure5_steady_state_is_read_free() {
+        use artemis_core::event::MonitorEvent;
+        use artemis_core::time::SimInstant;
+        use artemis_monitor::MonitorEngine;
+
+        let app = health_app();
+        let suite = artemis_ir::compile(HEALTH_SPEC, &app).unwrap();
+        let mut dev = benchmark_device(Harvester::Continuous);
+        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+        let calc_avg = app.task_by_name("calcAvg").unwrap();
+
+        let reads0 = dev.fram().read_ops();
+        let mut seq = 0;
+        for _round in 0..3 {
+            for task in (0..app.task_count() as u32).map(artemis_core::app::TaskId) {
+                let at = SimInstant::from_micros(1_000 * (seq + 1));
+                let end = if task == calc_avg {
+                    MonitorEvent::end_with_data(task, at, 37.0)
+                } else {
+                    MonitorEvent::end(task, at)
+                };
+                for event in [MonitorEvent::start(task, at), end] {
+                    seq += 1;
+                    engine.call_monitor(&mut dev, seq, &event).unwrap();
+                }
+            }
+        }
+        assert_eq!(seq, 48);
+        assert_eq!(dev.fram().read_ops(), reads0, "warm deliveries read FRAM");
     }
 
     #[test]

@@ -14,19 +14,15 @@
 //!
 //! The constants below mirror `artemis-monitor`'s engine and
 //! `intermittent-sim`'s journal byte-for-byte; they are pinned by tests
-//! in those crates (`bounds_model_matches_engine` in the monitor crate,
-//! the dominance assertion in the dispatch benchmark). The sim bills
-//! one FRAM op per `read_raw`/`write_raw` call. Two commit formats
-//! exist:
+//! in those crates (`bounds_model_matches_engine_delta` in the monitor
+//! crate, the dominance assertion in the dispatch benchmark). The sim
+//! bills one FRAM op per `read_raw`/`write_raw` call. Every production
+//! commit is a **sparse** record: a commit of `k` sub-writes costs `0`
+//! reads and `k+3` writes (stage the whole record in one write, set the
+//! flag, apply each sub-write from RAM, clear the flag).
 //!
-//! - an **entry-list** commit of `E` entries costs `2E+1` reads and
-//!   `3E+3` writes (stage each entry, write the count, set the flag,
-//!   re-read and apply each entry, clear the flag);
-//! - a **sparse** commit of `k` sub-writes costs `0` reads and `k+3`
-//!   writes (stage the whole record in one write, set the flag, apply
-//!   each sub-write from RAM, clear the flag).
-//!
-//! Per delivered event, using each key's static [`AccessSet`]:
+//! Per delivered event, using each key's static
+//! [`AccessSet`](crate::compile::AccessSet):
 //!
 //! - **arming**: recovery-flag read + sequence read, then one 5-sub-
 //!   write sparse commit (event, seq, verdict count, worklist, done
@@ -35,24 +31,18 @@
 //! - **worklist setup**: count + bitmap + items + event reads — 4 reads
 //!   (2 when the worklist is empty, as the items and event are never
 //!   read);
-//! - **per armed machine**, worst case (effectful step):
-//!   - *delta* (the key's access set stays under the ¾-block degrade
-//!     threshold): covering-span read + sparse commit of state + every
-//!     write-set slot + done bit — 1 read, `|W| + 5` writes (the
-//!     engine's dirty-diff record never exceeds this slot-granular
-//!     one);
-//!   - *degraded* (`whole_block`): block read + 2-entry commit (block,
-//!     done bit) — 6 reads, 9 writes;
-//!   - if any dispatched transition emits: + verdict-count read + the
-//!     verdict cell and count sub-writes/entries;
+//! - **per armed machine**, worst case (effectful step): covering-span
+//!   read + sparse commit of state + every write-set slot + done bit —
+//!   1 read, `|W| + 5` writes (the engine's dirty-diff record never
+//!   exceeds this slot-granular one); if any dispatched transition
+//!   emits: + verdict-count read + the verdict cell and count
+//!   sub-writes;
 //! - **verdict readback**: count read + one read per possible emitter.
 //!
-//! Commit-byte bounds take the **max of both formats** per key (the
-//! sparse record and the whole-block entry list), and
-//! [`SuiteBounds::worst_commit_bytes`] also covers the full-scan commit
-//! format. Both are documented over-approximations for the production
-//! engine: they keep the derived journal capacity — and with it the
-//! FRAM footprint — independent of which format a key happens to use.
+//! [`SuiteBounds::worst_commit_bytes`] also covers the whole-suite
+//! reset commit and the full-scan commit format, which the production
+//! engine never stages: a documented over-approximation that keeps the
+//! derived journal capacity — and with it the FRAM footprint — fixed.
 //!
 //! The static bound dominates the dynamic cost because arming-time
 //! `Path:` filtering only ever *shrinks* the worklist below the routing
@@ -64,12 +54,10 @@
 //!
 //! The engine's volatile shadow cache serves every *input* read of a
 //! steady-state delivery — recovery flag, sequence, armed worklist,
-//! event, machine spans, verdict log — from RAM.
-//! [`EventCost::cached_reads`] bounds what remains: only the
-//! entry-list commit protocol reads of degraded (whole-block)
-//! machines, which are journal traffic, not cacheable input. For a key
-//! whose armed machines all commit sparsely the warm read bound is
-//! exactly `0`. The warm read figures are exact for the engine.
+//! event, machine spans, verdict log — from RAM, and a sparse commit
+//! never re-reads the journal. So a warm delivery makes no FRAM read
+//! at all: the warm read bound is exactly `0` on every key, and a warm
+//! delivery costs [`EventCost::writes`] ops.
 //!
 //! The first delivery after a reboot refills the shadow: the recovery
 //! flag, the sequence number, and one **whole-block** fill per armed
@@ -81,9 +69,10 @@
 //! So a post-reboot delivery — fresh or resumed — makes at most
 //! [`EventCost::reads`] + [`EventCost::replay_reads`] read ops and
 //! moves at most [`EventCost::read_bytes`] +
-//! [`EventCost::cold_extra_read_bytes`] read bytes. Write bounds are identical warm and cold: the cache is
-//! write-through and never changes what the engine commits, and a
-//! replay applies what the torn commit would have applied.
+//! [`EventCost::cold_extra_read_bytes`] read bytes. Write bounds are
+//! identical warm and cold: the cache is write-through and never
+//! changes what the engine commits, and a replay applies what the torn
+//! commit would have applied.
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
@@ -105,27 +94,12 @@ const FLAG_BYTES: usize = 1;
 
 /// Engine cycle charges, mirroring `artemis-monitor`'s constants of the
 /// same names (pinned against the engine by the monitor crate's
-/// `bounds_model_matches_engine` energy tests).
+/// `energy_model_matches_engine` test).
 pub const ROUTING_LOOKUP_CYCLES: u64 = 12;
 /// Cycles per armed machine entered on the compiled dispatch path.
 pub const COMPILED_DISPATCH_CYCLES: u64 = 10;
 /// Cycles per dispatched transition evaluated.
 pub const STEP_PER_TRANSITION_CYCLES: u64 = 12;
-
-/// FRAM ops of an entry-list journal commit with `entries` entries.
-const fn commit_reads(entries: usize) -> usize {
-    2 * entries + 1
-}
-const fn commit_writes(entries: usize) -> usize {
-    3 * entries + 3
-}
-
-/// Energy-billed write accesses of an entry-list commit: staging an
-/// entry is one billed base (header + payload in one access) though it
-/// counts as two op-counter writes.
-const fn commit_billed_writes(entries: usize) -> usize {
-    2 * entries + 3
-}
 
 /// FRAM writes of a sparse journal commit with `k` sub-writes (stage,
 /// flag, `k` applies, clear); sparse commits perform no reads.
@@ -185,26 +159,14 @@ pub struct EventCost {
     /// Of those, machines with at least one dispatched emitting
     /// transition (they pay the verdict-logging surcharge).
     pub emitters: usize,
-    /// Armed machines committing via sparse delta records under this
-    /// key (their access set stays below the ¾-block threshold).
-    pub delta_machines: usize,
-    /// Armed machines auto-degraded to whole-block commits.
-    pub degraded_machines: usize,
     /// Worst-case FRAM read operations.
     pub reads: usize,
     /// Worst-case FRAM write operations.
     pub writes: usize,
-    /// Worst-case FRAM read operations with the volatile shadow cache
-    /// warm (steady state): every input read is served from RAM, so
-    /// only the entry-list journal *protocol* reads of degraded
-    /// (whole-block) machines remain — `0` for keys whose armed
-    /// machines all commit sparsely.
-    pub cached_reads: usize,
-    /// Extra FRAM reads the first delivery after a reboot pays on top
-    /// of [`EventCost::cached_reads`] to refill the shadow: the
-    /// recovery flag, the sequence number, and one whole-block fill
-    /// per armed machine (the fill is one op, same as the uncached
-    /// span read).
+    /// FRAM reads the first delivery after a reboot pays to refill the
+    /// shadow (a warm delivery reads nothing): the recovery flag, the
+    /// sequence number, and one whole-block fill per armed machine
+    /// (the fill is one op, same as the uncached span read).
     pub cold_extra_reads: usize,
     /// FRAM reads of replaying the largest sparse record this key can
     /// leave torn (count word + header and payload per sub-write): a
@@ -213,7 +175,7 @@ pub struct EventCost {
     /// ops.
     pub replay_reads: usize,
     /// Extra FRAM bytes a post-reboot delivery can read beyond
-    /// [`EventCost::read_bytes`]: each armed sparse machine's refill
+    /// [`EventCost::read_bytes`]: each armed machine's refill
     /// reads its whole block where the uncached pattern reads only the
     /// covering span, and a torn sparse record is re-read for replay.
     /// A post-reboot delivery — fresh, or resumed through
@@ -227,19 +189,9 @@ pub struct EventCost {
     /// covering span); per-byte traffic is priced on top of the per-op
     /// base by the sim's cost model.
     pub read_bytes: usize,
-    /// Worst-case FRAM bytes read with the shadow cache warm — only
-    /// the entry-list commit protocol re-reads of degraded machines.
-    pub cached_read_bytes: usize,
     /// Worst-case FRAM bytes written (identical warm and cold: the
     /// shadow is write-through).
     pub write_bytes: usize,
-    /// Worst-case FRAM write *accesses as billed by the energy meter*.
-    /// Differs from [`EventCost::writes`] only on entry-list commits:
-    /// staging one entry issues two op-counter writes (header, then
-    /// payload) but is billed as a single base-plus-bytes access, so a
-    /// degraded machine's `E`-entry commit bills `2E+3` accesses
-    /// against `3E+3` counted ops. Sparse commits bill 1:1.
-    pub billed_writes: usize,
     /// Worst-case engine CPU cycles charged for the delivery (routing
     /// lookup + per-machine dispatch + per-transition stepping).
     pub cycles: u64,
@@ -255,11 +207,6 @@ impl EventCost {
     /// Total FRAM operations (reads + writes).
     pub fn ops(&self) -> usize {
         self.reads + self.writes
-    }
-
-    /// Total FRAM operations with the shadow cache warm.
-    pub fn cached_ops(&self) -> usize {
-        self.cached_reads + self.writes
     }
 }
 
@@ -305,8 +252,7 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
             let armed = compiled.routing().interested(kind, probe);
 
             // Arming: recovery flag + seq reads, then one 5-sub-write
-            // sparse commit. The byte bound covers both formats (the
-            // sparse record is the entry-list image + its count word).
+            // sparse commit.
             let mut reads = 2;
             let mut read_bytes = FLAG_BYTES + U64_BYTES;
             let mut writes = sparse_commit_writes(5);
@@ -333,13 +279,8 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 2 + done_b + 2 * armed.len() + ENCODED_EVENT_BYTES
             };
             let mut cycles = ROUTING_LOOKUP_CYCLES;
-            let mut billed_writes = sparse_commit_writes(5);
 
             let mut emitters = 0;
-            let mut delta_machines = 0;
-            let mut degraded_machines = 0;
-            let mut cached_reads = 0;
-            let mut cached_read_bytes = 0;
             let mut cold_extra_read_bytes = 0;
             for &mi in armed {
                 let m = &machines[mi as usize];
@@ -353,92 +294,48 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 // transitions) — identical table, so the bound is exact.
                 cycles += COMPILED_DISPATCH_CYCLES + m.step_cost(kind, probe).cycles;
                 let block_b = m.layout().block_len;
-
-                // Whole-block entry-list bytes: always part of the
-                // commit-byte bound (a documented over-approximation
-                // for sparse keys).
-                let mut block_step_bytes = entry_bytes(block_b) + entry_bytes(done_b);
                 if emits {
-                    block_step_bytes += entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES);
                     emitters += 1;
                 }
 
-                if access.whole_block {
-                    degraded_machines += 1;
-                    let step_entries = if emits { 4 } else { 2 };
-                    // Entry payloads: block image + done bit (+ verdict
-                    // cell and count).
-                    let mut entry_data = block_b + done_b;
-                    if emits {
-                        entry_data += VERDICT_BYTES + U32_BYTES;
-                    }
-                    reads += 1 + commit_reads(step_entries) + usize::from(emits);
-                    // Block load + protocol re-reads (count word, each
-                    // entry header and payload) + verdict count.
-                    let protocol_bytes = 2 + ENTRY_HEADER * step_entries + entry_data;
-                    read_bytes += block_b + protocol_bytes + if emits { U32_BYTES } else { 0 };
-                    writes += commit_writes(step_entries);
-                    billed_writes += commit_billed_writes(step_entries);
-                    // Stage each entry, count word, flag, apply each
-                    // payload, flag clear.
-                    write_bytes += (ENTRY_HEADER * step_entries + entry_data)
-                        + 2
-                        + FLAG_BYTES
-                        + entry_data
-                        + FLAG_BYTES;
-                    // The shadow serves the block load and the verdict
-                    // count, but the entry-list commit's re-read-and-
-                    // apply protocol reads are journal traffic the
-                    // cache cannot touch.
-                    cached_reads += commit_reads(step_entries);
-                    cached_read_bytes += protocol_bytes;
-                    commit = commit.max(block_step_bytes);
-                } else {
-                    delta_machines += 1;
-                    // Covering-span read, verdict-count read if emitting.
-                    reads += 1 + usize::from(emits);
-                    let span_b = m.layout().span(access.max_touched_slot());
-                    read_bytes += span_b + if emits { U32_BYTES } else { 0 };
-                    // A cold refill reads the whole block, not the span.
-                    cold_extra_read_bytes += block_b - span_b;
-                    // Sub-writes: state word + every write-set slot +
-                    // done bit (+ verdict cell and count). The engine's
-                    // dirty-diff record only ever commits fewer runs
-                    // and fewer bytes: changed bytes live inside the
-                    // state word and write-set slots, at most one run
-                    // forms per field, and the gap-merge rule only
-                    // fires when the 6-byte header it saves covers the
-                    // gap bytes it adds — so this slot-granular bound
-                    // dominates, and is exact when every write-set
-                    // field changes and no runs merge.
-                    let state_b = m.layout().state_bytes;
-                    let slots_b: usize = access.writes.iter().map(|&s| slot_bytes(m, s)).sum();
-                    let mut k = 1 + access.writes.len() + 1;
-                    let mut delta_entry_bytes = entry_bytes(state_b)
-                        + access
-                            .writes
-                            .iter()
-                            .map(|&s| entry_bytes(slot_bytes(m, s)))
-                            .sum::<usize>()
-                        + entry_bytes(done_b);
-                    let mut delta_data = state_b + slots_b + done_b;
-                    if emits {
-                        k += 2;
-                        delta_entry_bytes += entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES);
-                        delta_data += VERDICT_BYTES + U32_BYTES;
-                    }
-                    writes += sparse_commit_writes(k);
-                    billed_writes += sparse_commit_writes(k);
-                    write_bytes +=
-                        sparse_record_bytes(delta_entry_bytes) + delta_data + 2 * FLAG_BYTES;
-                    replay = max_pair(
-                        replay,
-                        (replay_reads(k), sparse_record_bytes(delta_entry_bytes)),
-                    );
-                    commit = commit
-                        .max(sparse_record_bytes(delta_entry_bytes))
-                        .max(block_step_bytes);
+                // Covering-span read, verdict-count read if emitting.
+                reads += 1 + usize::from(emits);
+                let span_b = m.layout().span(access.max_touched_slot());
+                read_bytes += span_b + if emits { U32_BYTES } else { 0 };
+                // A cold refill reads the whole block, not the span.
+                cold_extra_read_bytes += block_b - span_b;
+                // Sub-writes: state word + every write-set slot + done
+                // bit (+ verdict cell and count). The engine's dirty-diff
+                // record only ever commits fewer runs and fewer bytes:
+                // changed bytes live inside the state word and write-set
+                // slots, at most one run forms per field, and the
+                // gap-merge rule only fires when the 6-byte header it
+                // saves covers the gap bytes it adds — so this
+                // slot-granular bound dominates, and is exact when every
+                // write-set field changes and no runs merge.
+                let state_b = m.layout().state_bytes;
+                let slots_b: usize = access.writes.iter().map(|&s| slot_bytes(m, s)).sum();
+                let mut k = 1 + access.writes.len() + 1;
+                let mut delta_entry_bytes = entry_bytes(state_b)
+                    + access
+                        .writes
+                        .iter()
+                        .map(|&s| entry_bytes(slot_bytes(m, s)))
+                        .sum::<usize>()
+                    + entry_bytes(done_b);
+                let mut delta_data = state_b + slots_b + done_b;
+                if emits {
+                    k += 2;
+                    delta_entry_bytes += entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES);
+                    delta_data += VERDICT_BYTES + U32_BYTES;
                 }
+                writes += sparse_commit_writes(k);
+                write_bytes += sparse_record_bytes(delta_entry_bytes) + delta_data + 2 * FLAG_BYTES;
+                replay = max_pair(
+                    replay,
+                    (replay_reads(k), sparse_record_bytes(delta_entry_bytes)),
+                );
+                commit = commit.max(sparse_record_bytes(delta_entry_bytes));
             }
 
             // Verdict readback: count + one cell per possible emitter.
@@ -450,11 +347,8 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 task,
                 machines: armed.len(),
                 emitters,
-                delta_machines,
-                degraded_machines,
                 reads,
                 writes,
-                cached_reads,
                 // Recovery flag + seq + one whole-block fill per armed
                 // machine.
                 cold_extra_reads: 2 + armed.len(),
@@ -462,9 +356,7 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 cold_extra_read_bytes: cold_extra_read_bytes + replay.1,
                 commit_bytes: commit,
                 read_bytes,
-                cached_read_bytes,
                 write_bytes,
-                billed_writes,
                 cycles,
                 arming_writes: sparse_commit_writes(5),
                 arming_write_bytes,
@@ -592,52 +484,55 @@ mod tests {
                 .unwrap()
         };
         // maxTries machines observe starts of their task and can emit;
-        // their single counter means every key touches the whole block
-        // and degrades to whole-block commits.
+        // the step writes the attempt counter, its only slot.
         let start_a = key(EventKind::StartTask, Some(0));
         assert_eq!(start_a.machines, 1);
         assert_eq!(start_a.emitters, 1);
-        assert_eq!(start_a.degraded_machines, 1);
-        assert_eq!(start_a.delta_machines, 0);
+        let m = &cs.machines()[0];
+        let access = m.access(EventKind::StartTask, 0);
+        assert_eq!(access.writes, vec![0]);
         // An armed emitting machine costs more than an un-armed key.
         let wild = key(EventKind::StartTask, None);
         assert_eq!(wild.machines, 0);
         assert!(start_a.ops() > wild.ops());
-        // Sparse arming (2) + worklist (4) + degraded emitting machine
-        // (11) + readback (1 + 1).
-        assert_eq!(start_a.reads, 2 + 4 + 11 + 1 + 1);
-        // Warm cache: only the degraded machine's 4-entry commit
-        // protocol reads survive; cold refill = flag + seq + 1 block,
-        // and a degraded machine's span already is its whole block.
-        assert_eq!(start_a.cached_reads, commit_reads(4));
+        // Sparse arming (2) + worklist (4) + span load and verdict
+        // count (2) + readback (1 + 1).
+        assert_eq!(start_a.reads, 2 + 4 + 2 + 1 + 1);
+        // Sparse arming (8) + sparse step of state, counter, verdict
+        // cell, verdict count and done bit (5 + 3).
+        assert_eq!(start_a.writes, 8 + 8);
+        assert_eq!(start_a.arming_writes, sparse_commit_writes(5));
+        // Cold refill = flag + seq + 1 block.
         assert_eq!(start_a.cold_extra_reads, 2 + 1);
-        assert!(start_a.cached_reads < start_a.reads);
-        // Byte/cycle pins for the degraded emitting key (1-var block,
-        // 1-byte done bitmap for 2 machines).
-        let block = cs.machines()[0].layout().block_len;
+        // Byte pins for the emitting key (1-byte done bitmap for 2
+        // machines).
+        let state = m.layout().state_bytes;
+        let slot = slot_bytes(m, 0);
+        let span = m.layout().span(Some(0));
         let done = done_bytes(2);
-        let entry_data = block + done + VERDICT_BYTES + U32_BYTES;
-        let protocol = 2 + ENTRY_HEADER * 4 + entry_data;
-        assert_eq!(start_a.cached_read_bytes, protocol);
         assert_eq!(
             start_a.read_bytes,
-            // arming flag+seq, worklist setup, block load, protocol
-            // re-reads, verdict count, readback count + one cell.
+            // arming flag+seq, worklist setup, span load, verdict
+            // count, readback count + one cell.
             (FLAG_BYTES + U64_BYTES)
                 + (2 + done + 2 + ENCODED_EVENT_BYTES)
-                + block
-                + protocol
+                + span
                 + U32_BYTES
                 + (U32_BYTES + VERDICT_BYTES)
         );
+        let step_record = sparse_record_bytes(
+            entry_bytes(state)
+                + entry_bytes(slot)
+                + entry_bytes(VERDICT_BYTES)
+                + entry_bytes(U32_BYTES)
+                + entry_bytes(done),
+        );
+        let step_data = state + slot + VERDICT_BYTES + U32_BYTES + done;
         assert_eq!(
             start_a.write_bytes,
-            start_a.arming_write_bytes + (ENTRY_HEADER * 4 + entry_data) + 2 + 1 + entry_data + 1
+            start_a.arming_write_bytes + step_record + step_data + 2 * FLAG_BYTES
         );
-        assert_eq!(start_a.arming_writes, sparse_commit_writes(5));
-        // The 4-entry degraded commit bills 4 fewer write bases than
-        // the op counter sees (one per staged entry).
-        assert_eq!(start_a.billed_writes, start_a.writes - 4);
+        assert_eq!(start_a.replay_reads, replay_reads(5));
         // One armed machine billing its key's static step ceiling.
         // The maxTries lowering dispatches 3 transitions on its task's
         // start key; optimized (fused guards), the cycle-priced worst
@@ -654,7 +549,6 @@ mod tests {
         // commit, nothing else.
         assert_eq!(wild.cycles, ROUTING_LOOKUP_CYCLES);
         assert_eq!(wild.write_bytes, wild.arming_write_bytes);
-        assert_eq!(wild.cached_read_bytes, 0);
         assert!(b.worst_commit_bytes >= b.reset_commit_bytes);
         assert!(b.worst_event().unwrap().ops() >= start_a.ops());
     }
@@ -697,8 +591,6 @@ mod tests {
             .iter()
             .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
             .unwrap();
-        assert_eq!(start_a.delta_machines, 1);
-        assert_eq!(start_a.degraded_machines, 0);
         // Arming flag+seq (2) + worklist (4) + span load (1) +
         // readback (1).
         assert_eq!(start_a.reads, 2 + 4 + 1 + 1);
@@ -724,17 +616,12 @@ mod tests {
             start_a.write_bytes,
             start_a.arming_write_bytes + sparse_record_bytes(delta_entries) + delta_data + 2
         );
-        assert_eq!(start_a.cached_read_bytes, 0);
-        // All-sparse commits bill 1:1 with the op counter.
-        assert_eq!(start_a.billed_writes, start_a.writes);
         assert_eq!(
             start_a.cycles,
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + STEP_PER_TRANSITION_CYCLES
         );
-        // All-sparse key: a warm cache reads NOTHING from FRAM, and the
-        // cold refill is flag + seq + one whole-block fill — the eleven
-        // bytes past the span are the refill's extra read bytes.
-        assert_eq!(start_a.cached_reads, 0);
+        // The cold refill is flag + seq + one whole-block fill — the
+        // eleven bytes past the span are the refill's extra read bytes.
         assert_eq!(start_a.cold_extra_reads, 2 + 1);
         // A reboot can also leave the sparse arming record (5
         // sub-writes) torn, to be re-read for replay.
@@ -747,10 +634,10 @@ mod tests {
         );
         assert_eq!(start_a.replay_reads, replay_reads(5));
         assert_eq!(start_a.cold_extra_read_bytes, 11 + arming_record);
-        assert_eq!(start_a.cached_ops(), start_a.writes);
-        // The byte bound still covers the whole-block image, so the
-        // derived capacity does not depend on the commit format.
-        assert!(start_a.commit_bytes >= entry_bytes(1 + 8 + 11) + entry_bytes(1));
+        // The key's largest commit is the arming record; the suite's
+        // capacity still covers the whole-block reset image.
+        assert_eq!(start_a.commit_bytes, arming_record);
+        assert!(b.worst_commit_bytes >= entry_bytes(1 + 8 + 11) + entry_bytes(1));
     }
 
     /// Packing changes bytes, never ops: two machines with the same
@@ -774,9 +661,7 @@ mod tests {
             assert_eq!((n.kind, n.task), (w.kind, w.task));
             assert_eq!(n.reads, w.reads);
             assert_eq!(n.writes, w.writes);
-            assert_eq!(n.cached_reads, w.cached_reads);
             assert_eq!(n.cold_extra_reads, w.cold_extra_reads);
-            assert_eq!(n.billed_writes, w.billed_writes);
             assert_eq!(n.cycles, w.cycles);
             assert!(n.read_bytes <= w.read_bytes);
             assert!(n.write_bytes <= w.write_bytes);

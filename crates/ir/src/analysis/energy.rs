@@ -46,22 +46,20 @@
 //!   body cost + runtime allowance + the worst-case cost of any event
 //!   delivery, warm or cold — the uncached read pattern with each
 //!   armed machine's cold whole-block refill and a torn record's
-//!   replay on top ([`event_energy`]), which dominates a steady-state delivery, the
-//!   first delivery after a reboot, and a delivery resumed through
-//!   `monitorFinalize`. If
-//!   the ceiling fits under the budget less the configured margin, the
-//!   task is **Feasible**. Between the two — the ceiling crosses the
-//!   margin threshold but the floor still fits — the verdict is
-//!   **Marginal**, surfaced as a warning: the task may complete, but
-//!   the static guarantee is gone.
+//!   replay on top ([`event_energy`]), which dominates a steady-state
+//!   delivery, the first delivery after a reboot, and a delivery
+//!   resumed through `monitorFinalize`. If the ceiling fits under the
+//!   budget less the configured margin, the task is **Feasible**.
+//!   Between the two — the ceiling crosses the margin threshold but
+//!   the floor still fits — the verdict is **Marginal**, surfaced as a
+//!   warning: the task may complete, but the static guarantee is gone.
 //!
 //! Declarations are trusted as *lower* bounds on the body ("the draw
 //! of one successful execution"), so an understated declaration can
 //! weaken a warning but never manufacture a false Infeasible error.
 //! The exactness of the monitor-side pricing is pinned against the
-//! simulator's measured per-attempt draw by
-//! `bounds_model_matches_engine`-style energy tests in
-//! `artemis-monitor`, and verdict/outcome agreement is swept by the
+//! simulator's measured per-event draw by `energy_model_matches_engine`
+//! in `artemis-monitor`, and verdict/outcome agreement is swept by the
 //! `energy` benchmark in `artemis-bench`.
 
 use artemis_core::app::{AppGraph, TaskCostDecl, TaskId};
@@ -85,13 +83,12 @@ pub const RUNTIME_ATTEMPT_OVERHEAD: Energy = Energy::from_nano_joules(2_500);
 /// ([`EventCost::replay_reads`]), the uncached read bytes plus the cold
 /// refill's whole-block and replay bytes
 /// ([`EventCost::cold_extra_read_bytes`]), and the write and cycle
-/// bounds. Write accesses are priced at the energy meter's billing
-/// granularity ([`EventCost::billed_writes`]).
+/// bounds.
 pub fn event_energy(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(
         cost.reads + cost.replay_reads,
         cost.read_bytes + cost.cold_extra_read_bytes,
-        cost.billed_writes,
+        cost.writes,
         cost.write_bytes,
         cost.cycles,
     )
@@ -99,16 +96,10 @@ pub fn event_energy(cost: &EventCost, model: &CostModel) -> Energy {
 
 /// Energy of one worst-case event delivery with the volatile shadow
 /// cache warm (steady state). Writes and cycles are identical to the
-/// cold case; only cacheable input reads disappear. The monitor crate
-/// pins it against the simulator's measured draw.
+/// cold case; every read disappears (a warm delivery reads no FRAM).
+/// The monitor crate pins it against the simulator's measured draw.
 pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
-    model.traffic_energy(
-        cost.cached_reads,
-        cost.cached_read_bytes,
-        cost.billed_writes,
-        cost.write_bytes,
-        cost.cycles,
-    )
+    model.traffic_energy(0, 0, cost.writes, cost.write_bytes, cost.cycles)
 }
 
 /// Energy of the arming commit alone — the write-only monitor floor

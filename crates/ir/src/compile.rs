@@ -189,15 +189,6 @@ pub(crate) fn kind_index(kind: EventKind) -> usize {
     }
 }
 
-/// Fraction of a machine's variable block a dispatch key may touch
-/// before its commits degrade to whole-block: `touched / var_count >=`
-/// [`DEGRADE_NUM`]`/`[`DEGRADE_DEN`] (the "~¾ of the block" heuristic —
-/// at that density a sparse record's per-sub-write headers outweigh the
-/// bytes it skips).
-pub const DEGRADE_NUM: usize = 3;
-/// See [`DEGRADE_NUM`].
-pub const DEGRADE_DEN: usize = 4;
-
 /// The statically-derived FRAM access footprint of one `(event kind,
 /// task)` dispatch key: every variable slot any routed transition's
 /// guard or body may read or write. A sound over-approximation — the
@@ -205,18 +196,14 @@ pub const DEGRADE_DEN: usize = 4;
 /// not they fire at run time.
 ///
 /// The engine uses this to load only the covering slot span and to
-/// journal a sparse `(slot, value)` delta instead of the whole block;
-/// [`AccessSet::whole_block`] is the compile-time auto-degrade decision
-/// for keys that touch most of the block anyway.
+/// journal a sparse delta of the changed bytes instead of the whole
+/// block.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct AccessSet {
     /// Slots a guard or body may read, sorted ascending.
     pub reads: Vec<u16>,
     /// Slots a body may write, sorted ascending.
     pub writes: Vec<u16>,
-    /// `true` when this key should use whole-block load/commit: it
-    /// touches at least ¾ of the block (or the block is state-only).
-    pub whole_block: bool,
 }
 
 impl AccessSet {
@@ -226,17 +213,6 @@ impl AccessSet {
     /// span, which holds by construction).
     pub fn max_touched_slot(&self) -> Option<u16> {
         self.reads.iter().chain(&self.writes).copied().max()
-    }
-
-    /// Number of distinct slots touched (reads ∪ writes).
-    pub fn touched_count(&self) -> usize {
-        let mut n = self.reads.len();
-        for w in &self.writes {
-            if !self.reads.contains(w) {
-                n += 1;
-            }
-        }
-        n
     }
 }
 
@@ -299,14 +275,9 @@ fn access_for_list(
             .map(|(i, _)| i as u16)
             .collect::<Vec<u16>>()
     };
-    let reads = collect(&read);
-    let writes = collect(&written);
-    let touched = (0..var_count).filter(|&i| read[i] || written[i]).count();
-    let whole_block = var_count == 0 || touched * DEGRADE_DEN >= var_count * DEGRADE_NUM;
     AccessSet {
-        reads,
-        writes,
-        whole_block,
+        reads: collect(&read),
+        writes: collect(&written),
     }
 }
 
@@ -570,7 +541,8 @@ pub struct RawMachine {
 
 impl CompiledMachine {
     /// Compiles one machine against the application graph at the
-    /// default optimization level ([`OptLevel::Full`]).
+    /// default optimization level
+    /// ([`OptLevel::Full`](crate::opt::OptLevel::Full)).
     pub fn compile(machine: &StateMachine, app: &AppGraph) -> Result<Self, CompileIssue> {
         Self::compile_with(machine, app, crate::opt::OptLevel::default())
     }
@@ -709,7 +681,7 @@ impl CompiledMachine {
     }
 
     /// The static FRAM access set of `(kind, task)` — same fallback
-    /// rule as [`CompiledMachine::transition_list`].
+    /// rule as `CompiledMachine::transition_list`.
     pub fn access(&self, kind: EventKind, task: u32) -> &AccessSet {
         let k = kind_index(kind);
         self.access[k]
@@ -718,7 +690,7 @@ impl CompiledMachine {
     }
 
     /// The static compute ceiling of one `step` for `(kind, task)` —
-    /// same fallback rule as [`CompiledMachine::transition_list`]. The
+    /// same fallback rule as `CompiledMachine::transition_list`. The
     /// engine bills exactly this many cycles per delivered event
     /// (static and state-independent, so billing never leaks machine
     /// state), and the bounds/energy passes price through the same
@@ -1219,8 +1191,9 @@ pub struct CompiledSuite {
 
 impl CompiledSuite {
     /// Compiles every machine of `suite` against `app` at the default
-    /// optimization level ([`OptLevel::Full`]) and builds the global
-    /// routing index.
+    /// optimization level
+    /// ([`OptLevel::Full`](crate::opt::OptLevel::Full)) and builds the
+    /// global routing index.
     pub fn compile(suite: &MonitorSuite, app: &AppGraph) -> Result<Self, CompileIssue> {
         Self::compile_with(suite, app, crate::opt::OptLevel::default())
     }
@@ -1494,14 +1467,13 @@ mod tests {
     }
 
     #[test]
-    fn access_sets_capture_per_key_slots_and_degrade() {
+    fn access_sets_capture_per_key_slots() {
         let mut m = StateMachine::new("m", "a");
         for v in ["v0", "v1", "v2", "v3"] {
             m.add_var(v, VarType::Int, Value::Int(0));
         }
         m.add_state("S");
-        // start(a): guard reads v0, body does v1 := v1 + 1 — touches
-        // 2/4 slots, stays sparse.
+        // start(a): guard reads v0, body does v1 := v1 + 1.
         m.transitions.push(Transition {
             from: 0,
             to: 0,
@@ -1513,7 +1485,7 @@ mod tests {
             )],
             emit: None,
         });
-        // start(b): writes every slot — 4/4 ≥ ¾ degrades to whole-block.
+        // start(b): writes every slot, reads none.
         m.transitions.push(Transition {
             from: 0,
             to: 0,
@@ -1529,14 +1501,12 @@ mod tests {
         let a = c.access(EventKind::StartTask, 0);
         assert_eq!(a.reads, vec![0, 1]);
         assert_eq!(a.writes, vec![1]);
-        assert_eq!(a.touched_count(), 2);
         assert_eq!(a.max_touched_slot(), Some(1));
-        assert!(!a.whole_block);
 
         let b = c.access(EventKind::StartTask, 1);
         assert_eq!(b.reads, Vec::<u16>::new());
         assert_eq!(b.writes, vec![0, 1, 2, 3]);
-        assert!(b.whole_block);
+        assert_eq!(b.max_touched_slot(), Some(3));
 
         // Unrouted keys and out-of-graph ids have empty access sets.
         let end = c.access(EventKind::EndTask, 0);

@@ -34,7 +34,8 @@
 //!
 //! - the **production engine** ([`ExecMode::Compiled`] +
 //!   [`RoutingMode::Routed`], the default) runs suites compiled to
-//!   slot-indexed bytecode ([`artemis_ir::compile`]) with each
+//!   slot-indexed bytecode
+//!   ([`artemis_ir::compile`](mod@artemis_ir::compile)) with each
 //!   machine's `(state, vars)` in one contiguous FRAM block, laid out
 //!   by the verifier-derived packed [`MachineLayout`]. It is the only
 //!   delivery path deployments use, and it is the closest analogue of
@@ -81,13 +82,13 @@
 //! transitions' guards and bodies can read or write. The engine
 //! exploits it twice per step: the machine block is loaded only up to
 //! the covering slot span, and the commit is a **sparse delta record**
-//! ([`SparseTx`](intermittent_sim::journal::SparseTx)) carrying just
-//! the changed bytes and the completion bit — one staged FRAM write
-//! plus the scattered applies, instead of an entry-list commit of the
-//! whole block image. Event arming uses the same record format. Keys
-//! whose access set covers ≥ ¾ of the block degrade to whole-block
-//! entry-list commits at compile time (the sparse headers would
-//! outweigh the savings).
+//! ([`SparseTx`]) carrying just the changed bytes and the completion
+//! bit — one staged FRAM write plus the scattered applies, with no
+//! journal re-reads. Every production machine step and every event
+//! arming commits in this one format; the only other step completion
+//! is the plain bitmap write of an effectless step. Entry-list commits
+//! remain only for the whole-suite reset, path-restart
+//! re-initialisation, and the reference engine.
 //!
 //! Sparse commits are **dirty diffs**: the new image is diffed against
 //! the shadow cache's authoritative old image and journalled as
@@ -101,24 +102,26 @@
 //! The production engine keeps a volatile **shadow** of every FRAM
 //! location the hot path reads: after any load or commit the decoded
 //! machine images, the done bitmap, the worklists, and the verdict log
-//! stay authoritative in RAM, so a steady-state delivery performs
-//! **zero** FRAM reads — nonvolatile memory is touched only by the
-//! crash-atomic commits (the cache is strictly write-through and never
-//! defers or reorders a write).
+//! stay authoritative in RAM, and no sparse commit re-reads the
+//! journal, so a steady-state delivery performs **zero** FRAM reads on
+//! every key — nonvolatile memory is touched only by the crash-atomic
+//! commits (the cache is strictly write-through and never defers or
+//! reorders a write).
 //!
-//! Coherence contract: the cache records the [`Sram`] reboot epoch it
-//! was filled under; every entry point re-syncs against
-//! `dev.sram().generation()` and a mismatch (i.e. a power failure
-//! happened) invalidates the whole cache in O(1) by bumping a
-//! generation tag that every shadow entry must match. Refills happen
-//! *after* `dev.recover` has replayed any torn journal commit —
-//! replay-then-invalidate is safe because replay is idempotent against
-//! FRAM and completes before the first cold read. The first delivery
-//! after a reboot therefore pays cold-miss reads: one whole-block fill
-//! per armed machine, priced by `EventCost::cold_extra_reads` and
-//! `EventCost::cold_extra_read_bytes` in `artemis_ir`; every later
-//! delivery in the same epoch is write-only. Hit/miss/invalidation
-//! counters are exposed through [`MonitorEngine::cache_stats`].
+//! Coherence contract: the cache records the
+//! [`Sram`](intermittent_sim::Sram) reboot epoch it was filled under;
+//! every entry point re-syncs against `dev.sram().generation()` and a
+//! mismatch (i.e. a power failure happened) invalidates the whole cache
+//! in O(1) by bumping a generation tag that every shadow entry must
+//! match. Refills happen *after* `dev.recover` has replayed any torn
+//! journal commit — replay-then-invalidate is safe because replay is
+//! idempotent against FRAM and completes before the first cold read.
+//! The first delivery after a reboot therefore pays cold-miss reads:
+//! one whole-block fill per armed machine, priced by
+//! `EventCost::cold_extra_reads` and `EventCost::cold_extra_read_bytes`
+//! in `artemis_ir`; every later delivery in the same epoch is
+//! write-only. Hit/miss/invalidation counters are exposed through
+//! [`MonitorEngine::cache_stats`].
 
 pub mod remote;
 pub mod state;
@@ -130,7 +133,7 @@ use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::event::MonitorEvent;
 use artemis_core::property::OnFail;
-use artemis_ir::compile::{AccessSet, CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite};
+use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite};
 use artemis_ir::exec::{step, IrEvent, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::fsm::{EmitFail, MonitorSuite};
@@ -654,7 +657,8 @@ struct MachineShadow {
 /// *decoded* `(state, vars)` and regenerate byte-identical block
 /// images for change detection.
 struct ShadowCache {
-    /// [`Sram`] reboot generation the cache was last synced to.
+    /// [`Sram`](intermittent_sim::Sram) reboot generation the cache was
+    /// last synced to.
     epoch: u64,
     /// Cache generation; a [`MachineShadow`] or verdict entry is live
     /// iff its tag equals this. Bumping it is the O(1) whole-cache
@@ -1304,28 +1308,16 @@ impl MonitorEngine {
 
     /// Write-through after a successful machine-step commit: fold the
     /// new state and the written slots back into the shadow (FRAM and
-    /// shadow now agree again). `writes == None` means the commit
-    /// carried the whole block, so the shadow can be (re)filled even
-    /// when it was cold; a sparse commit can only *update* a warm
-    /// shadow (partial knowledge is never stored).
-    fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value], writes: Option<&[u16]>) {
+    /// shadow now agree again). A sparse commit can only *update* a
+    /// warm shadow (partial knowledge is never stored).
+    fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value], writes: &[u16]) {
         self.cache_put(|c| {
             let gen = c.gen;
             let ms = &mut c.machines[i];
-            match writes {
-                Some(writes) => {
-                    if ms.gen == gen {
-                        ms.state = state;
-                        for &slot in writes {
-                            ms.vars[slot as usize] = vars[slot as usize];
-                        }
-                    }
-                }
-                None => {
-                    ms.state = state;
-                    ms.vars.clear();
-                    ms.vars.extend_from_slice(vars);
-                    ms.gen = gen;
+            if ms.gen == gen {
+                ms.state = state;
+                for &slot in writes {
+                    ms.vars[slot as usize] = vars[slot as usize];
                 }
             }
         });
@@ -1797,10 +1789,17 @@ impl MonitorEngine {
     }
 
     /// Production step of worklist entry `done − 1` (machine `i`):
-    /// dispatch-table trigger test, then either a sparse delta step
-    /// over the key's covering span or — for keys whose access set
-    /// degraded to the whole block at compile time — one whole-block
-    /// load and a whole-block entry-list commit.
+    /// dispatch-table trigger test, one FRAM read for the key's covering
+    /// slot span (served by the shadow when warm), then a sparse commit
+    /// of the changed bytes and the completion bit.
+    ///
+    /// Soundness: the access set over-approximates every slot the
+    /// dispatched bytecode can read or write, so slots outside the
+    /// loaded span are never observed (they are placeholder-filled to
+    /// keep slot indexing in bounds) and slots outside the write set
+    /// cannot change. The re-encoded span is diffed byte-for-byte
+    /// against the authoritative old image (canonical encoding makes
+    /// the comparison exact), and only the changed runs are staged.
     fn step_compiled(
         &self,
         dev: &mut Device,
@@ -1829,43 +1828,44 @@ impl MonitorEngine {
         dev.compute(COMPILED_DISPATCH_CYCLES + cm.step_cost(kind, encoded.task).cycles)?;
 
         let access = cm.access(kind, encoded.task);
-        if !access.whole_block {
-            return self.step_compiled_delta(dev, rs, i, cm, access, encoded, done);
-        }
-
         let lm = &self.machines[i as usize];
         let block = lm.block();
+        let covered = access.max_touched_slot().map_or(0, |s| s as usize + 1);
+        let span = block.layout.span(access.max_touched_slot());
+
         let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, block.layout.block_len, scratch)?;
+        self.load_block_cached(dev, i as usize, span, scratch)?;
         let mut state = 0u32;
         block
             .layout
-            .decode(&scratch.block, &mut state, &mut scratch.vars);
+            .decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
+        scratch.vars.resize(cm.var_count(), Value::Int(0));
 
         let emit = self.run_bytecode(cm, &mut state, encoded, scratch);
 
         block
             .layout
-            .encode(state, &scratch.vars, &mut scratch.block_new);
-        if emit.is_none() && scratch.block_new == scratch.block {
+            .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
+        let runs = diff_runs(&scratch.block, &scratch.block_new);
+        if emit.is_none() && runs.is_empty() {
             return self.finish_plain(dev, rs, done);
         }
 
-        let mut tx = TxWriter::new();
-        tx.write_raw(block.addr, scratch.block_new.clone());
+        let mut stx = SparseTx::new();
+        for &(s, e) in &runs {
+            stx.push_raw(block.addr + s, scratch.block_new[s..e].to_vec());
+        }
         let mut staged = None;
         if let Some(fail) = emit {
-            staged = Some(self.stage_verdict(
-                dev,
-                &mut tx,
-                i,
-                fail.action,
-                fail.path.or(lm.machine.path),
-            )?);
+            let count = self.read_verdict_count_cached(dev)?;
+            let value = (i, encode_action(fail.action, fail.path.or(lm.machine.path)));
+            stx.push(&self.verdict_cells[count as usize], value);
+            stx.push(&self.verdict_count, count + 1);
+            staged = Some((count as usize, value));
         }
-        rs.done.stage(&mut tx, done);
-        dev.commit(&self.journal, &tx)?;
-        self.shadow_machine_update(i as usize, state, &scratch.vars, None);
+        rs.done.push(&mut stx, done);
+        dev.commit_sparse(&self.journal, &stx)?;
+        self.shadow_machine_update(i as usize, state, &scratch.vars, &access.writes);
         self.cache_put(|c| {
             c.journal_clean = true;
             c.done = Some(done);
@@ -1912,81 +1912,8 @@ impl MonitorEngine {
         emit
     }
 
-    /// Delta variant of [`MonitorEngine::step_compiled`]: one FRAM read
-    /// for the key's covering slot span, then a sparse commit of the
-    /// changed bytes and the completion bit.
-    ///
-    /// Soundness: the access set over-approximates every slot the
-    /// dispatched bytecode can read or write, so slots outside the
-    /// loaded span are never observed (they are placeholder-filled to
-    /// keep slot indexing in bounds) and slots outside the write set
-    /// cannot change. The re-encoded span is diffed byte-for-byte
-    /// against the authoritative old image (canonical encoding makes
-    /// the comparison exact), and only the changed runs are staged.
-    #[allow(clippy::too_many_arguments)]
-    fn step_compiled_delta(
-        &self,
-        dev: &mut Device,
-        rs: &RoutedState,
-        i: u32,
-        cm: &CompiledMachine,
-        access: &AccessSet,
-        encoded: &EncodedEvent,
-        done: usize,
-    ) -> Result<(), Interrupt> {
-        let lm = &self.machines[i as usize];
-        let block = lm.block();
-        let covered = access.max_touched_slot().map_or(0, |s| s as usize + 1);
-        let span = block.layout.span(access.max_touched_slot());
-
-        let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, span, scratch)?;
-        let mut state = 0u32;
-        block
-            .layout
-            .decode_prefix(&scratch.block, covered, &mut state, &mut scratch.vars);
-        scratch.vars.resize(cm.var_count(), Value::Int(0));
-
-        let emit = self.run_bytecode(cm, &mut state, encoded, scratch);
-
-        block
-            .layout
-            .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-        let runs = diff_runs(&scratch.block, &scratch.block_new);
-        if emit.is_none() && runs.is_empty() {
-            return self.finish_plain(dev, rs, done);
-        }
-
-        let mut stx = SparseTx::new();
-        for &(s, e) in &runs {
-            stx.push_raw(block.addr + s, scratch.block_new[s..e].to_vec());
-        }
-        let mut staged = None;
-        if let Some(fail) = emit {
-            let count = self.read_verdict_count_cached(dev)?;
-            let value = (i, encode_action(fail.action, fail.path.or(lm.machine.path)));
-            stx.push(&self.verdict_cells[count as usize], value);
-            stx.push(&self.verdict_count, count + 1);
-            staged = Some((count as usize, value));
-        }
-        rs.done.push(&mut stx, done);
-        dev.commit_sparse(&self.journal, &stx)?;
-        self.shadow_machine_update(i as usize, state, &scratch.vars, Some(&access.writes));
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            c.done = Some(done);
-            if let Some((slot, value)) = staged {
-                let gen = c.gen;
-                c.verdicts[slot] = (gen, value);
-                c.verdict_count = Some(slot as u32 + 1);
-            }
-        });
-        Ok(())
-    }
-
-    /// Appends one verdict to the persistent verdict log inside `tx`.
-    /// Returns the staged `(slot, value)` so callers can write it
-    /// through to the shadow once the transaction commits.
+    /// Appends one verdict to the persistent verdict log inside the
+    /// reference engine's entry-list transaction `tx`.
     fn stage_verdict(
         &self,
         dev: &mut Device,
@@ -1994,12 +1921,14 @@ impl MonitorEngine {
         i: u32,
         action: OnFail,
         path: Option<u32>,
-    ) -> Result<(usize, VerdictCell), Interrupt> {
-        let count = self.read_verdict_count_cached(dev)?;
-        let value = (i, encode_action(action, path));
-        tx.write(&self.verdict_cells[count as usize], value);
+    ) -> Result<(), Interrupt> {
+        let count = dev.nv_read(&self.verdict_count)?;
+        tx.write(
+            &self.verdict_cells[count as usize],
+            (i, encode_action(action, path)),
+        );
         tx.write(&self.verdict_count, count + 1);
-        Ok((count as usize, value))
+        Ok(())
     }
 
     fn read_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
@@ -2467,7 +2396,8 @@ mod tests {
     }
 
     /// Asserts that `events` warm deliveries cost exactly the static
-    /// warm-cache model of `key`: reads, writes and both byte counts.
+    /// warm-cache model of `key`: no reads at all, and exactly the
+    /// modelled writes and write bytes.
     fn assert_warm_model_exact(
         suite: &MonitorSuite,
         app: &AppGraph,
@@ -2477,13 +2407,8 @@ mod tests {
     ) {
         let n = events as usize;
         let (reads, writes, read_bytes, write_bytes) = tally_start_events(suite, app, events);
-        assert_eq!(reads, key.cached_reads * n, "read model drifted ({ctx})");
+        assert_eq!((reads, read_bytes), (0, 0), "warm reads ({ctx})");
         assert_eq!(writes, key.writes * n, "write model drifted ({ctx})");
-        assert_eq!(
-            read_bytes,
-            key.cached_read_bytes * n,
-            "read-byte model drifted ({ctx})"
-        );
         assert_eq!(
             write_bytes,
             key.write_bytes * n,
@@ -2492,36 +2417,13 @@ mod tests {
     }
 
     /// Pins the static FRAM cost model of `artemis_ir::analysis::bounds`
-    /// to the engine it describes: for the dispatch-benchmark-shaped
-    /// suite, where every machine degrades to whole-block commits, the
-    /// warm per-event model equals what the engine bills — in ops and
-    /// bytes, at 8 machines and past 64.
-    #[test]
-    fn bounds_model_matches_engine() {
-        const EVENTS: u64 = 20;
-        for machines in PIN_SIZES {
-            let (suite, app) = dispatch_suite(machines, 12);
-            let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-            let key = start_t0_key(&compiled);
-            assert_eq!(key.machines, machines);
-            assert_eq!(key.emitters, 0);
-            // Every machine degrades to whole-block commits, so the warm-
-            // cache bound keeps exactly the 2-entry commit protocol reads.
-            assert_eq!(key.degraded_machines, machines);
-            assert_eq!(key.cached_reads, machines * 5);
-            assert_eq!(key.cold_extra_reads, 2 + machines);
-            assert_warm_model_exact(&suite, &app, &key, EVENTS, &format!("{machines} machines"));
-        }
-    }
-
-    /// The delta-commit twin of [`bounds_model_matches_engine`], on a
-    /// suite where the engine's dirty-diff records coincide with the
-    /// slot-granular records the model prices: every machine flips its
-    /// state and a `Bool` slot 8 bytes past the state byte on every
-    /// event, so each commit carries exactly two one-byte runs (no
-    /// merge) plus the done bit. One span read plus `|W| + 3` journalled
-    /// writes per machine must equal the engine's billing exactly, at 8
-    /// machines and past 64.
+    /// to the engine it describes, on a suite where the engine's
+    /// dirty-diff records coincide with the slot-granular records the
+    /// model prices: every machine flips its state and a `Bool` slot 8
+    /// bytes past the state byte on every event, so each commit carries
+    /// exactly two one-byte runs (no merge) plus the done bit. One span
+    /// read plus `|W| + 3` journalled writes per machine must equal the
+    /// engine's billing exactly, at 8 machines and past 64.
     #[test]
     fn bounds_model_matches_engine_delta() {
         const EVENTS: u64 = 20;
@@ -2530,19 +2432,14 @@ mod tests {
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
             let key = start_t0_key(&compiled);
             assert_eq!(key.machines, machines);
-            assert_eq!(key.delta_machines, machines, "all machines must go sparse");
-            assert_eq!(key.degraded_machines, 0);
             // Arming (2r+8w) + worklist setup (4r) + per machine 1 span
             // read and |W|+2+3 = 6 sparse-commit writes + 1 readback read.
             assert_eq!(key.reads, 2 + 4 + machines + 1);
             assert_eq!(key.writes, 8 + machines * 6);
-            // Every commit on this key is sparse: warm deliveries are
-            // WRITE-ONLY (the headline cache bound), and a reboot's
-            // refill is flag + seq + one whole-block fill per armed
-            // machine.
-            assert_eq!(key.cached_reads, 0);
+            // Warm deliveries are WRITE-ONLY (the headline cache bound),
+            // and a reboot's refill is flag + seq + one whole-block fill
+            // per armed machine.
             assert_eq!(key.cold_extra_reads, 2 + machines);
-            assert_eq!(key.cached_ops(), key.writes);
             assert_warm_model_exact(&suite, &app, &key, EVENTS, &format!("{machines} machines"));
         }
     }
@@ -2699,24 +2596,22 @@ mod tests {
         assert_eq!(engine_i.exec_stats(), ExecStats::default());
     }
 
-    /// The energy twin of [`bounds_model_matches_engine`]: per-event
-    /// predicted warm delivery energy (ops, bytes and cycles priced
-    /// through the device's cost model) must equal the simulator's
-    /// measured monitor-category draw exactly, on both the degraded
-    /// (whole-block) and the flip (sparse, diff = slot-granular)
-    /// workloads, and the warm-or-cold ceiling must dominate it. This is
-    /// what lets the install-time feasibility analysis trust its
-    /// per-attempt numbers.
+    /// The energy twin of [`bounds_model_matches_engine_delta`]:
+    /// per-event predicted warm delivery energy (ops, bytes and cycles
+    /// priced through the device's cost model) must equal the
+    /// simulator's measured monitor-category draw exactly on the flip
+    /// workload (diff = slot-granular), and dominate it on the dense
+    /// workload, whose dirty diffs undercut the slot-granular model;
+    /// the warm-or-cold ceiling must dominate both. This is what lets
+    /// the install-time feasibility analysis trust its per-attempt
+    /// numbers.
     #[test]
     fn energy_model_matches_engine() {
         use artemis_ir::analysis::{event_energy, event_energy_cached};
 
         const EVENTS: u64 = 20;
 
-        for (label, (suite, app)) in [
-            ("degraded", dispatch_suite(8, 12)),
-            ("flip", flip_suite(8, 4)),
-        ] {
+        for (exact, (suite, app)) in [(false, dispatch_suite(8, 12)), (true, flip_suite(8, 4))] {
             let t0 = app.task_by_name("t0").unwrap();
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
             let key = start_t0_key(&compiled);
@@ -2733,11 +2628,12 @@ mod tests {
                     .unwrap();
             }
             let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
-            assert_eq!(
-                spent,
-                event_energy_cached(&key, &model).saturating_mul(EVENTS),
-                "energy model drifted ({label})"
-            );
+            let warm = event_energy_cached(&key, &model).saturating_mul(EVENTS);
+            if exact {
+                assert_eq!(spent, warm, "energy model drifted");
+            } else {
+                assert!(spent < warm, "dense diffs must undercut the model");
+            }
             assert!(spent <= event_energy(&key, &model).saturating_mul(EVENTS));
         }
     }
@@ -3038,7 +2934,6 @@ mod tests {
             let t0 = app.task_by_name("t0").unwrap();
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
             let key = start_t0_key(&compiled);
-            assert_eq!(key.cached_reads, 0);
 
             let mut dev = DeviceBuilder::msp430fr5994().build();
             let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
@@ -3052,7 +2947,7 @@ mod tests {
             // cold reads (journal flag + worklist count + done bitmap);
             // the next delivery pays the cold refill, bounded by
             // cold_extra_reads.
-            let per_reboot_bound = 3 + key.cold_extra_reads + key.cached_reads;
+            let per_reboot_bound = 3 + key.cold_extra_reads;
             for r in 0..REBOOTS {
                 dev.power_cycle();
                 let reads0 = dev.fram().read_ops();
@@ -3235,9 +3130,8 @@ mod tests {
             engine.reset_monitor(&mut dev).unwrap();
 
             // Every machine steps exactly once per event, and a warm
-            // delivery stays write-only — which only sparse delta
-            // commits out of the shadow cache achieve (a whole-block
-            // commit re-reads its journal entries).
+            // delivery stays write-only: steps load from the shadow
+            // cache and their sparse commits never re-read the journal.
             for seq in 1..=3u64 {
                 let reads0 = dev.fram().read_ops();
                 engine

@@ -684,8 +684,7 @@ fn optimizer_crash_windows_preserve_verdicts_and_state() {
 // not, the `a == b` invariant breaks at the next recovery point.
 // ---------------------------------------------------------------------------
 
-/// Ten variables, two written per event: 2/10 is far below the ¾
-/// degrade threshold, so every commit takes the sparse-delta format.
+/// Ten variables, two written per event by the same transition.
 const TWIN_IR: &str = "\
     machine twin task a persistent { \
         var a: int = 0; var b: int = 0; \
@@ -702,20 +701,16 @@ const TWIN_IR: &str = "\
 fn sparse_delta_commit_crash_windows_never_tear() {
     let app = rich_app();
 
-    // Guard the premise: the compiled access set must put this machine
-    // on the sparse path, not the degraded whole-block path.
+    // Guard the premise: both counters are written by one step, so one
+    // sparse record carries both.
     let suite = artemis_ir::parse::parse_suite(TWIN_IR).unwrap();
     let compiled = artemis_ir::CompiledSuite::compile(&suite, &app).unwrap();
-    let key = artemis_ir::suite_bounds(&compiled)
-        .per_key
-        .into_iter()
-        .find(|c| c.task == Some(0))
-        .unwrap();
+    let access = compiled.machines()[0].access(artemis_core::event::EventKind::StartTask, 0);
     assert_eq!(
-        key.delta_machines, 1,
-        "twin machine must take the delta path"
+        access.writes,
+        vec![0, 1],
+        "twin step must write both counters"
     );
-    assert_eq!(key.degraded_machines, 0);
     twin_crash_sweep(TWIN_IR);
 }
 
