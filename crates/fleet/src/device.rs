@@ -1,7 +1,6 @@
 //! One fleet member: a complete simulated device and its installed
 //! runtime, packaged as a single self-contained [`Send`] value.
 
-use artemis_core::trace::TraceEvent;
 use artemis_runtime::ArtemisRuntime;
 use intermittent_sim::device::Device;
 use intermittent_sim::simulator::RunLimit;
@@ -35,9 +34,9 @@ pub struct DeviceSample {
     pub consumed_micro_joules: u64,
     /// Simulated time the run covered, in microseconds.
     pub sim_micros: u64,
-    /// Violations per monitor index of the installed suite, counted
-    /// from the device trace (a bounded trace undercounts once it
-    /// wraps — deterministically, since the trace is per-device).
+    /// Violations per monitor index of the installed suite, from the
+    /// runtime's own counter ([`ArtemisRuntime::violations`]) — exact
+    /// whatever the device trace keeps.
     pub violations: Vec<u64>,
 }
 
@@ -49,21 +48,13 @@ impl FleetDevice {
     pub fn run(mut self) -> DeviceSample {
         let started = self.dev.now();
         let outcome = self.rt.run_once(&mut self.dev, self.limit);
-        let mut violations = vec![0u64; self.rt.engine().machine_count()];
-        for r in self.dev.trace().records() {
-            if let TraceEvent::Violation { monitor, .. } = &r.event {
-                if let Some(n) = violations.get_mut(*monitor as usize) {
-                    *n += 1;
-                }
-            }
-        }
         DeviceSample {
             completed: outcome.is_completed(),
             events: self.rt.events_delivered(&self.dev),
             reboots: self.dev.reboots(),
             consumed_micro_joules: self.dev.stats().consumed.as_nano_joules() / 1_000,
             sim_micros: self.dev.now().duration_since(started).as_micros(),
-            violations,
+            violations: self.rt.violations().to_vec(),
         }
     }
 }

@@ -5,6 +5,7 @@
 
 use artemis_core::app::AppGraphBuilder;
 use artemis_core::time::SimDuration;
+use artemis_core::trace::TraceEvent;
 use artemis_fleet::{run_fleet, run_shards, DeviceSample, FleetConfig, FleetDevice, FleetStats};
 use artemis_runtime::ArtemisRuntimeBuilder;
 use intermittent_sim::capacitor::Capacitor;
@@ -99,6 +100,66 @@ fn merged_stats_are_identical_for_every_worker_count() {
     }
     let b = baseline.expect("at least one sweep ran");
     assert!(b.reboots > 0, "stochastic supplies produced no reboots");
+}
+
+/// A device whose `send` always overruns its 1 ms `maxDuration`, so
+/// every attempt ends in a violation and a `restartTask` — hundreds of
+/// violations in one second of simulated time. `trace_cap` bounds the
+/// trace (`None`: unbounded).
+fn overrunning_device(trace_cap: Option<usize>) -> FleetDevice {
+    let mut b = AppGraphBuilder::new();
+    let sense = b.task("sense");
+    let send = b.task("send");
+    b.path(&[sense, send]);
+    let app = b.build().expect("graph is valid");
+    let suite = artemis_ir::compile("send: { maxDuration: 1ms onFail: restartTask; }", &app)
+        .expect("spec compiles");
+    let mut rb = ArtemisRuntimeBuilder::new(app);
+    rb.body("sense", |ctx| ctx.compute(1_000));
+    rb.body("send", |ctx| ctx.compute(2_000));
+    let builder = DeviceBuilder::msp430fr5994();
+    let mut dev = match trace_cap {
+        Some(cap) => builder.trace_bounded(cap),
+        None => builder,
+    }
+    .build();
+    let rt = rb.install(&mut dev, suite).expect("workload installs");
+    FleetDevice {
+        dev,
+        rt,
+        limit: RunLimit::sim_time(SimDuration::from_secs(1)),
+    }
+}
+
+/// Per-monitor violation counts come from the runtime's own counter:
+/// equal to the `Violation` records of an unbounded trace, and
+/// unchanged when the trace is bounded to 8 records and wraps.
+#[test]
+fn violation_counts_survive_a_wrapping_trace() {
+    let traced = |fd: &FleetDevice| {
+        let mut counts = vec![0u64; fd.rt.engine().machine_count()];
+        for r in fd.dev.trace().records() {
+            if let TraceEvent::Violation { monitor, .. } = r.event {
+                counts[monitor as usize] += 1;
+            }
+        }
+        counts
+    };
+
+    let mut full = overrunning_device(None);
+    full.rt.run_once(&mut full.dev, full.limit);
+    let counts = full.rt.violations().to_vec();
+    assert!(counts[0] > 100, "too few violations: {counts:?}");
+    assert_eq!(counts, traced(&full));
+
+    let mut bounded = overrunning_device(Some(8));
+    bounded.rt.run_once(&mut bounded.dev, bounded.limit);
+    assert_eq!(bounded.rt.violations(), counts);
+    assert!(
+        traced(&bounded)[0] < counts[0],
+        "the bounded trace must have dropped violation records"
+    );
+    assert_eq!(overrunning_device(Some(8)).run().violations, counts);
 }
 
 #[test]

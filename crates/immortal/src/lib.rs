@@ -124,9 +124,9 @@ impl Routine {
 
     /// Stages a new activation into a pending transaction, so arming
     /// becomes atomic with whatever state the caller commits alongside
-    /// it (e.g. the monitor engine's event + sequence number: a power
-    /// failure can then never separate "event recorded" from "steps
-    /// armed").
+    /// it (e.g. the reference monitor engine's event + sequence number:
+    /// a power failure can then never separate "event recorded" from
+    /// "steps armed").
     pub fn stage_begin(&self, tx: &mut TxWriter, n_steps: u32) {
         tx.write(&self.pc, 0u32);
         tx.write(&self.len, n_steps);

@@ -3,9 +3,9 @@
 //! Walks the routing index and dispatch tables to bound, per event key
 //! `(kind, task)`, what one delivered event can cost the monitor
 //! engine's production path (compiled, routed): FRAM read/write
-//! operations and the largest single journal commit in bytes. The
+//! operations and the size of the event's journal record in bytes. The
 //! bounds are compared against the journal capacity at install time —
-//! a suite whose worst-case commit cannot fit is rejected *before* it
+//! a suite whose worst-case record cannot fit is rejected *before* it
 //! allocates, instead of faulting with `JournalOverflow` mid-run — and
 //! against measured dispatch-benchmark numbers in `artemis-bench`
 //! (static must dominate measured).
@@ -16,73 +16,66 @@
 //! `intermittent-sim`'s journal byte-for-byte; they are pinned by tests
 //! in those crates (`bounds_model_matches_engine_delta` in the monitor
 //! crate, the dominance assertion in the dispatch benchmark). The sim
-//! bills one FRAM op per `read_raw`/`write_raw` call. Every production
-//! commit is a **sparse** record: a commit of `k` sub-writes costs `0`
-//! reads and `k+3` writes (stage the whole record in one write, set the
-//! flag, apply each sub-write from RAM, clear the flag).
+//! bills one FRAM op per `read_raw`/`write_raw` call. A production
+//! delivery under a fresh sequence number commits **one sparse
+//! record**: a record of `k` sub-writes costs `0` reads and `k+3`
+//! writes (stage the whole record in one write, set the flag, apply
+//! each sub-write from RAM, clear the flag).
 //!
 //! Per delivered event, using each key's static
 //! [`AccessSet`](crate::compile::AccessSet):
 //!
-//! - **arming**: recovery-flag read + sequence read, then one 5-sub-
-//!   write sparse commit (event, seq, verdict count, worklist, done
-//!   bitmap) — 2 reads, 8 writes, `87 + 2·n` record bytes for `n`
-//!   armed machines;
-//! - **worklist setup**: count + bitmap + items + event reads — 4 reads
-//!   (2 when the worklist is empty, as the items and event are never
-//!   read);
-//! - **per armed machine**, worst case (effectful step): covering-span
-//!   read + sparse commit of state + every write-set slot + done bit —
-//!   1 read, `|W| + 5` writes (the engine's dirty-diff record never
-//!   exceeds this slot-granular one); if any dispatched transition
-//!   emits: + verdict-count read + the verdict cell and count
-//!   sub-writes;
-//! - **verdict readback**: count read + one read per possible emitter.
+//! - **reads** (the uncached pattern): recovery flag + sequence number,
+//!   then one covering-span read per armed machine; and the verdict
+//!   readback (count + one cell per possible emitter) a redelivery of a
+//!   committed sequence number pays instead;
+//! - **the record**, worst case: the sequence number and the verdict
+//!   count, per armed machine its state word + every write-set slot
+//!   (the engine's dirty-diff runs never exceed these slot-granular
+//!   sub-writes), and one verdict cell per possible emitter — `k + 3`
+//!   writes for those `k` sub-writes.
 //!
-//! [`SuiteBounds::worst_commit_bytes`] also covers the whole-suite
-//! reset commit and the full-scan commit format, which the production
-//! engine never stages: a documented over-approximation that keeps the
-//! derived journal capacity — and with it the FRAM footprint — fixed.
+//! [`SuiteBounds::worst_commit_bytes`] is the larger of the whole-suite
+//! reset record and the worst key's whole-event record: the derived
+//! journal capacity.
 //!
-//! The static bound dominates the dynamic cost because arming-time
+//! The static bound dominates the dynamic cost because delivery-time
 //! `Path:` filtering only ever *shrinks* the worklist below the routing
-//! index's interest list, effectless steps complete with a single
-//! plain write instead of a commit, and a step's dynamic write set is
-//! a subset of the static one.
+//! index's interest list, a step's dynamic diff runs are at most its
+//! static sub-writes, and at most the emitters that fire log a verdict.
 //!
 //! # Cache-aware bounds
 //!
 //! The engine's volatile shadow cache serves every *input* read of a
-//! steady-state delivery — recovery flag, sequence, armed worklist,
-//! event, machine spans, verdict log — from RAM, and a sparse commit
-//! never re-reads the journal. So a warm delivery makes no FRAM read
-//! at all: the warm read bound is exactly `0` on every key, and a warm
-//! delivery costs [`EventCost::writes`] ops.
+//! steady-state delivery — recovery flag, sequence number, machine
+//! spans, verdict log — from RAM, and a sparse commit never re-reads
+//! the journal. So a warm delivery makes no FRAM read at all: the warm
+//! read bound is exactly `0` on every key, and a warm delivery costs
+//! [`EventCost::writes`] ops.
 //!
 //! The first delivery after a reboot refills the shadow: the recovery
 //! flag, the sequence number, and one **whole-block** fill per armed
 //! machine ([`EventCost::cold_extra_reads`]). The fill reads the whole
 //! block where the uncached pattern reads only the covering span, and
-//! a delivery resumed through `monitorFinalize` may first have to
-//! replay a sparse commit the power failure tore, re-reading its
-//! journal record (count word, then header and payload per sub-write).
-//! So a post-reboot delivery — fresh or resumed — makes at most
+//! the reboot's `monitorFinalize` may first have to replay the record
+//! the power failure tore, re-reading it from the journal (count word,
+//! then header and payload per sub-write). So a post-reboot delivery —
+//! fresh, or the redelivery after a replay — makes at most
 //! [`EventCost::reads`] + [`EventCost::replay_reads`] read ops and
 //! moves at most [`EventCost::read_bytes`] +
 //! [`EventCost::cold_extra_read_bytes`] read bytes. Write bounds are
-//! identical warm and cold: the cache is write-through and never
-//! changes what the engine commits, and a replay applies what the torn
-//! commit would have applied.
+//! identical warm and cold: the cache never changes what the engine
+//! commits, and a replay applies what the torn record would have
+//! applied.
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
+use intermittent_sim::journal::MAX_SUB_WRITES;
 
 use crate::compile::{CompiledMachine, CompiledSuite};
 
 /// Journal entry header bytes (`addr: u32` + `len: u16`).
 const ENTRY_HEADER: usize = 6;
-/// Encoded size of the pending-event cell (`EncodedEvent`).
-const ENCODED_EVENT_BYTES: usize = 31;
 /// Sequence cell (`u64`).
 const U64_BYTES: usize = 8;
 /// Verdict count (`u32`).
@@ -113,11 +106,6 @@ const fn replay_reads(k: usize) -> usize {
     1 + 2 * k
 }
 
-/// Component-wise maximum of two (read ops, bytes) pairs.
-fn max_pair(a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
-    (a.0.max(b.0), a.1.max(b.1))
-}
-
 /// Journal payload bytes of one entry carrying `data` bytes. Sub-write
 /// slots of a sparse record have the same header, plus the record's
 /// leading `count: u16` accounted separately ([`sparse_record_bytes`]).
@@ -131,15 +119,16 @@ const fn sparse_record_bytes(entries_bytes: usize) -> usize {
     2 + entries_bytes
 }
 
-/// Journal bytes of a `u16` list entry with `n` items.
-const fn u16_list_entry_bytes(n: usize) -> usize {
-    entry_bytes(2 + 2 * n)
-}
-
-/// Bytes of the engine's completion bitmap for `machines` installed
-/// machines: one bit per machine, rounded up to whole bytes.
-pub fn done_bytes(machines: usize) -> usize {
-    machines.div_ceil(8).max(1)
+/// Writes, write bytes and record bytes of one sparse record committing
+/// `k` sub-writes of `data` payload bytes in total: the staged record,
+/// the flag set, each payload, the flag clear.
+const fn record_cost(k: usize, data: usize) -> (usize, usize, usize) {
+    let record = sparse_record_bytes(ENTRY_HEADER * k + data);
+    (
+        sparse_commit_writes(k),
+        record + data + 2 * FLAG_BYTES,
+        record,
+    )
 }
 
 /// Encoded bytes of one variable slot.
@@ -157,50 +146,51 @@ pub struct EventCost {
     /// Machines the routing index arms for this key.
     pub machines: usize,
     /// Of those, machines with at least one dispatched emitting
-    /// transition (they pay the verdict-logging surcharge).
+    /// transition (each may log a verdict cell).
     pub emitters: usize,
-    /// Worst-case FRAM read operations.
+    /// Worst-case FRAM read operations of the uncached read pattern.
     pub reads: usize,
-    /// Worst-case FRAM write operations.
+    /// Worst-case FRAM write operations: the event's one record.
     pub writes: usize,
     /// FRAM reads the first delivery after a reboot pays to refill the
     /// shadow (a warm delivery reads nothing): the recovery flag, the
     /// sequence number, and one whole-block fill per armed machine
     /// (the fill is one op, same as the uncached span read).
     pub cold_extra_reads: usize,
-    /// FRAM reads of replaying the largest sparse record this key can
-    /// leave torn (count word + header and payload per sub-write): a
-    /// post-reboot delivery — fresh, or resumed through
-    /// `monitorFinalize` — makes at most `reads + replay_reads` read
-    /// ops.
+    /// FRAM reads of replaying this key's worst-case record after a
+    /// power failure tore it (count word + header and payload per
+    /// sub-write): a post-reboot delivery makes at most `reads +
+    /// replay_reads` read ops.
     pub replay_reads: usize,
     /// Extra FRAM bytes a post-reboot delivery can read beyond
-    /// [`EventCost::read_bytes`]: each armed machine's refill
-    /// reads its whole block where the uncached pattern reads only the
-    /// covering span, and a torn sparse record is re-read for replay.
-    /// A post-reboot delivery — fresh, or resumed through
-    /// `monitorFinalize` — reads at most `read_bytes +
-    /// cold_extra_read_bytes` bytes.
+    /// [`EventCost::read_bytes`]: each armed machine's refill reads its
+    /// whole block where the uncached pattern reads only the covering
+    /// span, and a torn record is re-read for replay. A post-reboot
+    /// delivery reads at most `read_bytes + cold_extra_read_bytes`
+    /// bytes.
     pub cold_extra_read_bytes: usize,
-    /// Largest single journal commit, in payload bytes.
+    /// Journal payload bytes of the key's worst-case whole-event record.
     pub commit_bytes: usize,
     /// Worst-case FRAM bytes read by the uncached read pattern (every
     /// input read from FRAM once, machine blocks read up to their
     /// covering span); per-byte traffic is priced on top of the per-op
     /// base by the sim's cost model.
     pub read_bytes: usize,
-    /// Worst-case FRAM bytes written (identical warm and cold: the
-    /// shadow is write-through).
+    /// Worst-case FRAM bytes written (identical warm and cold).
     pub write_bytes: usize,
     /// Worst-case engine CPU cycles charged for the delivery (routing
     /// lookup + per-machine dispatch + per-transition stepping).
     pub cycles: u64,
-    /// FRAM write ops of the arming commit alone — a floor *every*
-    /// delivered event pays before any machine steps, warm or cold
-    /// (the cache is write-through and never absorbs writes).
-    pub arming_writes: usize,
-    /// FRAM bytes the arming commit alone writes.
-    pub arming_write_bytes: usize,
+    /// FRAM write ops of the smallest record a fresh delivery commits —
+    /// the sequence number and the verdict count, which every record
+    /// carries. A floor every delivery pays, warm or cold.
+    pub floor_writes: usize,
+    /// FRAM bytes that smallest record writes.
+    pub floor_write_bytes: usize,
+    /// Cycles every fresh delivery is billed: the routing lookup plus
+    /// the step ceiling of each armed machine without a `Path:`
+    /// qualifier (only those are certain to be on the worklist).
+    pub floor_cycles: u64,
 }
 
 impl EventCost {
@@ -216,7 +206,8 @@ pub struct SuiteBounds {
     /// Every `(kind, task)` key of the application graph plus the two
     /// wildcard keys.
     pub per_key: Vec<EventCost>,
-    /// Largest single journal commit any event can stage, in bytes.
+    /// Largest single journal record any event or the reset can stage,
+    /// in bytes — the derived journal capacity.
     pub worst_commit_bytes: usize,
     /// Bytes of the whole-suite reset commit (`resetMonitor` re-images
     /// every machine block in one transaction).
@@ -237,7 +228,8 @@ impl SuiteBounds {
 pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
     let machines = compiled.machines();
     let task_count = compiled.task_count();
-    let done_b = done_bytes(machines.len());
+    // Every record carries the sequence number and the verdict count.
+    let (floor_writes, floor_write_bytes, _) = record_cost(2, U64_BYTES + U32_BYTES);
 
     let mut per_key = Vec::with_capacity(2 * (task_count + 1));
     for kind in [EventKind::StartTask, EventKind::EndTask] {
@@ -251,35 +243,16 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
             };
             let armed = compiled.routing().interested(kind, probe);
 
-            // Arming: recovery flag + seq reads, then one 5-sub-write
-            // sparse commit.
+            // Recovery flag + sequence number.
             let mut reads = 2;
             let mut read_bytes = FLAG_BYTES + U64_BYTES;
-            let mut writes = sparse_commit_writes(5);
-            let arming_entry_bytes = entry_bytes(ENCODED_EVENT_BYTES)
-                + entry_bytes(U64_BYTES)
-                + entry_bytes(U32_BYTES)
-                + u16_list_entry_bytes(armed.len())
-                + entry_bytes(done_b);
-            // A sparse commit writes the staged record, the flag, each
-            // sub-write's payload, and the flag clear.
-            let arming_data_bytes =
-                ENCODED_EVENT_BYTES + U64_BYTES + U32_BYTES + (2 + 2 * armed.len()) + done_b;
-            let arming_write_bytes =
-                sparse_record_bytes(arming_entry_bytes) + arming_data_bytes + 2 * FLAG_BYTES;
-            let mut write_bytes = arming_write_bytes;
-            let mut commit = sparse_record_bytes(arming_entry_bytes);
-            // The largest sparse record a reboot can leave to replay, in
-            // read ops and in record bytes.
-            let mut replay = (replay_reads(5), commit);
-            reads += if armed.is_empty() { 2 } else { 4 };
-            read_bytes += if armed.is_empty() {
-                2 + done_b
-            } else {
-                2 + done_b + 2 * armed.len() + ENCODED_EVENT_BYTES
-            };
             let mut cycles = ROUTING_LOOKUP_CYCLES;
+            // The record's sub-writes and payload bytes, seeded with
+            // the sequence number and the verdict count.
+            let mut k = 2;
+            let mut data = U64_BYTES + U32_BYTES;
 
+            let mut floor_cycles = ROUTING_LOOKUP_CYCLES;
             let mut emitters = 0;
             let mut cold_extra_read_bytes = 0;
             for &mi in armed {
@@ -292,56 +265,48 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 // The engine bills the key's static step ceiling (the
                 // cycle-priced worst path through its dispatched
                 // transitions) — identical table, so the bound is exact.
-                cycles += COMPILED_DISPATCH_CYCLES + m.step_cost(kind, probe).cycles;
-                let block_b = m.layout().block_len;
-                if emits {
-                    emitters += 1;
+                let step_cycles = COMPILED_DISPATCH_CYCLES + m.step_cost(kind, probe).cycles;
+                cycles += step_cycles;
+                if compiled.machine_path(mi as usize).is_none() {
+                    floor_cycles += step_cycles;
                 }
 
-                // Covering-span read, verdict-count read if emitting.
-                reads += 1 + usize::from(emits);
+                // Covering-span read; a cold refill reads the whole
+                // block instead.
+                reads += 1;
                 let span_b = m.layout().span(access.max_touched_slot());
-                read_bytes += span_b + if emits { U32_BYTES } else { 0 };
-                // A cold refill reads the whole block, not the span.
-                cold_extra_read_bytes += block_b - span_b;
-                // Sub-writes: state word + every write-set slot + done
-                // bit (+ verdict cell and count). The engine's dirty-diff
-                // record only ever commits fewer runs and fewer bytes:
-                // changed bytes live inside the state word and write-set
-                // slots, at most one run forms per field, and the
-                // gap-merge rule only fires when the 6-byte header it
-                // saves covers the gap bytes it adds — so this
-                // slot-granular bound dominates, and is exact when every
-                // write-set field changes and no runs merge.
-                let state_b = m.layout().state_bytes;
-                let slots_b: usize = access.writes.iter().map(|&s| slot_bytes(m, s)).sum();
-                let mut k = 1 + access.writes.len() + 1;
-                let mut delta_entry_bytes = entry_bytes(state_b)
+                read_bytes += span_b;
+                cold_extra_read_bytes += m.layout().block_len - span_b;
+
+                // Sub-writes: state word + every write-set slot (+ the
+                // verdict cell). The engine's dirty-diff runs only ever
+                // commit fewer runs and fewer bytes: changed bytes live
+                // inside the state word and write-set slots, at most
+                // one run forms per field, and the gap-merge rule only
+                // fires when the 6-byte header it saves covers the gap
+                // bytes it adds — so this slot-granular bound
+                // dominates, and is exact when every write-set field
+                // changes and no runs merge.
+                k += 1 + access.writes.len();
+                data += m.layout().state_bytes
                     + access
                         .writes
                         .iter()
-                        .map(|&s| entry_bytes(slot_bytes(m, s)))
-                        .sum::<usize>()
-                    + entry_bytes(done_b);
-                let mut delta_data = state_b + slots_b + done_b;
+                        .map(|&s| slot_bytes(m, s))
+                        .sum::<usize>();
                 if emits {
-                    k += 2;
-                    delta_entry_bytes += entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES);
-                    delta_data += VERDICT_BYTES + U32_BYTES;
+                    emitters += 1;
+                    k += 1;
+                    data += VERDICT_BYTES;
                 }
-                writes += sparse_commit_writes(k);
-                write_bytes += sparse_record_bytes(delta_entry_bytes) + delta_data + 2 * FLAG_BYTES;
-                replay = max_pair(
-                    replay,
-                    (replay_reads(k), sparse_record_bytes(delta_entry_bytes)),
-                );
-                commit = commit.max(sparse_record_bytes(delta_entry_bytes));
             }
 
-            // Verdict readback: count + one cell per possible emitter.
+            // Verdict readback of a redelivery: count + one cell per
+            // possible emitter.
             reads += 1 + emitters;
             read_bytes += U32_BYTES + VERDICT_BYTES * emitters;
 
+            let (writes, write_bytes, commit_bytes) = record_cost(k, data);
             per_key.push(EventCost {
                 kind,
                 task,
@@ -352,14 +317,15 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
                 // Recovery flag + seq + one whole-block fill per armed
                 // machine.
                 cold_extra_reads: 2 + armed.len(),
-                replay_reads: replay.0,
-                cold_extra_read_bytes: cold_extra_read_bytes + replay.1,
-                commit_bytes: commit,
+                replay_reads: replay_reads(k),
+                cold_extra_read_bytes: cold_extra_read_bytes + commit_bytes,
+                commit_bytes,
                 read_bytes,
                 write_bytes,
                 cycles,
-                arming_writes: sparse_commit_writes(5),
-                arming_write_bytes,
+                floor_writes,
+                floor_write_bytes,
+                floor_cycles,
             });
         }
     }
@@ -369,41 +335,14 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
         .map(|m| entry_bytes(m.layout().block_len))
         .sum::<usize>()
         + entry_bytes(U32_BYTES) // verdict count
-        + entry_bytes(U64_BYTES) // seq
-        + u16_list_entry_bytes(0) // empty worklist
-        + entry_bytes(done_b); // done bitmap
-
-    // The full-scan commit format — arming by staging a step routine's
-    // `pc` + `len` cells instead of the worklist + done bitmap, each
-    // step completing through a 4-byte `pc` rather than a done bit,
-    // over packed blocks — joins the capacity max as a documented
-    // over-approximation: the production engine never stages it, but
-    // it keeps the derived capacity (and so the FRAM footprint)
-    // unchanged.
-    let scan_arming_bytes = entry_bytes(ENCODED_EVENT_BYTES)
-        + entry_bytes(U64_BYTES)
-        + entry_bytes(U32_BYTES)
-        + 2 * entry_bytes(U32_BYTES);
-    let scan_step_bytes = machines
-        .iter()
-        .map(|m| {
-            let mut b = entry_bytes(m.layout().block_len) + entry_bytes(U32_BYTES);
-            if m.transitions.iter().any(|t| t.emit.is_some()) {
-                b += entry_bytes(VERDICT_BYTES) + entry_bytes(U32_BYTES);
-            }
-            b
-        })
-        .max()
-        .unwrap_or(0);
+        + entry_bytes(U64_BYTES); // seq
 
     let worst_commit_bytes = per_key
         .iter()
         .map(|c| c.commit_bytes)
         .max()
         .unwrap_or(0)
-        .max(reset_commit_bytes)
-        .max(scan_arming_bytes)
-        .max(scan_step_bytes);
+        .max(reset_commit_bytes);
 
     SuiteBounds {
         per_key,
@@ -432,14 +371,27 @@ pub fn check_bounds(compiled: &CompiledSuite, journal_capacity: Option<usize>) -
         ));
     }
     for c in &b.per_key {
-        if c.commit_bytes > capacity {
-            let task = match c.task {
-                Some(t) => compiled.task_name(t).to_string(),
-                None => "<out-of-graph>".to_string(),
-            };
+        let task = match c.task {
+            Some(t) => compiled.task_name(t).to_string(),
+            None => "<out-of-graph>".to_string(),
+        };
+        let subject = format!("event {:?}({task})", c.kind);
+        // `writes` is the record's sub-writes plus stage, flag and clear.
+        let sub_writes = c.writes - 3;
+        if sub_writes > MAX_SUB_WRITES {
             diags.push(Diagnostic::error(
                 "bounds",
-                format!("event {:?}({task})", c.kind),
+                subject.clone(),
+                format!(
+                    "a record of {sub_writes} sub-writes exceeds the {MAX_SUB_WRITES} \
+                     one journal record holds"
+                ),
+            ));
+        }
+        if c.commit_bytes > capacity {
+            diags.push(Diagnostic::error(
+                "bounds",
+                subject,
                 format!(
                     "worst-case commit of {} journal bytes exceeds the capacity of {capacity}",
                     c.commit_bytes
@@ -495,43 +447,26 @@ mod tests {
         let wild = key(EventKind::StartTask, None);
         assert_eq!(wild.machines, 0);
         assert!(start_a.ops() > wild.ops());
-        // Sparse arming (2) + worklist (4) + span load and verdict
-        // count (2) + readback (1 + 1).
-        assert_eq!(start_a.reads, 2 + 4 + 2 + 1 + 1);
-        // Sparse arming (8) + sparse step of state, counter, verdict
-        // cell, verdict count and done bit (5 + 3).
-        assert_eq!(start_a.writes, 8 + 8);
-        assert_eq!(start_a.arming_writes, sparse_commit_writes(5));
+        // Flag + seq (2) + span load (1) + readback count and cell (2).
+        assert_eq!(start_a.reads, 2 + 1 + 1 + 1);
+        // One record: seq, verdict count, state, counter and verdict
+        // cell (5 sub-writes + 3).
+        assert_eq!(start_a.writes, 5 + 3);
+        assert_eq!(start_a.floor_writes, sparse_commit_writes(2));
         // Cold refill = flag + seq + 1 block.
         assert_eq!(start_a.cold_extra_reads, 2 + 1);
-        // Byte pins for the emitting key (1-byte done bitmap for 2
-        // machines).
         let state = m.layout().state_bytes;
         let slot = slot_bytes(m, 0);
         let span = m.layout().span(Some(0));
-        let done = done_bytes(2);
         assert_eq!(
             start_a.read_bytes,
-            // arming flag+seq, worklist setup, span load, verdict
-            // count, readback count + one cell.
-            (FLAG_BYTES + U64_BYTES)
-                + (2 + done + 2 + ENCODED_EVENT_BYTES)
-                + span
-                + U32_BYTES
-                + (U32_BYTES + VERDICT_BYTES)
+            // flag + seq, span load, readback count + one cell.
+            (FLAG_BYTES + U64_BYTES) + span + (U32_BYTES + VERDICT_BYTES)
         );
-        let step_record = sparse_record_bytes(
-            entry_bytes(state)
-                + entry_bytes(slot)
-                + entry_bytes(VERDICT_BYTES)
-                + entry_bytes(U32_BYTES)
-                + entry_bytes(done),
-        );
-        let step_data = state + slot + VERDICT_BYTES + U32_BYTES + done;
-        assert_eq!(
-            start_a.write_bytes,
-            start_a.arming_write_bytes + step_record + step_data + 2 * FLAG_BYTES
-        );
+        let data = U64_BYTES + U32_BYTES + state + slot + VERDICT_BYTES;
+        let record = sparse_record_bytes(5 * ENTRY_HEADER + data);
+        assert_eq!(start_a.commit_bytes, record);
+        assert_eq!(start_a.write_bytes, record + data + 2 * FLAG_BYTES);
         assert_eq!(start_a.replay_reads, replay_reads(5));
         // One armed machine billing its key's static step ceiling.
         // The maxTries lowering dispatches 3 transitions on its task's
@@ -545,10 +480,17 @@ mod tests {
             start_a.cycles,
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + sc.cycles
         );
-        // An un-armed key still pays the routing lookup and arming
-        // commit, nothing else.
+        // An un-armed key still pays the routing lookup and the
+        // smallest record (seq + verdict count), nothing else.
         assert_eq!(wild.cycles, ROUTING_LOOKUP_CYCLES);
-        assert_eq!(wild.write_bytes, wild.arming_write_bytes);
+        assert_eq!(wild.floor_cycles, ROUTING_LOOKUP_CYCLES);
+        assert_eq!(wild.writes, wild.floor_writes);
+        // Sema gives each property its task's only path, so a delivery
+        // from another path may skip the machine: its step is not
+        // certain work.
+        assert_eq!(cs.machine_path(0), Some(1));
+        assert_eq!(start_a.floor_cycles, ROUTING_LOOKUP_CYCLES);
+        assert_eq!(wild.write_bytes, wild.floor_write_bytes);
         assert!(b.worst_commit_bytes >= b.reset_commit_bytes);
         assert!(b.worst_event().unwrap().ops() >= start_a.ops());
     }
@@ -591,53 +533,47 @@ mod tests {
             .iter()
             .find(|c| c.kind == EventKind::StartTask && c.task == Some(0))
             .unwrap();
-        // Arming flag+seq (2) + worklist (4) + span load (1) +
-        // readback (1).
-        assert_eq!(start_a.reads, 2 + 4 + 1 + 1);
-        // Sparse arming (8) + sparse step of state+slot+done (6).
-        assert_eq!(start_a.writes, 8 + 6);
+        // Flag + seq (2) + span load (1) + readback count (1).
+        assert_eq!(start_a.reads, 2 + 1 + 1);
+        // One record: seq, verdict count, state and slot (4 + 3).
+        assert_eq!(start_a.writes, 4 + 3);
         // v0's unguarded increment widens it to a full 8-byte slot, but
-        // the state (1 state), the done bitmap (1 machine) and the
-        // eleven untouched counters all pack to 1 byte: the span covers
-        // the state and v0 only.
+        // the state (1 state) and the eleven untouched counters all
+        // pack to 1 byte: the span covers the state and v0 only.
         let m = &cs.machines()[0];
         assert_eq!(m.layout().state_bytes, 1);
         assert_eq!(m.layout().span(Some(0)), 1 + 8);
         assert_eq!(m.layout().block_len, 1 + 8 + 11);
         assert_eq!(
             start_a.read_bytes,
-            (FLAG_BYTES + U64_BYTES) + (2 + 1 + 2 + ENCODED_EVENT_BYTES) + (1 + 8) + U32_BYTES
+            (FLAG_BYTES + U64_BYTES) + (1 + 8) + U32_BYTES
         );
-        // The sparse step stages a 3-entry record, then applies 10
-        // payload bytes.
-        let delta_entries = entry_bytes(1) + entry_bytes(8) + entry_bytes(1);
-        let delta_data = 1 + 8 + 1;
-        assert_eq!(
-            start_a.write_bytes,
-            start_a.arming_write_bytes + sparse_record_bytes(delta_entries) + delta_data + 2
-        );
+        // The record stages 4 entries, then applies 21 payload bytes.
+        let data = U64_BYTES + U32_BYTES + 1 + 8;
+        let record = sparse_record_bytes(4 * ENTRY_HEADER + data);
+        assert_eq!(start_a.commit_bytes, record);
+        assert_eq!(start_a.write_bytes, record + data + 2);
         assert_eq!(
             start_a.cycles,
             ROUTING_LOOKUP_CYCLES + COMPILED_DISPATCH_CYCLES + STEP_PER_TRANSITION_CYCLES
         );
+        // A machine without a `Path:` qualifier steps on every event of
+        // its keys, so its step is part of the delivery floor.
+        assert_eq!(cs.machine_path(0), None);
+        assert_eq!(start_a.floor_cycles, start_a.cycles);
         // The cold refill is flag + seq + one whole-block fill — the
-        // eleven bytes past the span are the refill's extra read bytes.
+        // eleven bytes past the span are the refill's extra read bytes,
+        // on top of re-reading a torn record for replay.
         assert_eq!(start_a.cold_extra_reads, 2 + 1);
-        // A reboot can also leave the sparse arming record (5
-        // sub-writes) torn, to be re-read for replay.
-        let arming_record = sparse_record_bytes(
-            entry_bytes(ENCODED_EVENT_BYTES)
-                + entry_bytes(U64_BYTES)
-                + entry_bytes(U32_BYTES)
-                + u16_list_entry_bytes(1)
-                + entry_bytes(1),
+        assert_eq!(start_a.replay_reads, replay_reads(4));
+        assert_eq!(start_a.cold_extra_read_bytes, 11 + record);
+        // The suite's capacity also covers the whole-block reset image.
+        assert!(b.worst_commit_bytes >= entry_bytes(1 + 8 + 11) + entry_bytes(U64_BYTES));
+        assert_eq!(
+            b.worst_commit_bytes,
+            record.max(b.reset_commit_bytes),
+            "the capacity is the larger of the reset and the worst event record"
         );
-        assert_eq!(start_a.replay_reads, replay_reads(5));
-        assert_eq!(start_a.cold_extra_read_bytes, 11 + arming_record);
-        // The key's largest commit is the arming record; the suite's
-        // capacity still covers the whole-block reset image.
-        assert_eq!(start_a.commit_bytes, arming_record);
-        assert!(b.worst_commit_bytes >= entry_bytes(1 + 8 + 11) + entry_bytes(1));
     }
 
     /// Packing changes bytes, never ops: two machines with the same

@@ -35,20 +35,29 @@
 //! direction rests on a bound with the right sign:
 //!
 //! - the **floor** under-approximates any successful attempt: the
-//!   declared body cost plus only the *arming commits* of the two
-//!   events — FRAM writes the engine stages before any machine steps,
-//!   which the write-through shadow cache can never absorb. If even
-//!   the floor exceeds the budget, no attempt can complete on a
-//!   harvester that only recharges between outages (e.g.
-//!   `Harvester::FixedDelay`): **Infeasible** is an error and the
-//!   install is rejected before any FRAM is allocated.
+//!   declared body cost plus the two deliveries' *certain* work. Each
+//!   production delivery is one atomic attempt — nothing it does
+//!   persists unless its one journal record commits — so a delivery
+//!   completes only if all of its work fits in the charge it started
+//!   on: the routing lookup, the step of every armed machine without a
+//!   `Path:` qualifier (the rest may be filtered out), and its smallest
+//!   possible record (the sequence number and the verdict count, which
+//!   every record carries; the shadow cache can never absorb those
+//!   writes). A suite whose per-event monitor work alone outgrows a
+//!   charge is therefore rejected here rather than livelocking, since
+//!   the work no longer spreads over per-machine commits. If even the
+//!   floor exceeds the
+//!   budget, no attempt can complete on a harvester that only
+//!   recharges between outages (e.g. `Harvester::FixedDelay`):
+//!   **Infeasible** is an error and the install is rejected before
+//!   any FRAM is allocated, rather than the device livelocking.
 //! - the **ceiling** over-approximates a worst-case attempt: declared
 //!   body cost + runtime allowance + the worst-case cost of any event
 //!   delivery, warm or cold — the uncached read pattern with each
 //!   armed machine's cold whole-block refill and a torn record's
 //!   replay on top ([`event_energy`]), which dominates a steady-state
-//!   delivery, the first delivery after a reboot, and a delivery
-//!   resumed through `monitorFinalize`. If the ceiling fits under the
+//!   delivery, the first delivery after a reboot, and the replay plus
+//!   redelivery after a torn record. If the ceiling fits under the
 //!   budget less the configured margin, the task is **Feasible**.
 //!   Between the two — the ceiling crosses the margin threshold but
 //!   the floor still fits — the verdict is **Marginal**, surfaced as a
@@ -102,10 +111,18 @@ pub fn event_energy_cached(cost: &EventCost, model: &CostModel) -> Energy {
     model.traffic_energy(0, 0, cost.writes, cost.write_bytes, cost.cycles)
 }
 
-/// Energy of the arming commit alone — the write-only monitor floor
-/// every delivered event pays, warm or cold.
-pub fn arming_energy(cost: &EventCost, model: &CostModel) -> Energy {
-    model.traffic_energy(0, 0, cost.arming_writes, cost.arming_write_bytes, 0)
+/// Energy every fresh delivery of the key pays, warm or cold: the
+/// routing lookup, the steps of the machines certain to be on its
+/// worklist, and the smallest record its one atomic commit can be
+/// (sequence number + verdict count).
+pub fn delivery_floor_energy(cost: &EventCost, model: &CostModel) -> Energy {
+    model.traffic_energy(
+        0,
+        0,
+        cost.floor_writes,
+        cost.floor_write_bytes,
+        cost.floor_cycles,
+    )
 }
 
 /// Energy of one declared task body execution priced through `model`:
@@ -139,7 +156,8 @@ pub struct TaskFeasibility {
     /// Source-level task name.
     pub name: String,
     /// Under-approximation of any successful attempt: declared body
-    /// cost + the two events' arming commits only.
+    /// cost + the two events' delivery floors
+    /// ([`delivery_floor_energy`]).
     pub floor: Energy,
     /// Over-approximation of the worst-case attempt: declared body
     /// cost + [`RUNTIME_ATTEMPT_OVERHEAD`] + the warm-or-cold
@@ -177,7 +195,7 @@ pub fn task_feasibility(
             let mut ceiling = body.saturating_add(RUNTIME_ATTEMPT_OVERHEAD);
             for kind in [EventKind::StartTask, EventKind::EndTask] {
                 if let Some(cost) = key(kind, t) {
-                    floor = floor.saturating_add(arming_energy(cost, &profile.model));
+                    floor = floor.saturating_add(delivery_floor_energy(cost, &profile.model));
                     ceiling = ceiling.saturating_add(event_energy(cost, &profile.model));
                 }
             }
@@ -278,7 +296,7 @@ mod tests {
         assert_eq!(fa.name, "a");
         assert!(fa.floor < fa.ceiling, "{fa:?}");
         // The floor includes the declared body (10k cycles ≈ 3.6 µJ +
-        // 1 ms idle ≈ 3 nJ) plus two write-only arming commits.
+        // 1 ms idle ≈ 3 nJ) plus two deliveries' smallest records.
         assert!(fa.floor > Energy::from_micro_joules(3));
         assert_eq!(fa.verdict, Verdict::Feasible);
         // The undeclared task still pays monitor + runtime overhead.
@@ -349,7 +367,7 @@ mod tests {
         let model = CostModel::msp430fr5994();
         for cost in &b.per_key {
             assert!(event_energy_cached(cost, &model) <= event_energy(cost, &model));
-            assert!(arming_energy(cost, &model) <= event_energy_cached(cost, &model));
+            assert!(delivery_floor_energy(cost, &model) <= event_energy_cached(cost, &model));
         }
     }
 

@@ -45,8 +45,8 @@ pub mod verifier;
 pub use bounds::{check_bounds, suite_bounds, EventCost, SuiteBounds};
 pub use conflicts::check_conflicts;
 pub use energy::{
-    arming_energy, body_energy, check_energy, event_energy, event_energy_cached, task_feasibility,
-    TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
+    body_energy, check_energy, delivery_floor_energy, event_energy, event_energy_cached,
+    task_feasibility, TaskFeasibility, Verdict, RUNTIME_ATTEMPT_OVERHEAD,
 };
 pub use reachability::check_reachability;
 pub use verifier::{verify_machine, MachineEnv};

@@ -1184,6 +1184,9 @@ impl RoutingIndex {
 /// [`RoutingIndex`] over all machines.
 pub struct CompiledSuite {
     machines: Vec<CompiledMachine>,
+    /// Each machine's governing path (`StateMachine::path`): a machine
+    /// with one is skipped for events from other paths.
+    paths: Vec<Option<u32>>,
     task_names: Box<[Box<str>]>,
     max_regs: usize,
     routing: RoutingIndex,
@@ -1218,6 +1221,7 @@ impl CompiledSuite {
         let routing = RoutingIndex::build(&machines, app.task_count())?;
         Ok(CompiledSuite {
             machines,
+            paths: suite.machines().iter().map(|m| m.path).collect(),
             task_names: app
                 .tasks()
                 .iter()
@@ -1236,6 +1240,13 @@ impl CompiledSuite {
     /// The global routing index over all machines.
     pub fn routing(&self) -> &RoutingIndex {
         &self.routing
+    }
+
+    /// Machine `idx`'s governing path, if any: a delivery skips the
+    /// machine for an event from another path, so only machines
+    /// without one are certain to step on every event of their keys.
+    pub fn machine_path(&self, idx: usize) -> Option<u32> {
+        self.paths[idx]
     }
 
     /// Largest scratch register file any machine needs.

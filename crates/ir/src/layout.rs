@@ -18,8 +18,7 @@
 //! - `Bool` slots take 1 byte, `Time`/`Float` slots keep their full
 //!   8-byte payload but drop the tag byte (the slot's runtime type is
 //!   pinned by the machine's declaration — `coerce` never changes a
-//!   slot's variant);
-//! - the per-machine done flags pack into a bitmap (see the engine).
+//!   slot's variant).
 //!
 //! The layout is **derived data**, recomputed from the (possibly
 //! mutated) bytecode in [`crate::compile::CompiledMachine::from_raw`]

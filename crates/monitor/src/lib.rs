@@ -4,24 +4,34 @@
 //! The engine is the runtime realisation of the paper's
 //! application-specific monitors (§3.3–§4.2). It keeps every machine's
 //! `(state, variables)` in FRAM, processes each observable event as
-//! one crash-atomic step per machine, and exposes the paper's three
+//! one crash-atomic journal record, and exposes the paper's three
 //! entry points:
 //!
 //! - [`MonitorEngine::reset_monitor`] — the initial hard reset
 //!   (Figure 8, `resetMonitor`);
 //! - [`MonitorEngine::monitor_finalize`] — called on every reboot to
-//!   complete an event interrupted by a power failure (Figure 8,
+//!   complete an event's record torn by a power failure (Figure 8,
 //!   `monitorFinalize`);
 //! - [`MonitorEngine::call_monitor`] — deliver one event and collect
 //!   verdicts (Figure 9/10, `callMonitor`).
 //!
 //! # Exactly-once event processing
 //!
-//! Every delivery carries a caller-chosen sequence number. A new
-//! sequence number arms the engine atomically (event + verdict reset +
-//! step counter); re-delivering the *same* sequence number resumes or
-//! returns the already-computed verdicts instead of double-stepping the
-//! machines. The ARTEMIS runtime exploits both directions: `StartTask`
+//! Every delivery carries a caller-chosen sequence number. On the
+//! production engine a delivery under a new sequence number is **one
+//! crash-atomic journal record**: every interested machine is stepped
+//! in volatile memory, and a single sparse commit then writes the
+//! sequence number, the verdict cells and count, and every machine's
+//! changed bytes together. A power failure before the record's commit
+//! flag leaves no trace — the event re-runs from scratch when it is
+//! delivered again; a failure after the flag is repaired by journal
+//! replay in [`MonitorEngine::monitor_finalize`]. Re-delivering a
+//! sequence number whose record committed returns the recorded verdicts
+//! instead of double-stepping the machines. Each delivery is therefore
+//! all-or-nothing, which makes "intermittent run ≡ some continuous run"
+//! (Surbatovich et al.) hold per delivery by construction.
+//!
+//! The ARTEMIS runtime exploits both directions: `StartTask`
 //! re-attempts get fresh numbers (attempt counting is the point of
 //! `maxTries`), while `EndTask` events reuse the number fixed in the
 //! task-commit transaction so a power failure can never double-count a
@@ -42,13 +52,13 @@
 //!   the paper's generated C monitors;
 //! - the **reference engine** ([`ExecMode::Interpreter`] +
 //!   [`RoutingMode::FullScan`]) keeps the tree-walking interpreter over
-//!   one FRAM cell per variable, stepping every installed machine
-//!   through a persistent [`Routine`]. It is the executable semantics
-//!   the production engine is checked against: differential tests pin
-//!   the two to identical verdicts and FRAM-visible machine state for
-//!   any spec, event stream and power-failure schedule — the
-//!   "intermittent run ≡ continuous run" criterion of Surbatovich et
-//!   al.
+//!   one FRAM cell per variable, persisting the event and stepping
+//!   every installed machine through a persistent [`Routine`], one
+//!   journal commit per machine. It is the executable semantics the
+//!   production engine is checked against: differential tests pin the
+//!   two to identical verdicts and FRAM-visible machine state for any
+//!   spec, event stream and power-failure schedule — the "intermittent
+//!   run ≡ continuous run" criterion of Surbatovich et al.
 //!
 //! Any other combination is rejected with
 //! [`InstallError::UnsupportedEngine`] before any FRAM is allocated.
@@ -58,55 +68,47 @@
 //! Triggers are static, so at install time the compiler emits a global
 //! [`RoutingIndex`](artemis_ir::compile::RoutingIndex): for every
 //! `(event kind, task id)` key, the exact machines with a transition
-//! that can match. Arming an event commits that key's **interested
-//! worklist** plus a cleared completion bitmap in the same journal
-//! transaction as the event and sequence number; only worklisted
-//! machines are stepped, the event cell is decoded once per event
-//! instead of once per machine, and dismissed machines are never read,
-//! stepped, or counter-written. A reboot resumes exactly the armed set
-//! (the worklist is part of the arming commit), and a redelivered
-//! sequence number only finishes pending bitmap entries.
-//!
-//! Worklist entries complete strictly in order — entry `j` steps only
-//! once entry `j − 1`'s bit is durable — so the set bits always form a
-//! prefix. The engine therefore tracks the *count* of completed entries
-//! and the bitmap is just that prefix's FRAM image, one bit per
-//! installed machine (`ceil(n / 8)` bytes). Every suite the 16-bit
-//! machine index can address ([`MAX_ROUTED_MACHINES`]) routes; the
-//! reference engine's full scan is an oracle, never a fallback.
+//! that can match. A delivery looks its key up, drops machines whose
+//! `Path:` qualifier the event's path rules out, and steps only the
+//! remaining **worklist** — a volatile scratch list, never persisted:
+//! a delivery that fails before its record commits is re-run whole, so
+//! there is nothing to resume. Dismissed machines are never read,
+//! stepped, or written. Every suite the 16-bit machine index can
+//! address ([`MAX_ROUTED_MACHINES`]) routes; the reference engine's
+//! full scan is an oracle, never a fallback.
 //!
 //! # Sparse delta commits
 //!
 //! The compiler derives a static [`AccessSet`](artemis_ir::AccessSet)
 //! per `(event kind, task)` key: every variable slot the routed
 //! transitions' guards and bodies can read or write. The engine
-//! exploits it twice per step: the machine block is loaded only up to
-//! the covering slot span, and the commit is a **sparse delta record**
-//! ([`SparseTx`]) carrying just the changed bytes and the completion
-//! bit — one staged FRAM write plus the scattered applies, with no
-//! journal re-reads. Every production machine step and every event
-//! arming commits in this one format; the only other step completion
-//! is the plain bitmap write of an effectless step. Entry-list commits
-//! remain only for the whole-suite reset, path-restart
+//! exploits it twice per step: the machine block is decoded only up to
+//! the covering slot span, and only that span is re-encoded and diffed.
+//! The delivery's one record is a **sparse delta record**
+//! ([`SparseTx`]): one staged FRAM write, the flag, the scattered
+//! applies and the flag clear, with no journal re-reads. Entry-list
+//! commits remain only for the whole-suite reset, path-restart
 //! re-initialisation, and the reference engine.
 //!
-//! Sparse commits are **dirty diffs**: the new image is diffed against
-//! the shadow cache's authoritative old image and journalled as
+//! Machine sub-writes are **dirty diffs**: each new image is diffed
+//! against the shadow cache's authoritative old image and journalled as
 //! minimal `[addr][len][data]` runs, adjacent runs merged when the gap
-//! is within the sub-write header. A diff record never exceeds the
-//! slot-granular record (state word + every write-set slot) that the
-//! static bounds price.
+//! is within the sub-write header. A machine's runs never exceed the
+//! slot-granular sub-writes (state word + every write-set slot) that
+//! the static bounds price.
 //!
 //! # Volatile shadow cache (write-only steady state)
 //!
 //! The production engine keeps a volatile **shadow** of every FRAM
-//! location the hot path reads: after any load or commit the decoded
-//! machine images, the done bitmap, the worklists, and the verdict log
-//! stay authoritative in RAM, and no sparse commit re-reads the
-//! journal, so a steady-state delivery performs **zero** FRAM reads on
-//! every key — nonvolatile memory is touched only by the crash-atomic
-//! commits (the cache is strictly write-through and never defers or
-//! reorders a write).
+//! location the hot path reads: the decoded machine images, the
+//! sequence number and the verdict log. A delivery steps machines
+//! against their shadows in place — the shadows are the volatile
+//! scratch the record is diffed from — so a steady-state delivery
+//! performs **zero** FRAM reads on every key, and nonvolatile memory is
+//! touched only by the one crash-atomic record. Until that record
+//! commits the shadows run ahead of FRAM; any entry point that returns
+//! an error (a power failure mid-delivery) wipes the whole cache, so an
+//! uncommitted image never outlives its delivery.
 //!
 //! Coherence contract: the cache records the
 //! [`Sram`](intermittent_sim::Sram) reboot epoch it was filled under;
@@ -114,14 +116,14 @@
 //! mismatch (i.e. a power failure happened) invalidates the whole cache
 //! in O(1) by bumping a generation tag that every shadow entry must
 //! match. Refills happen *after* `dev.recover` has replayed any torn
-//! journal commit — replay-then-invalidate is safe because replay is
+//! journal record — replay-then-invalidate is safe because replay is
 //! idempotent against FRAM and completes before the first cold read.
 //! The first delivery after a reboot therefore pays cold-miss reads:
-//! one whole-block fill per armed machine, priced by
-//! `EventCost::cold_extra_reads` and `EventCost::cold_extra_read_bytes`
-//! in `artemis_ir`; every later delivery in the same epoch is
-//! write-only. Hit/miss/invalidation counters are exposed through
-//! [`MonitorEngine::cache_stats`].
+//! the sequence number and one whole-block fill per stepped machine,
+//! priced by `EventCost::cold_extra_reads` and
+//! `EventCost::cold_extra_read_bytes` in `artemis_ir`; every later
+//! delivery in the same epoch is write-only. Hit/miss/invalidation
+//! counters are exposed through [`MonitorEngine::cache_stats`].
 
 pub mod remote;
 pub mod state;
@@ -143,7 +145,7 @@ use artemis_ir::validate::{validate_strict, Issue};
 use immortal::Routine;
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
 use intermittent_sim::fram::NvCell;
-use intermittent_sim::journal::{encode_u16_list, u16_list_bytes, Journal, SparseTx, TxWriter};
+use intermittent_sim::journal::{Journal, SparseTx, TxWriter};
 
 use state::{EncodedEvent, NvValue};
 
@@ -230,7 +232,7 @@ const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 /// kind/task index instead of a name-comparing scan.
 const COMPILED_DISPATCH_CYCLES: u64 = 10;
 /// Modelled cost of the routed path's per-event routing-index lookup
-/// and worklist staging, charged once at arming time.
+/// and worklist staging, charged once per fresh delivery.
 const ROUTING_LOOKUP_CYCLES: u64 = 12;
 
 /// Most machines any engine supports: machine indices are 16-bit
@@ -243,9 +245,10 @@ pub const MAX_ROUTED_MACHINES: usize = u16::MAX as usize;
 /// How the engine resolves which machines an event must step.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum RoutingMode {
-    /// Install-time routing index + per-event armed worklists: only the
-    /// machines interested in the `(kind, task)` key are stepped — the
-    /// production engine's dispatch, O(interested machines) per event.
+    /// Install-time routing index + a volatile per-event worklist: only
+    /// the machines interested in the `(kind, task)` key are stepped —
+    /// the production engine's dispatch, O(interested machines) per
+    /// event.
     #[default]
     Routed,
     /// The reference dispatch semantics: every installed machine is
@@ -284,9 +287,10 @@ pub struct CacheStats {
 /// Dynamic bytecode execution counters
 /// ([`MonitorEngine::exec_stats`]): what the compiled core *actually*
 /// ran, as opposed to the static per-key ceilings the engine bills
-/// through [`CompiledMachine::step_cost`]. Volatile (a reboot replays
-/// the in-flight event and re-counts its instructions — the honest
-/// dynamic figure on an intermittent device).
+/// through [`CompiledMachine::step_cost`]. Volatile (an event whose
+/// record a power failure cut short re-runs and re-counts its
+/// instructions — the honest dynamic figure on an intermittent
+/// device).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ExecStats {
     /// Bytecode instructions dispatched across all machine steps.
@@ -314,10 +318,10 @@ pub struct InstallOptions {
     /// holds compiled bytecode.
     pub opt: OptLevel,
     /// Journal capacity override in payload bytes. `None` derives the
-    /// capacity from the static resource bounds: the worst-case single
-    /// commit any event or reset can stage (see
-    /// [`artemis_ir::suite_bounds`]), raised on the reference engine to
-    /// cover its per-cell reset commit. Install checks the suite
+    /// capacity from the static resource bounds: the larger of the
+    /// whole-suite reset record and the worst key's whole-event record
+    /// (see [`artemis_ir::suite_bounds`]), raised on the reference
+    /// engine to cover its per-cell reset commit. Install checks the suite
     /// against whatever capacity ends up in force, so an undersized
     /// override rejects the install with [`InstallError::Analysis`]
     /// instead of faulting with `JournalOverflow` mid-run.
@@ -456,56 +460,6 @@ struct Block {
     initial_image: Vec<u8>,
 }
 
-/// A persistent completion bitmap of `len` bytes: bit `j` (byte
-/// `j / 8`, bit `j % 8`) is set once worklist entry `j` is done.
-/// Entries complete strictly in order, so the set bits always form a
-/// prefix and the engine carries only the completed-entry *count*;
-/// this cell maps that count to and from its FRAM image. One bit per
-/// installed machine, `ceil(n / 8)` bytes.
-struct DoneCell {
-    addr: usize,
-    len: usize,
-}
-
-impl DoneCell {
-    /// The FRAM image of `done` completed entries: the low `done` bits
-    /// set, little-endian.
-    fn bytes(&self, done: usize) -> Vec<u8> {
-        debug_assert!(done <= 8 * self.len);
-        let mut b = vec![0u8; self.len];
-        b[..done / 8].fill(0xFF);
-        if !done.is_multiple_of(8) {
-            b[done / 8] = (1u8 << (done % 8)) - 1;
-        }
-        b
-    }
-
-    /// One-op billed read of the whole bitmap, decoded to the
-    /// completed-entry count (its leading ones).
-    fn read(&self, dev: &mut Device) -> Result<usize, Interrupt> {
-        let b = dev.nv_read_raw(self.addr, self.len)?;
-        let full = b.iter().take_while(|&&x| x == 0xFF).count();
-        let done = 8 * full + b.get(full).map_or(0, |x| x.trailing_ones() as usize);
-        debug_assert_eq!(b, self.bytes(done), "completion bitmap is not a prefix");
-        Ok(done)
-    }
-
-    /// Stages the bitmap into an entry-list transaction.
-    fn stage(&self, tx: &mut TxWriter, done: usize) {
-        tx.write_raw(self.addr, self.bytes(done));
-    }
-
-    /// Stages the bitmap as one sparse sub-write.
-    fn push(&self, stx: &mut SparseTx, done: usize) {
-        stx.push_raw(self.addr, self.bytes(done));
-    }
-
-    /// Plain idempotent write (completion of an effectless step).
-    fn write(&self, dev: &mut Device, done: usize) -> Result<(), Interrupt> {
-        dev.nv_write_raw(self.addr, &self.bytes(done))
-    }
-}
-
 /// Rejects, before anything is compiled or allocated, every install
 /// that is neither the production nor the reference engine, and every
 /// suite the 16-bit machine index cannot address.
@@ -525,6 +479,19 @@ fn check_install(machines: usize, opts: &InstallOptions) -> Result<(), InstallEr
         });
     }
     Ok(())
+}
+
+/// Largest entry-list commit the reference engine stages, in journal
+/// bytes: its per-cell reset, its arming commit, or one machine's step.
+/// Each entry is a 6-byte header plus its cell — a 4-byte state word,
+/// 9-byte variables and verdicts, the 4-byte verdict count and step
+/// counters, the 8-byte seq and the 31-byte event.
+fn reference_commit_bytes(suite: &MonitorSuite) -> usize {
+    let cells = |m: &artemis_ir::StateMachine| 10 + 15 * m.vars.len();
+    let reset = suite.machines().iter().map(cells).sum::<usize>() + 10 + 14;
+    let arming = 37 + 14 + 10 + 2 * 10;
+    let step = suite.machines().iter().map(cells).max().unwrap_or(0) + 15 + 10 + 10;
+    reset.max(arming).max(step)
 }
 
 /// Stages a machine's re-initialisation into `tx`, honouring its
@@ -551,28 +518,34 @@ fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
 /// re-write costs `gap` bytes, a separate run costs another header).
 const DIFF_MERGE_GAP: usize = 6;
 
-/// Byte-granular dirty diff: the changed runs of `new` vs `old` as
-/// `(start, end)` half-open ranges, adjacent runs merged when the
-/// unchanged gap between them is within [`DIFF_MERGE_GAP`]. Merged
-/// gap bytes re-write their old value — idempotent, so replaying the
-/// journal record after a power failure is safe. By the merge rule a
-/// diff record never exceeds the slot-granular record in bytes *or*
-/// sub-write count: every changed byte lies in the state field or a
-/// written slot (≤ 8 mutable bytes each, so at most one run apiece
-/// before merging), and each merge saves `header − gap ≥ 0` bytes.
-fn diff_runs(old: &[u8], new: &[u8]) -> Vec<(usize, usize)> {
+/// Byte-granular dirty diff: calls `emit(start, end)` for each changed
+/// run of `new` vs `old` (half-open, in order), adjacent runs merged
+/// when the unchanged gap between them is within [`DIFF_MERGE_GAP`].
+/// Merged gap bytes re-write their old value — idempotent, so replaying
+/// the journal record after a power failure is safe. By the merge rule
+/// a machine's runs never exceed its slot-granular sub-writes in bytes
+/// *or* count: every changed byte lies in the state field or a written
+/// slot (≤ 8 mutable bytes each, so at most one run apiece before
+/// merging), and each merge saves `header − gap ≥ 0` bytes.
+fn diff_runs(old: &[u8], new: &[u8], mut emit: impl FnMut(usize, usize)) {
     debug_assert_eq!(old.len(), new.len());
-    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let mut run: Option<(usize, usize)> = None;
     for (i, (o, n)) in old.iter().zip(new).enumerate() {
         if o == n {
             continue;
         }
-        match runs.last_mut() {
-            Some((_, end)) if i - *end <= DIFF_MERGE_GAP => *end = i + 1,
-            _ => runs.push((i, i + 1)),
-        }
+        run = match run {
+            Some((start, end)) if i - end <= DIFF_MERGE_GAP => Some((start, i + 1)),
+            Some((start, end)) => {
+                emit(start, end);
+                Some((i, i + 1))
+            }
+            None => Some((i, i + 1)),
+        };
     }
-    runs
+    if let Some((start, end)) = run {
+        emit(start, end);
+    }
 }
 
 struct LoadedMachine {
@@ -607,30 +580,27 @@ struct Scratch {
     block_new: Vec<u8>,
     /// Verdict staging for read-back.
     verdicts: Vec<MonitorVerdict>,
-    /// Worklist staging at arming time (production engine).
+    /// The delivery's interested worklist (production engine).
     worklist: Vec<u16>,
-    /// The armed worklist a delivery walks (production engine). Taken
-    /// out of the scratch for the walk, since each step borrows the
-    /// scratch itself, and put back afterwards.
-    armed: Vec<u16>,
-}
-
-/// Persistent state of the production engine's routed event path: the
-/// armed worklist (a length-prefixed `u16` list region) and its
-/// completion bitmap, both committed atomically with the event they
-/// belong to.
-struct RoutedState {
-    worklist_addr: usize,
-    done: DoneCell,
+    /// The verdict cells a delivery emits, in order (production
+    /// engine).
+    staged: Vec<VerdictCell>,
+    /// The delivery's one journal record (production engine).
+    record: SparseTx,
 }
 
 /// The persistent dispatch state, which is what tells the two engines
 /// apart in FRAM.
 enum Dispatch {
-    /// Production engine: armed worklists.
-    Routed(RoutedState),
-    /// Reference engine: the full-scan step counter.
-    FullScan(Routine),
+    /// Production engine: nothing beyond the sequence number and the
+    /// verdict log — a delivery's worklist is volatile.
+    Routed,
+    /// Reference engine: the persisted event and the full-scan step
+    /// counter, so a reboot resumes the scan machine by machine.
+    FullScan {
+        routine: Routine,
+        event_cell: NvCell<EncodedEvent>,
+    },
 }
 
 /// An encoded verdict cell: `(machine index, (action tag, path))` —
@@ -648,10 +618,11 @@ struct MachineShadow {
 }
 
 /// The volatile shadow of every FRAM location the hot path reads (see
-/// the module docs, "Volatile shadow cache"). Strictly write-through:
-/// entries are updated only from bytes that are already durable (after
-/// a successful read or commit), so shadow contents always equal the
-/// corresponding FRAM bytes within one reboot epoch. `NvValue`
+/// the module docs, "Volatile shadow cache"). Between deliveries the
+/// shadow contents equal the corresponding FRAM bytes within one reboot
+/// epoch; during a delivery the stepped machines' shadows run ahead
+/// until the record commits, and a failed delivery wipes the cache.
+/// `NvValue`
 /// encoding is canonical (`encode(decode(x)) == x` for every
 /// engine-written image), which is what lets the machine shadows store
 /// *decoded* `(state, vars)` and regenerate byte-identical block
@@ -669,10 +640,6 @@ struct ShadowCache {
     /// the recovery flag read.
     journal_clean: bool,
     seq: Option<u64>,
-    event: Option<EncodedEvent>,
-    worklist: Option<Vec<u16>>,
-    /// Completed-entry count of the armed worklist.
-    done: Option<usize>,
     verdict_count: Option<u32>,
     /// Generation-tagged verdict cells, indexed like `verdict_cells`.
     verdicts: Vec<(u64, VerdictCell)>,
@@ -687,9 +654,6 @@ impl ShadowCache {
             gen: 1,
             journal_clean: false,
             seq: None,
-            event: None,
-            worklist: None,
-            done: None,
             verdict_count: None,
             verdicts: vec![(0, (0, (0, 0))); verdict_slots],
             machines: vec![
@@ -713,9 +677,6 @@ impl ShadowCache {
         self.gen += 1;
         self.journal_clean = false;
         self.seq = None;
-        self.event = None;
-        self.worklist = None;
-        self.done = None;
         self.verdict_count = None;
     }
 }
@@ -730,7 +691,6 @@ pub struct MonitorEngine {
     machines: Vec<LoadedMachine>,
     dispatch: Dispatch,
     journal: Journal,
-    event_cell: NvCell<EncodedEvent>,
     seq_cell: NvCell<u64>,
     verdict_count: NvCell<u32>,
     verdict_cells: Vec<NvCell<(u32, (u8, u32))>>,
@@ -838,25 +798,17 @@ impl MonitorEngine {
         check_install(suite.len(), &opts)?;
         let production = opts.mode == ExecMode::Compiled;
 
-        // Default journal capacity = the static worst-case transaction
-        // bound: the largest of the whole-suite reset commit and any
-        // event key's worst commit (see `suite_bounds` for the
-        // documented over-approximations it includes). The reference
-        // engine's per-cell layout stages one entry per variable, so
-        // its reset commit is costed separately.
+        // Default journal capacity = the static worst-case record: the
+        // larger of the whole-suite reset record and the worst key's
+        // whole-event record (see `suite_bounds`). The reference
+        // engine's per-cell commits are costed separately.
         let bounds = artemis_ir::suite_bounds(&compiled);
         let floor = if production {
             bounds.worst_commit_bytes
         } else {
-            bounds.worst_commit_bytes.max(
-                suite
-                    .machines()
-                    .iter()
-                    .map(|m| 10 + 15 * m.vars.len())
-                    .sum::<usize>()
-                    + u16_list_bytes(suite.len())
-                    + 64,
-            )
+            bounds
+                .worst_commit_bytes
+                .max(reference_commit_bytes(&suite))
         };
         let capacity = opts.journal_capacity.unwrap_or(floor);
         // The analyzer checks the reset and per-key commits; an
@@ -897,43 +849,24 @@ impl MonitorEngine {
         dev.set_category(CostCategory::Monitor);
 
         let result = (|| {
-            // The reference engine's full-scan step counter.
-            let routine = if production {
-                None
-            } else {
-                Some(Routine::new(dev, owner, "monitor.routine").map_err(dev_err)?)
-            };
             let journal = dev.make_journal(capacity, owner).map_err(dev_err)?;
-            let event_cell = dev
-                .nv_alloc(EncodedEvent::default(), owner, "monitor.event")
-                .map_err(dev_err)?;
+            // The reference engine persists the event and its full-scan
+            // step counter; a production delivery is one record, so it
+            // keeps neither.
+            let dispatch = if production {
+                Dispatch::Routed
+            } else {
+                Dispatch::FullScan {
+                    routine: Routine::new(dev, owner, "monitor.routine").map_err(dev_err)?,
+                    event_cell: dev
+                        .nv_alloc(EncodedEvent::default(), owner, "monitor.event")
+                        .map_err(dev_err)?,
+                }
+            };
             let seq_cell = dev.nv_alloc(0u64, owner, "monitor.seq").map_err(dev_err)?;
             let verdict_count = dev
                 .nv_alloc(0u32, owner, "monitor.verdicts.count")
                 .map_err(dev_err)?;
-
-            // Routed dispatch: the armed-worklist region (count word +
-            // one u16 per machine) and the completion bitmap (one bit
-            // per machine), both zeroed, i.e. "no event pending".
-            let dispatch = match routine {
-                Some(routine) => Dispatch::FullScan(routine),
-                None => {
-                    let done_len = artemis_ir::analysis::bounds::done_bytes(suite.len());
-                    let worklist_addr = dev
-                        .nv_alloc_raw(u16_list_bytes(suite.len()), owner, "monitor.worklist")
-                        .map_err(dev_err)?;
-                    let done_addr = dev
-                        .nv_alloc_raw(done_len, owner, "monitor.worklist.done")
-                        .map_err(dev_err)?;
-                    Dispatch::Routed(RoutedState {
-                        worklist_addr,
-                        done: DoneCell {
-                            addr: done_addr,
-                            len: done_len,
-                        },
-                    })
-                }
-            };
 
             // One verdict cell per machine: an event steps each machine
             // at most once.
@@ -1030,7 +963,8 @@ impl MonitorEngine {
                 block_new: Vec::with_capacity(max_block),
                 verdicts: Vec::new(),
                 worklist: Vec::with_capacity(machines.len()),
-                armed: Vec::with_capacity(machines.len()),
+                staged: Vec::new(),
+                record: SparseTx::new(),
             });
 
             // The epoch starts at the device's *current* reboot
@@ -1048,7 +982,6 @@ impl MonitorEngine {
                 machines,
                 dispatch,
                 journal,
-                event_cell,
                 seq_cell,
                 verdict_count,
                 verdict_cells,
@@ -1066,8 +999,8 @@ impl MonitorEngine {
     /// reference engine.
     pub fn mode(&self) -> ExecMode {
         match self.dispatch {
-            Dispatch::Routed(_) => ExecMode::Compiled,
-            Dispatch::FullScan(_) => ExecMode::Interpreter,
+            Dispatch::Routed => ExecMode::Compiled,
+            Dispatch::FullScan { .. } => ExecMode::Interpreter,
         }
     }
 
@@ -1076,8 +1009,8 @@ impl MonitorEngine {
     /// engine.
     pub fn routing_mode(&self) -> RoutingMode {
         match self.dispatch {
-            Dispatch::Routed(_) => RoutingMode::Routed,
-            Dispatch::FullScan(_) => RoutingMode::FullScan,
+            Dispatch::Routed => RoutingMode::Routed,
+            Dispatch::FullScan { .. } => RoutingMode::FullScan,
         }
     }
 
@@ -1150,21 +1083,21 @@ impl MonitorEngine {
 
     /// Journal recovery with the known-clean fast path: once recovery
     /// (or a completed commit) has left the journal idle in this
-    /// epoch, the flag re-read is skipped entirely.
-    fn recover_cached(&self, dev: &mut Device) -> Result<(), Interrupt> {
+    /// epoch, the flag re-read is skipped entirely. Returns `true` iff
+    /// a torn record was replayed.
+    fn recover_cached(&self, dev: &mut Device) -> Result<bool, Interrupt> {
         let Some(cache) = &self.cache else {
-            dev.recover(&self.journal)?;
-            return Ok(());
+            return dev.recover(&self.journal);
         };
         if cache.borrow().journal_clean {
             cache.borrow_mut().stats.hits += 1;
-            return Ok(());
+            return Ok(false);
         }
-        dev.recover(&self.journal)?;
+        let replayed = dev.recover(&self.journal)?;
         let mut c = cache.borrow_mut();
         c.journal_clean = true;
         c.stats.misses += 1;
-        Ok(())
+        Ok(replayed)
     }
 
     /// Generic shadow-aware scalar read: serve from the shadow when
@@ -1196,67 +1129,6 @@ impl MonitorEngine {
         self.cache
             .as_ref()
             .expect("the production engine keeps a shadow cache")
-    }
-
-    /// Shadow-aware read of the armed worklist's count word (0 =
-    /// nothing pending). A cold count read only fills the shadow when
-    /// the list is empty — a non-empty list's items are still unknown,
-    /// and the shadow never stores partial knowledge.
-    fn read_worklist_count(&self, dev: &mut Device, rs: &RoutedState) -> Result<usize, Interrupt> {
-        let cache = self.shadow();
-        let hit = cache.borrow().worklist.as_ref().map(Vec::len);
-        if let Some(n) = hit {
-            cache.borrow_mut().stats.hits += 1;
-            return Ok(n);
-        }
-        let bytes = dev.nv_read_raw(rs.worklist_addr, 2)?;
-        let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        let mut c = cache.borrow_mut();
-        if n == 0 {
-            c.worklist = Some(Vec::new());
-        }
-        c.stats.misses += 1;
-        Ok(n)
-    }
-
-    /// Shadow-aware read of the armed worklist's items (`count` already
-    /// known and non-zero) into `wl`. The count and item reads stay
-    /// separate ops, so a cold delivery reads the list exactly as the
-    /// static bounds price it.
-    fn read_worklist_items(
-        &self,
-        dev: &mut Device,
-        rs: &RoutedState,
-        count: usize,
-        wl: &mut Vec<u16>,
-    ) -> Result<(), Interrupt> {
-        let cache = self.shadow();
-        let copied = {
-            let c = cache.borrow();
-            match &c.worklist {
-                Some(list) if list.len() == count => {
-                    wl.clear();
-                    wl.extend_from_slice(list);
-                    true
-                }
-                _ => false,
-            }
-        };
-        if copied {
-            cache.borrow_mut().stats.hits += 1;
-            return Ok(());
-        }
-        let bytes = dev.nv_read_raw(rs.worklist_addr + 2, count * 2)?;
-        wl.clear();
-        wl.extend(
-            bytes
-                .chunks_exact(2)
-                .map(|ch| u16::from_le_bytes([ch[0], ch[1]])),
-        );
-        let mut c = cache.borrow_mut();
-        c.worklist = Some(wl.clone());
-        c.stats.misses += 1;
-        Ok(())
     }
 
     /// Fills `scratch.block` with the first `span` bytes of machine
@@ -1306,10 +1178,10 @@ impl MonitorEngine {
         Ok(())
     }
 
-    /// Write-through after a successful machine-step commit: fold the
-    /// new state and the written slots back into the shadow (FRAM and
-    /// shadow now agree again). A sparse commit can only *update* a
-    /// warm shadow (partial knowledge is never stored).
+    /// Folds a step's new state and written slots into machine `i`'s
+    /// shadow, which the step has just loaded (so it is warm). The
+    /// shadow then runs ahead of FRAM until the delivery's record
+    /// commits; a delivery that fails first wipes the cache.
     fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value], writes: &[u16]) {
         self.cache_put(|c| {
             let gen = c.gen;
@@ -1347,16 +1219,6 @@ impl MonitorEngine {
                 c.verdicts[slot] = (gen, *v);
             },
             |d| d.nv_read(&self.verdict_cells[slot]),
-        )
-    }
-
-    /// Shadow-aware read of the routed completed-entry count.
-    fn read_done_cached(&self, dev: &mut Device, rs: &RoutedState) -> Result<usize, Interrupt> {
-        self.cache_read(
-            dev,
-            |c| c.done,
-            |c, v| c.done = Some(*v),
-            |d| rs.done.read(d),
         )
     }
 
@@ -1402,8 +1264,9 @@ impl MonitorEngine {
             .collect()
     }
 
-    /// Hard reset: re-initialises every machine and clears the pending
-    /// event (Figure 8 `resetMonitor`; run once at first boot).
+    /// Hard reset: re-initialises every machine and clears the verdict
+    /// log and sequence number (Figure 8 `resetMonitor`; run once at
+    /// first boot).
     pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
         let r = dev.billed(CostCategory::Monitor, |dev| {
             self.cache_sync(dev);
@@ -1413,11 +1276,6 @@ impl MonitorEngine {
             }
             tx.write(&self.verdict_count, 0u32);
             tx.write(&self.seq_cell, 0u64);
-            if let Dispatch::Routed(rs) = &self.dispatch {
-                // An empty worklist means "no event pending".
-                tx.write_u16_list(rs.worklist_addr, &[]);
-                rs.done.stage(&mut tx, 0);
-            }
             dev.commit(&self.journal, &tx)?;
             // The reset commit just (re)wrote every location the cache
             // mirrors — fill all the shadows, so even the first event
@@ -1426,8 +1284,6 @@ impl MonitorEngine {
                 c.journal_clean = true;
                 c.seq = Some(0);
                 c.verdict_count = Some(0);
-                c.worklist = Some(Vec::new());
-                c.done = Some(0);
                 let ShadowCache { gen, machines, .. } = &mut *c;
                 for (ms, lm) in machines.iter_mut().zip(&self.machines) {
                     let b = lm.block();
@@ -1444,32 +1300,28 @@ impl MonitorEngine {
         r
     }
 
-    /// Completes an event interrupted by a power failure, if any
-    /// (Figure 8 `monitorFinalize`; run on every reboot before task
-    /// processing). Returns `true` if there was work to finish.
+    /// Completes work a power failure interrupted, if any (Figure 8
+    /// `monitorFinalize`; run on every reboot before task processing).
+    /// On the production engine that is journal recovery alone: it
+    /// returns `true` iff a torn record was replayed. An event whose
+    /// record never reached its commit flag left nothing behind and
+    /// re-runs whole when it is delivered again. The reference engine
+    /// also finishes an interrupted full scan, returning `true` if one
+    /// was pending.
     pub fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
         let r = dev.billed(CostCategory::Monitor, |dev| {
             self.cache_sync(dev);
-            // Repair a torn journal commit first.
-            self.recover_cached(dev)?;
+            let replayed = self.recover_cached(dev)?;
             match &self.dispatch {
-                Dispatch::Routed(rs) => {
-                    // Pending iff an armed worklist has unfinished bits.
-                    let count = self.read_worklist_count(dev, rs)?;
-                    if count == 0 {
-                        return Ok(false);
-                    }
-                    if self.read_done_cached(dev, rs)? >= count {
-                        return Ok(false);
-                    }
-                    self.run_worklist(dev, rs)?;
-                    Ok(true)
-                }
-                Dispatch::FullScan(routine) => {
+                Dispatch::Routed => Ok(replayed),
+                Dispatch::FullScan {
+                    routine,
+                    event_cell,
+                } => {
                     if routine.is_complete(dev)? {
                         return Ok(false);
                     }
-                    self.run_steps(dev)?;
+                    self.run_reference_scan(dev, routine, event_cell)?;
                     Ok(true)
                 }
             }
@@ -1484,8 +1336,9 @@ impl MonitorEngine {
     /// verdicts of every machine that reported a violation.
     ///
     /// Re-delivering a sequence number the engine has already processed
-    /// (fully or partially) does not re-step machines; it finishes any
-    /// pending work and returns the recorded verdicts.
+    /// does not re-step machines; it returns the recorded verdicts (the
+    /// reference engine first finishes a scan a power failure cut
+    /// short).
     pub fn call_monitor(
         &self,
         dev: &mut Device,
@@ -1501,55 +1354,30 @@ impl MonitorEngine {
                 |c, v| c.seq = Some(*v),
                 |d| d.nv_read(&self.seq_cell),
             )?;
-            if last_seq != seq {
-                // Arm atomically: event, seq, verdict reset, AND the
-                // dispatch state (the production engine's armed worklist
-                // and completion bitmap, or the reference engine's step
-                // counter) — a failure after this
-                // commit resumes exactly the armed set, a failure
-                // before it re-arms cleanly.
-                let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
-                match &self.dispatch {
-                    Dispatch::Routed(rs) => {
-                        // Sparse arming: the whole record is staged
-                        // with one write and the five sub-writes apply
-                        // from RAM — no journal re-reads.
-                        dev.compute(ROUTING_LOOKUP_CYCLES)?;
-                        self.compute_worklist(&encoded);
-                        let mut stx = SparseTx::new();
-                        stx.push(&self.event_cell, encoded);
-                        stx.push(&self.seq_cell, seq);
-                        stx.push(&self.verdict_count, 0u32);
-                        {
-                            let scratch = self.scratch.borrow();
-                            stx.push_raw(rs.worklist_addr, encode_u16_list(&scratch.worklist));
-                        }
-                        rs.done.push(&mut stx, 0);
-                        dev.commit_sparse(&self.journal, &stx)?;
-                    }
-                    Dispatch::FullScan(routine) => {
+            let fresh = last_seq != seq;
+            let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
+            match &self.dispatch {
+                Dispatch::Routed if fresh => self.deliver(dev, seq, &encoded),
+                Dispatch::Routed => self.read_verdicts(dev),
+                Dispatch::FullScan {
+                    routine,
+                    event_cell,
+                } => {
+                    if fresh {
+                        // Arm atomically: event, seq, verdict reset and
+                        // the step counter — a failure after this commit
+                        // resumes the scan, a failure before it re-arms.
                         let mut tx = TxWriter::new();
-                        tx.write(&self.event_cell, encoded);
+                        tx.write(event_cell, encoded);
                         tx.write(&self.seq_cell, seq);
                         tx.write(&self.verdict_count, 0u32);
                         routine.stage_begin(&mut tx, self.machines.len() as u32);
                         dev.commit(&self.journal, &tx)?;
                     }
+                    self.run_reference_scan(dev, routine, event_cell)?;
+                    self.read_verdicts(dev)
                 }
-                // The arming commit fixed every activation input —
-                // shadow them all, so the worklist walk below reads
-                // nothing from FRAM.
-                self.cache_put(|c| {
-                    c.journal_clean = true;
-                    c.seq = Some(seq);
-                    c.event = Some(encoded);
-                    c.verdict_count = Some(0);
-                    c.worklist = Some(self.scratch.borrow().worklist.clone());
-                    c.done = Some(0);
-                });
             }
-            self.run_steps(dev)?;
-            self.read_verdicts(dev)
         });
         if r.is_err() {
             self.cache_wipe();
@@ -1599,21 +1427,23 @@ impl MonitorEngine {
         r
     }
 
-    fn run_steps(&self, dev: &mut Device) -> Result<(), Interrupt> {
-        match &self.dispatch {
-            Dispatch::Routed(rs) => self.run_worklist(dev, rs),
-            Dispatch::FullScan(routine) => {
-                routine.run(dev, &mut |dev, i| self.step_machine(dev, routine, i))
-            }
-        }
+    /// Runs the reference engine's pending full-scan steps.
+    fn run_reference_scan(
+        &self,
+        dev: &mut Device,
+        routine: &Routine,
+        event_cell: &NvCell<EncodedEvent>,
+    ) -> Result<(), Interrupt> {
+        routine.run(dev, &mut |dev, i| {
+            self.step_machine(dev, routine, event_cell, i)
+        })
     }
 
     /// Computes the event's interested worklist (routing-index lookup +
     /// the dynamic `Path:` filter, both deterministic functions of the
-    /// event) into the scratch buffer.
-    fn compute_worklist(&self, encoded: &EncodedEvent) {
-        let scratch = &mut *self.scratch.borrow_mut();
-        scratch.worklist.clear();
+    /// event) into `worklist`.
+    fn compute_worklist(&self, encoded: &EncodedEvent, worklist: &mut Vec<u16>) {
+        worklist.clear();
         for &mi in self
             .compiled
             .routing()
@@ -1627,77 +1457,77 @@ impl MonitorEngine {
                 None => false,
             };
             if !path_dismissed {
-                scratch.worklist.push(mi);
+                worklist.push(mi);
             }
         }
     }
 
-    /// Routed dispatch: step the pending entries of the armed worklist.
-    /// The worklist and the event were fixed by the same journal commit,
-    /// so a resume after any power failure processes exactly the armed
-    /// set; completed entries are skipped via the bitmap, and the event
-    /// cell is decoded once per activation instead of once per machine.
-    fn run_worklist(&self, dev: &mut Device, rs: &RoutedState) -> Result<(), Interrupt> {
-        let count = self.read_worklist_count(dev, rs)?;
-        if count == 0 {
-            return Ok(());
-        }
-        let done = self.read_done_cached(dev, rs)?;
-        if done >= count {
-            return Ok(());
-        }
-
-        let mut wl = core::mem::take(&mut self.scratch.borrow_mut().armed);
-        let r = self.run_worklist_entries(dev, rs, count, done, &mut wl);
-        self.scratch.borrow_mut().armed = wl;
-        r
-    }
-
-    /// [`MonitorEngine::run_worklist`]'s walk over the pending entries
-    /// `done..count`, with the worklist buffer lent out of the scratch.
-    fn run_worklist_entries(
+    /// Production delivery under a fresh sequence number: steps every
+    /// worklisted machine against its shadow image, then commits the
+    /// whole event as **one** sparse record — every machine's dirty-diff
+    /// runs, the verdict cells, the verdict count and the sequence
+    /// number. Nothing reaches FRAM before that record's flag, so a
+    /// power failure anywhere in the delivery either leaves no trace
+    /// (the event re-runs whole on redelivery) or is repaired by
+    /// replay.
+    fn deliver(
         &self,
         dev: &mut Device,
-        rs: &RoutedState,
-        count: usize,
-        done: usize,
-        wl: &mut Vec<u16>,
-    ) -> Result<(), Interrupt> {
-        self.read_worklist_items(dev, rs, count, wl)?;
-        let encoded = self.cache_read(
-            dev,
-            |c| c.event,
-            |c, v| c.event = Some(*v),
-            |d| d.nv_read(&self.event_cell),
-        )?;
-
-        // Path dismissal was resolved at arming time; worklisted
-        // machines always get a real step.
-        for (j, &mi) in wl.iter().enumerate().skip(done) {
-            self.step_compiled(dev, rs, mi as u32, &encoded, j + 1)?;
+        seq: u64,
+        encoded: &EncodedEvent,
+    ) -> Result<Vec<MonitorVerdict>, Interrupt> {
+        dev.compute(ROUTING_LOOKUP_CYCLES)?;
+        let scratch = &mut *self.scratch.borrow_mut();
+        scratch.record.clear();
+        scratch.staged.clear();
+        self.compute_worklist(encoded, &mut scratch.worklist);
+        for j in 0..scratch.worklist.len() {
+            let mi = scratch.worklist[j];
+            self.step_compiled(dev, mi, encoded, scratch)?;
         }
-        Ok(())
-    }
 
-    /// Marks a production step with no FRAM effects complete: one plain
-    /// idempotent bitmap write (re-execution after a power failure is
-    /// harmless).
-    fn finish_plain(
-        &self,
-        dev: &mut Device,
-        rs: &RoutedState,
-        done: usize,
-    ) -> Result<(), Interrupt> {
-        rs.done.write(dev, done)?;
-        self.cache_put(|c| c.done = Some(done));
-        Ok(())
+        for (slot, &cell) in scratch.staged.iter().enumerate() {
+            scratch.record.push(&self.verdict_cells[slot], cell);
+        }
+        let count = scratch.staged.len() as u32;
+        scratch.record.push(&self.verdict_count, count);
+        scratch.record.push(&self.seq_cell, seq);
+        dev.commit_sparse(&self.journal, &scratch.record)?;
+        self.cache_put(|c| {
+            c.journal_clean = true;
+            c.seq = Some(seq);
+            c.verdict_count = Some(count);
+            let gen = c.gen;
+            for (slot, &cell) in scratch.staged.iter().enumerate() {
+                c.verdicts[slot] = (gen, cell);
+            }
+        });
+
+        // The common case (no verdicts) allocates nothing.
+        Ok(scratch
+            .staged
+            .iter()
+            .filter_map(|&(i, action)| {
+                Some(MonitorVerdict {
+                    machine_index: i as usize,
+                    machine: self.machines[i as usize].machine.name.clone(),
+                    action: decode_action(action)?,
+                })
+            })
+            .collect())
     }
 
     /// Reference step: processes the stored event through machine `i`
     /// as one crash-atomic step of the full-scan [`Routine`] (the event
     /// cell is re-read per machine and dismissal is tested
     /// dynamically).
-    fn step_machine(&self, dev: &mut Device, routine: &Routine, i: u32) -> Result<(), Interrupt> {
+    fn step_machine(
+        &self,
+        dev: &mut Device,
+        routine: &Routine,
+        event_cell: &NvCell<EncodedEvent>,
+        i: u32,
+    ) -> Result<(), Interrupt> {
         let lm = &self.machines[i as usize];
         let MachineStore::Cells {
             state_cell,
@@ -1708,7 +1538,7 @@ impl MonitorEngine {
             unreachable!("the reference engine stores cells");
         };
 
-        let encoded = dev.nv_read(&self.event_cell)?;
+        let encoded = dev.nv_read(event_cell)?;
 
         // Cheap dismissals first — the generated C's trigger test, and
         // the `Path:` qualifier (paper §3.2): a property on a merged
@@ -1788,10 +1618,11 @@ impl MonitorEngine {
         routine.atomic_step(dev, &self.journal, i, &mut tx)
     }
 
-    /// Production step of worklist entry `done − 1` (machine `i`):
-    /// dispatch-table trigger test, one FRAM read for the key's covering
-    /// slot span (served by the shadow when warm), then a sparse commit
-    /// of the changed bytes and the completion bit.
+    /// Production step of machine `i` inside a delivery:
+    /// dispatch-table trigger test, the key's covering slot span from
+    /// the shadow (one whole-block FRAM read when cold), then the
+    /// changed bytes appended to the delivery's record and the verdict,
+    /// if any, to its staged list.
     ///
     /// Soundness: the access set over-approximates every slot the
     /// dispatched bytecode can read or write, so slots outside the
@@ -1803,23 +1634,21 @@ impl MonitorEngine {
     fn step_compiled(
         &self,
         dev: &mut Device,
-        rs: &RoutedState,
-        i: u32,
+        i: u16,
         encoded: &EncodedEvent,
-        done: usize,
+        scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
-        let cm = &self.compiled.machines()[i as usize];
+        let i = usize::from(i);
+        let cm = &self.compiled.machines()[i];
         let kind = encoded.kind();
 
         // O(1) trigger test off the dispatch table — kind-aware, so
         // finer than the reference engine's observed-task set, but
         // identical in effect: a dismissed machine has no transition
         // that could match, and the reference step would be an
-        // implicit self-transition with no FRAM writes. A dismissed
-        // machine's completion is a plain bitmap write.
+        // implicit self-transition with no FRAM writes.
         if cm.dispatch_len(kind, encoded.task) == 0 {
-            dev.compute(COMPILED_DISPATCH_CYCLES)?;
-            return self.finish_plain(dev, rs, done);
+            return dev.compute(COMPILED_DISPATCH_CYCLES);
         }
         // Bill the key's static compute ceiling (cycle-priced worst
         // path through the dispatched transitions). Static and
@@ -1828,13 +1657,12 @@ impl MonitorEngine {
         dev.compute(COMPILED_DISPATCH_CYCLES + cm.step_cost(kind, encoded.task).cycles)?;
 
         let access = cm.access(kind, encoded.task);
-        let lm = &self.machines[i as usize];
+        let lm = &self.machines[i];
         let block = lm.block();
         let covered = access.max_touched_slot().map_or(0, |s| s as usize + 1);
         let span = block.layout.span(access.max_touched_slot());
 
-        let scratch = &mut *self.scratch.borrow_mut();
-        self.load_block_cached(dev, i as usize, span, scratch)?;
+        self.load_block_cached(dev, i, span, scratch)?;
         let mut state = 0u32;
         block
             .layout
@@ -1846,35 +1674,20 @@ impl MonitorEngine {
         block
             .layout
             .encode_prefix(state, &scratch.vars, covered, &mut scratch.block_new);
-        let runs = diff_runs(&scratch.block, &scratch.block_new);
-        if emit.is_none() && runs.is_empty() {
-            return self.finish_plain(dev, rs, done);
-        }
-
-        let mut stx = SparseTx::new();
-        for &(s, e) in &runs {
-            stx.push_raw(block.addr + s, scratch.block_new[s..e].to_vec());
-        }
-        let mut staged = None;
-        if let Some(fail) = emit {
-            let count = self.read_verdict_count_cached(dev)?;
-            let value = (i, encode_action(fail.action, fail.path.or(lm.machine.path)));
-            stx.push(&self.verdict_cells[count as usize], value);
-            stx.push(&self.verdict_count, count + 1);
-            staged = Some((count as usize, value));
-        }
-        rs.done.push(&mut stx, done);
-        dev.commit_sparse(&self.journal, &stx)?;
-        self.shadow_machine_update(i as usize, state, &scratch.vars, &access.writes);
-        self.cache_put(|c| {
-            c.journal_clean = true;
-            c.done = Some(done);
-            if let Some((slot, value)) = staged {
-                let gen = c.gen;
-                c.verdicts[slot] = (gen, value);
-                c.verdict_count = Some(slot as u32 + 1);
-            }
+        let Scratch {
+            block: old,
+            block_new: new,
+            record,
+            ..
+        } = scratch;
+        diff_runs(old, new, |s, e| {
+            record.append_raw(block.addr + s, &new[s..e])
         });
+        if let Some(fail) = emit {
+            let action = encode_action(fail.action, fail.path.or(lm.machine.path));
+            scratch.staged.push((i as u32, action));
+        }
+        self.shadow_machine_update(i, state, &scratch.vars, &access.writes);
         Ok(())
     }
 
@@ -2354,7 +2167,7 @@ mod tests {
 
     /// Suite sizes the bounds exactness pins run at: the historical
     /// 8-machine dispatch shape and a wide suite past the 64-machine
-    /// mark, where the done bitmap spans several bytes.
+    /// mark, whose whole-event record carries 72 machines' runs.
     const PIN_SIZES: [usize; 2] = [8, 72];
 
     /// FRAM traffic of a run: (read ops, write ops, read bytes, write
@@ -2418,12 +2231,12 @@ mod tests {
 
     /// Pins the static FRAM cost model of `artemis_ir::analysis::bounds`
     /// to the engine it describes, on a suite where the engine's
-    /// dirty-diff records coincide with the slot-granular records the
+    /// dirty-diff runs coincide with the slot-granular sub-writes the
     /// model prices: every machine flips its state and a `Bool` slot 8
-    /// bytes past the state byte on every event, so each commit carries
-    /// exactly two one-byte runs (no merge) plus the done bit. One span
-    /// read plus `|W| + 3` journalled writes per machine must equal the
-    /// engine's billing exactly, at 8 machines and past 64.
+    /// bytes past the state byte on every event, so each machine adds
+    /// exactly two one-byte runs (no merge) to the event's one record.
+    /// The record's `2 + 2·machines` sub-writes plus 3 must equal the
+    /// engine's billed writes exactly, at 8 machines and past 64.
     #[test]
     fn bounds_model_matches_engine_delta() {
         const EVENTS: u64 = 20;
@@ -2432,10 +2245,11 @@ mod tests {
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
             let key = start_t0_key(&compiled);
             assert_eq!(key.machines, machines);
-            // Arming (2r+8w) + worklist setup (4r) + per machine 1 span
-            // read and |W|+2+3 = 6 sparse-commit writes + 1 readback read.
-            assert_eq!(key.reads, 2 + 4 + machines + 1);
-            assert_eq!(key.writes, 8 + machines * 6);
+            // Flag + seq, one span read per machine, readback count.
+            assert_eq!(key.reads, 2 + machines + 1);
+            // One record: seq, verdict count, and state + |W| = 2
+            // sub-writes per machine, plus stage, flag and clear.
+            assert_eq!(key.writes, 2 + machines * 2 + 3);
             // Warm deliveries are WRITE-ONLY (the headline cache bound),
             // and a reboot's refill is flag + seq + one whole-block fill
             // per armed machine.
@@ -2444,11 +2258,11 @@ mod tests {
         }
     }
 
-    /// Off the flip workload the dirty-diff commits undercut the
+    /// Off the flip workload the dirty-diff runs undercut the
     /// slot-granular model, which stays a bound: on the sparse
     /// increment workload the state word never changes and only the
-    /// counter's low byte does, so each machine's commit shrinks from 3
-    /// sub-writes (state + slot + done) to 2 (one 1-byte run + done).
+    /// counter's low byte does, so each machine adds 1 sub-write to the
+    /// record instead of the modelled 2 (state + slot).
     #[test]
     fn diff_commits_undercut_the_model() {
         const MACHINES: usize = 8;
@@ -2459,11 +2273,12 @@ mod tests {
         let key = start_t0_key(&compiled);
         let (reads, writes, _, write_bytes) = tally_start_events(&suite, &app, EVENTS);
 
-        // Warm deliveries stay write-only, each machine commit drops
-        // one sub-write (5 instead of 6 FRAM writes), and both figures
+        // Warm deliveries stay write-only, each machine adds one
+        // sub-write (one FRAM write) instead of two, and both figures
         // stay under the slot-granular static model.
         assert_eq!(reads, 0, "diff path must stay write-only when warm");
-        assert_eq!(writes, (8 + MACHINES * 5) * EVENTS as usize);
+        assert_eq!(key.writes, 2 + MACHINES * 2 + 3);
+        assert_eq!(writes, (2 + MACHINES + 3) * EVENTS as usize);
         assert!(writes < key.writes * EVENTS as usize);
         assert!(
             write_bytes <= key.write_bytes * EVENTS as usize,
@@ -2638,8 +2453,62 @@ mod tests {
         }
     }
 
-    /// Every delivery after a reboot — fresh, or resumed through
-    /// `monitor_finalize` after a crash mid-worklist — stays under the
+    /// A delivery is one atomic attempt, so the energy gate's floor
+    /// prices all of its certain work: on path-free machines whose
+    /// steps change nothing, a warm delivery draws exactly the delivery
+    /// floor (routing lookup, every machine's step, the seq +
+    /// verdict-count record), and an install whose capacitor cannot
+    /// buffer a task's floor is rejected instead of browning out on
+    /// every attempt.
+    #[test]
+    fn delivery_floor_prices_the_certain_work_of_a_delivery() {
+        use artemis_ir::analysis::{delivery_floor_energy, task_feasibility};
+        use intermittent_sim::EnergyProfile;
+
+        const EVENTS: u64 = 20;
+        let (suite, app) = dispatch_suite(64, 0);
+        let t0 = app.task_by_name("t0").unwrap();
+        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+        let key = start_t0_key(&compiled);
+        assert_eq!(key.floor_cycles, key.cycles, "every machine is path-free");
+
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let engine = MonitorEngine::install(&mut dev, suite.clone(), &app).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+        let spent0 = dev.stats().energy(CostCategory::Monitor);
+        for seq in 1..=EVENTS {
+            engine
+                .call_monitor(&mut dev, seq, &MonitorEvent::start(t0, t(seq)))
+                .unwrap();
+        }
+        let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
+        let floor = delivery_floor_energy(&key, dev.cost_model());
+        assert_eq!(spent, floor.saturating_mul(EVENTS));
+
+        let bounds = artemis_ir::suite_bounds(&compiled);
+        let t0_floor = task_feasibility(&compiled, &bounds, &app, &dev.energy_profile())[0].floor;
+        assert!(t0_floor > floor, "t0's floor covers both of its events");
+        let starved =
+            EnergyProfile::with_budget(Energy::from_pico_joules(t0_floor.as_pico_joules() - 1));
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        match MonitorEngine::install_with(
+            &mut dev,
+            suite,
+            &app,
+            InstallOptions {
+                energy: Some(starved),
+                ..InstallOptions::default()
+            },
+        ) {
+            Err(InstallError::Analysis(d)) => assert_eq!(d.pass, "energy"),
+            Err(other) => panic!("expected an energy rejection, got {other}"),
+            Ok(_) => panic!("a capacitor below the delivery floor must be rejected"),
+        }
+    }
+
+    /// Every delivery after a reboot — fresh, re-run after a crash
+    /// before its record's flag, or replayed by `monitor_finalize` after
+    /// a crash inside the record and then redelivered — stays under the
     /// feasibility ceiling `event_energy`, even when the cold refill
     /// reads whole blocks far larger than the spans the key touches
     /// (40 and 120 untouched `Float` slots per machine).
@@ -2689,44 +2558,44 @@ mod tests {
                 assert!(bytes <= key.read_bytes + key.cold_extra_read_bytes);
             }
 
-            // Resumed deliveries: a brown-out at several points of the
-            // second delivery, then reboot, finalize and redelivery.
-            let per_cycle = big().cost_model().compute(1).energy.as_pico_joules();
-            let full = {
+            // Interrupted deliveries: a power failure at every FRAM
+            // write of the second delivery's record (stage, flag, each
+            // apply, clear), then reboot, finalize and redelivery.
+            let writes = {
                 let mut dev = big();
                 let engine = install(&mut dev);
-                let level0 = dev.energy_level().as_pico_joules();
+                let w0 = dev.fram().write_ops();
                 engine
                     .call_monitor(&mut dev, 2, &MonitorEvent::start(t0, t(2)))
                     .unwrap();
-                (level0 - dev.energy_level().as_pico_joules()) / per_cycle
+                dev.fram().write_ops() - w0
             };
             let mut resumed = 0;
-            for k in 1..8u64 {
+            for n in 1..=writes {
                 let mut dev = big();
                 let engine = install(&mut dev);
-                let charge = dev.energy_level().as_pico_joules() / per_cycle;
-                dev.compute(charge - full * k / 8).unwrap();
+                dev.fail_at_fram_write(Some(n));
                 match engine.call_monitor(&mut dev, 2, &MonitorEvent::start(t0, t(2))) {
                     Err(Interrupt::PowerFailure) => {}
-                    other => panic!("drain {k}/8 did not brown out: {other:?}"),
+                    other => panic!("write {n}/{writes} did not fail: {other:?}"),
                 }
                 dev.power_cycle();
                 let spent0 = dev.stats().energy(CostCategory::Monitor);
-                if engine.monitor_finalize(&mut dev).unwrap() {
-                    resumed += 1;
-                }
+                // Replay iff the crash came after the record's flag
+                // (write 2).
+                assert_eq!(engine.monitor_finalize(&mut dev).unwrap(), n > 2);
+                resumed += usize::from(n > 2);
                 engine
                     .call_monitor(&mut dev, 2, &MonitorEvent::start(t0, t(2)))
                     .unwrap();
                 let spent = dev.stats().energy(CostCategory::Monitor) - spent0;
                 assert!(
                     spent <= ceiling(&dev),
-                    "resumed delivery drew {spent}, ceiling {} ({floats} floats, drain {k}/8)",
+                    "interrupted delivery drew {spent}, ceiling {} ({floats} floats, write {n})",
                     ceiling(&dev)
                 );
             }
-            assert!(resumed > 0, "no drain point crashed mid-worklist");
+            assert!(resumed > 0, "no crash point landed after the record's flag");
         }
     }
 
@@ -2741,7 +2610,8 @@ mod tests {
         let (suite, app) = dispatch_suite(2, 1);
         let mut dev = DeviceBuilder::msp430fr5994().build();
 
-        // A 100 nJ capacitor cannot even buffer the two arming commits.
+        // A 100 nJ capacitor cannot even buffer the two deliveries'
+        // smallest records.
         let starved = EnergyProfile::with_budget(Energy::from_nano_joules(100));
         let before = dev.fram().used_by(MemOwner::Monitor);
         let err = MonitorEngine::install_with(
@@ -2921,11 +2791,11 @@ mod tests {
         assert!(dev.trace().render().contains("invalidations"));
     }
 
-    /// Reboot storm: every clean reboot re-pays only the cold-miss
-    /// refill, which the static bound caps at `cold_extra_reads` (the
-    /// flag, the seq and one whole-block fill per armed machine) on top
-    /// of the finalize probe — and nothing accumulates across reboots,
-    /// at 8 machines and past 64.
+    /// Reboot storm: every clean reboot re-pays exactly the cold-miss
+    /// refill the static bound prices as `cold_extra_reads` — the
+    /// finalize's journal-flag probe, then the delivery's seq read and
+    /// one whole-block fill per armed machine — and nothing accumulates
+    /// across reboots, at 8 machines and past 64.
     #[test]
     fn reboot_storm_cold_misses_stay_within_static_bound() {
         const REBOOTS: u64 = 50;
@@ -2943,11 +2813,7 @@ mod tests {
                 .call_monitor(&mut dev, 1, &MonitorEvent::start(t0, t(0)))
                 .unwrap();
 
-            // The finalize pending-probe after a clean reboot costs 3
-            // cold reads (journal flag + worklist count + done bitmap);
-            // the next delivery pays the cold refill, bounded by
-            // cold_extra_reads.
-            let per_reboot_bound = 3 + key.cold_extra_reads;
+            assert_eq!(key.cold_extra_reads, 2 + machines);
             for r in 0..REBOOTS {
                 dev.power_cycle();
                 let reads0 = dev.fram().read_ops();
@@ -2957,33 +2823,38 @@ mod tests {
                     .unwrap();
                 let reads = (dev.fram().read_ops() - reads0) as usize;
                 assert_eq!(
-                    reads,
-                    4 + machines,
+                    reads, key.cold_extra_reads,
                     "cold refill drifted on reboot {r} ({machines} machines): \
-                     finalize probe (3) + seq (1) + one block fill per machine"
+                     flag (1) + seq (1) + one block fill per machine"
                 );
-                assert!(reads <= per_reboot_bound, "static cold bound violated");
             }
             assert_eq!(engine.cache_stats().invalidations, REBOOTS);
         }
     }
 
     /// The derived journal capacity is exactly the static worst-case
-    /// commit: the default installs and runs, while overriding it one
+    /// record: the default installs and runs, while overriding it one
     /// byte smaller is rejected up front by the bounds pass — on a spec
-    /// suite and on a routed suite past 64 machines, whose multi-byte
-    /// done bitmap rides in every commit.
+    /// suite and on a routed suite past 64 machines, whose whole-event
+    /// record (72 machines' sub-writes) outgrows the reset record.
     #[test]
     fn derived_journal_capacity_is_tight() {
         let app = app();
         let spec = "accel { maxTries: 5 onFail: skipPath; }";
         let cases = [
             (artemis_ir::compile(spec, &app).unwrap(), app.clone()),
-            dispatch_suite(72, 1),
+            dispatch_suite(72, 12),
         ];
         for (suite, app) in cases {
             let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-            let worst = artemis_ir::suite_bounds(&compiled).worst_commit_bytes;
+            let bounds = artemis_ir::suite_bounds(&compiled);
+            let worst = bounds.worst_commit_bytes;
+            if suite.len() == 72 {
+                // Every machine writes all twelve slots, so the event
+                // record, not the reset, sizes the journal.
+                assert_eq!(worst, start_t0_key(&compiled).commit_bytes);
+                assert!(worst > bounds.reset_commit_bytes);
+            }
             let first = app
                 .task_by_name(suite.machines()[0].observed_tasks()[0])
                 .unwrap();
@@ -3116,7 +2987,7 @@ mod tests {
         assert_eq!(scan.mode(), ExecMode::Interpreter);
     }
 
-    /// Suites past one bitmap word install routed — with the shadow
+    /// Suites past 64 machines install routed — with the shadow
     /// cache, sparse deltas and diff commits in force — and deliver
     /// correctly: there is no full-scan degrade at 64 machines.
     #[test]
@@ -3270,57 +3141,58 @@ mod finalize_tests {
     use intermittent_sim::energy::Energy;
     use intermittent_sim::harvester::Harvester;
 
-    /// `monitorFinalize` must report work when an event was interrupted
-    /// mid-processing, and nothing otherwise (paper Figure 8 line 16).
+    /// `monitorFinalize` must report work exactly when a power failure
+    /// tore an event's record after its commit flag, and nothing
+    /// otherwise (paper Figure 8 line 16): a crash at every FRAM write
+    /// of the record — stage, flag, each apply, clear — in turn.
     #[test]
     fn finalize_reports_interrupted_events() {
         let mut b = AppGraphBuilder::new();
         let a = b.task("a");
         b.path(&[a]);
         let app = b.build().unwrap();
-        // Several machines so processing spans multiple steps.
+        // Several machines so the record spans several applies.
         let spec = "a { maxTries: 100 onFail: skipPath; \
                     maxDuration: 1s onFail: skipTask; \
                     period: 1min onFail: restartTask; }";
         let suite = artemis_ir::compile(spec, &app).unwrap();
 
-        let mut dev = DeviceBuilder::msp430fr5994()
-            .capacitor(Capacitor::with_budget(Energy::from_micro_joules(500)))
-            .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
-            .build();
-        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
+        let install = || {
+            let mut dev = DeviceBuilder::msp430fr5994()
+                .capacitor(Capacitor::with_budget(Energy::from_micro_joules(500)))
+                .harvester(Harvester::FixedDelay(SimDuration::from_secs(1)))
+                .build();
+            let engine = MonitorEngine::install(&mut dev, suite.clone(), &app).unwrap();
+            engine.reset_monitor(&mut dev).unwrap();
+            (dev, engine)
+        };
+        let ev = MonitorEvent::start(a, SimInstant::from_micros(1));
 
         // Nothing pending on a fresh engine.
+        let (mut dev, engine) = install();
         assert!(!engine.monitor_finalize(&mut dev).unwrap());
+        let w0 = dev.fram().write_ops();
+        engine.call_monitor(&mut dev, 1, &ev).unwrap();
+        let writes = dev.fram().write_ops() - w0;
+        assert!(writes > 4, "the record must span several applies");
 
-        // Find an energy level at which call_monitor is interrupted
-        // between machine steps, then finalize after "reboot".
-        let mut interrupted = false;
-        for seq in 1..200u64 {
-            // Drain close to empty so the next event brown-outs mid-way.
-            while dev.energy_level() > Energy::from_nano_joules(900) {
-                let _ = dev.compute(100);
-            }
-            let ev = MonitorEvent::start(a, SimInstant::from_micros(seq));
-            match engine.call_monitor(&mut dev, seq, &ev) {
-                Ok(_) => {}
-                Err(Interrupt::PowerFailure) => {
-                    dev.power_cycle();
-                    let resumed = engine.monitor_finalize(&mut dev).unwrap();
-                    if resumed {
-                        interrupted = true;
-                        // The verdicts of the finalized event are
-                        // available without re-stepping.
-                        let _ = engine.last_verdicts(&mut dev).unwrap();
-                        break;
-                    }
-                }
-                Err(other) => panic!("unexpected: {other}"),
-            }
+        for n in 1..=writes {
+            let (mut dev, engine) = install();
+            dev.fail_at_fram_write(Some(n));
+            assert_eq!(
+                engine.call_monitor(&mut dev, 1, &ev),
+                Err(Interrupt::PowerFailure)
+            );
+            dev.power_cycle();
+            // Write 1 stages the record and write 2 sets its flag: only
+            // a crash after the flag leaves a record to replay.
+            let resumed = engine.monitor_finalize(&mut dev).unwrap();
+            assert_eq!(resumed, n > 2, "crash at write {n} of {writes}");
+            // The replayed event's verdicts are available without
+            // re-stepping, and a second finalize is a no-op.
+            let _ = engine.last_verdicts(&mut dev).unwrap();
+            assert!(!engine.monitor_finalize(&mut dev).unwrap());
+            engine.call_monitor(&mut dev, 1, &ev).unwrap();
         }
-        assert!(interrupted, "never observed a mid-event interruption");
-        // A second finalize is a no-op.
-        assert!(!engine.monitor_finalize(&mut dev).unwrap());
     }
 }

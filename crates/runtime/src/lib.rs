@@ -317,6 +317,7 @@ impl ArtemisRuntimeBuilder {
         Ok(ArtemisRuntime {
             app: self.app,
             bodies: self.bodies,
+            violations: vec![0; engine.machine_count()],
             engine,
             journal,
             cells,
@@ -362,6 +363,8 @@ pub struct ArtemisRuntime<M: Monitoring = MonitorEngine> {
     /// Volatile: the task the loop is currently looking at, for trace
     /// attribution only (re-derived on every iteration).
     current_task_cached: TaskId,
+    /// Verdicts arbitrated per monitor index.
+    violations: Vec<u64>,
 }
 
 impl<M: Monitoring> ArtemisRuntime<M> {
@@ -385,6 +388,12 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// as the per-device throughput figure after a run.
     pub fn events_delivered(&self, dev: &Device) -> u64 {
         dev.peek(&self.cells.seq)
+    }
+
+    /// Violations per monitor index: one per arbitrated verdict, exact
+    /// however the device trace is bounded.
+    pub fn violations(&self) -> &[u64] {
+        &self.violations
     }
 
     /// Runs the application once on `dev` under `limit`.
@@ -415,8 +424,9 @@ impl<M: Monitoring> ArtemisRuntime<M> {
         Ok(next)
     }
 
-    fn arbitrate(&self, dev: &mut Device, verdicts: &[MonitorVerdict]) -> Option<Action> {
+    fn arbitrate(&mut self, dev: &mut Device, verdicts: &[MonitorVerdict]) -> Option<Action> {
         for v in verdicts {
+            self.violations[v.machine_index] += 1;
             dev.trace_push(TraceEvent::Violation {
                 task: self.current_task_cached,
                 monitor: v.machine_index as u32,
@@ -526,16 +536,11 @@ impl<M: Monitoring> ArtemisRuntime<M> {
     /// Applies a path-directed corrective action.
     fn apply_path_action(&self, dev: &mut Device, action: Action) -> Result<(), Interrupt> {
         dev.trace_push(TraceEvent::ActionTaken { action });
+        let mut tx = TxWriter::new();
         match action {
             Action::RestartPath(p) => {
                 self.engine.on_path_restart(dev, p)?;
-                let mut tx = TxWriter::new();
                 tx.write(&self.cells.cur_path, p.0);
-                tx.write(&self.cells.cur_idx, 0u32);
-                tx.write(&self.cells.status, STATUS_READY);
-                tx.write(&self.cells.attempt, 0u32);
-                dev.commit(&self.journal, &tx)?;
-                dev.trace_push(TraceEvent::PathStart { path: p });
             }
             Action::SkipPath(p) => {
                 let mut results = dev.nv_read(&self.cells.path_results)?;
@@ -543,27 +548,31 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                     results[p.index()] = PATH_SKIPPED;
                 }
                 dev.trace_push(TraceEvent::PathSkipped { path: p });
-                let mut tx = TxWriter::new();
                 tx.write(&self.cells.path_results, results);
                 tx.write(&self.cells.cur_path, p.0 + 1);
-                tx.write(&self.cells.cur_idx, 0u32);
-                tx.write(&self.cells.status, STATUS_READY);
-                tx.write(&self.cells.attempt, 0u32);
-                dev.commit(&self.journal, &tx)?;
             }
             Action::CompletePath(_) => {
                 // Suspend monitoring; the caller decides how the
                 // current task proceeds.
-                dev.nv_write(&self.cells.unmonitored, 1u8)?;
+                return dev.nv_write(&self.cells.unmonitored, 1u8);
             }
             Action::RestartTask | Action::SkipTask => {
                 unreachable!("task-level actions are handled inline")
             }
         }
+        tx.write(&self.cells.cur_idx, 0u32);
+        tx.write(&self.cells.status, STATUS_READY);
+        tx.write(&self.cells.attempt, 0u32);
+        dev.commit(&self.journal, &tx)?;
+        if let Action::RestartPath(p) = action {
+            dev.trace_push(TraceEvent::PathStart { path: p });
+        }
         Ok(())
     }
 
-    fn outcome(&self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
+    /// Ends the run: traces its completion and reads the outcome.
+    fn finish(&self, dev: &mut Device) -> Result<RunOutcome, Interrupt> {
+        dev.trace_push(TraceEvent::RunComplete);
         let results = dev.nv_read(&self.cells.path_results)?;
         let emergency = dev.nv_read(&self.cells.emergency)? != 0;
         let mut outcome = RunOutcome {
@@ -594,8 +603,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
             dev.compute(CHECK_TASK_CYCLES)?;
             let cur_path = dev.nv_read(&self.cells.cur_path)?;
             if cur_path >= self.app.paths().len() as u32 {
-                dev.trace_push(TraceEvent::RunComplete);
-                return self.outcome(dev);
+                return self.finish(dev);
             }
             let cur_idx = dev.nv_read(&self.cells.cur_idx)?;
             let task = self.app.path(PathId(cur_path)).tasks[cur_idx as usize];
@@ -619,8 +627,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                             action: Action::SkipTask,
                         });
                         if self.advance(dev, cur_path, cur_idx)? {
-                            dev.trace_push(TraceEvent::RunComplete);
-                            return self.outcome(dev);
+                            return self.finish(dev);
                         }
                     }
                     Some(a @ Action::CompletePath(_)) => {
@@ -652,8 +659,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                 match action {
                     None | Some(Action::SkipTask) => {
                         if self.advance(dev, cur_path, cur_idx)? {
-                            dev.trace_push(TraceEvent::RunComplete);
-                            return self.outcome(dev);
+                            return self.finish(dev);
                         }
                     }
                     Some(Action::RestartTask) => {
@@ -668,8 +674,7 @@ impl<M: Monitoring> ArtemisRuntime<M> {
                         dev.trace_push(TraceEvent::ActionTaken { action: a });
                         self.apply_path_action(dev, a)?;
                         if self.advance(dev, cur_path, cur_idx)? {
-                            dev.trace_push(TraceEvent::RunComplete);
-                            return self.outcome(dev);
+                            return self.finish(dev);
                         }
                     }
                     Some(a) => self.apply_path_action(dev, a)?,

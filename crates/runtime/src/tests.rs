@@ -551,3 +551,74 @@ fn end_triggered_restart_task_reruns_until_in_budget() {
         1
     );
 }
+
+/// A power failure inside a `StartTask` delivery counts as a `maxTries`
+/// attempt iff it lands after the delivery's record reached its commit
+/// flag: before the flag the delivery left nothing behind and the
+/// runtime's re-delivery under a fresh seq is the first attempt the
+/// monitor sees; after it, journal replay completes the crashed attempt
+/// and the re-delivery is the second — never a third. Swept over every
+/// FRAM write of the first delivery, on `maxTries: 1` (the crashed
+/// attempt counting shows as a violation) and `maxTries: 2` (it never
+/// counts twice).
+#[test]
+fn start_task_crash_counts_as_an_attempt_only_after_the_record_flag() {
+    use artemis_core::event::MonitorEvent;
+    use artemis_core::time::SimInstant;
+    use artemis_monitor::MonitorEngine;
+
+    let mut b = AppGraphBuilder::new();
+    let a = b.task("a");
+    b.path(&[a]);
+    let app = b.build().unwrap();
+
+    for tries in [1, 2] {
+        let spec = format!("a {{ maxTries: {tries} onFail: skipPath; }}");
+        // FRAM writes of the first `StartTask` delivery, measured on the
+        // bare engine: the record's stage, flag, applies and clear.
+        let writes = {
+            let mut dev = continuous_device();
+            let suite = artemis_ir::compile(&spec, &app).unwrap();
+            let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+            engine.reset_monitor(&mut dev).unwrap();
+            let w0 = dev.fram().write_ops();
+            let start = MonitorEvent::start(a, SimInstant::EPOCH).on_path(PathId(0));
+            engine.call_monitor(&mut dev, 1, &start).unwrap();
+            dev.fram().write_ops() - w0
+        };
+        assert!(writes >= 5, "stage + flag + seq + count + clear at least");
+
+        for j in 1..=writes {
+            let mut dev = continuous_device();
+            let suite = artemis_ir::compile(&spec, &app).unwrap();
+            let mut rb = ArtemisRuntimeBuilder::new(app.clone());
+            rb.body("a", |ctx| ctx.compute(1_000));
+            let mut rt = rb.install(&mut dev, suite).unwrap();
+            // The boot's first billed FRAM write reserves the fresh
+            // seq; the delivery's writes follow.
+            dev.fail_at_fram_write(Some(1 + j));
+            let outcome = rt.run_once(&mut dev, RunLimit::unbounded());
+            assert_eq!(dev.reboots(), 1, "one crash at delivery write {j}");
+            let counted = j > 2;
+            let violated = counted && tries == 1;
+            let want = if violated {
+                RunOutcome {
+                    completed: vec![],
+                    skipped: vec![PathId(0)],
+                    emergency: false,
+                }
+            } else {
+                RunOutcome {
+                    completed: vec![PathId(0)],
+                    skipped: vec![],
+                    emergency: false,
+                }
+            };
+            assert_eq!(
+                outcome,
+                SimOutcome::Completed(want),
+                "maxTries: {tries}, crash at delivery write {j} of {writes}"
+            );
+        }
+    }
+}

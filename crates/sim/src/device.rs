@@ -167,9 +167,42 @@ struct PowerState {
     stats: DeviceStats,
     category: CostCategory,
     deadline: Option<SimInstant>,
+    /// Billed FRAM writes left before an injected power failure
+    /// ([`Device::fail_at_fram_write`]).
+    #[cfg(feature = "crash-injection")]
+    fail_write: Option<u64>,
 }
 
 impl PowerState {
+    /// [`PowerState::spend`] for one FRAM write access: the single
+    /// place every billed write passes, so an injected power failure
+    /// lands before the write reaches FRAM.
+    fn spend_write(&mut self, cost: Cost) -> Result<(), Interrupt> {
+        #[cfg(feature = "crash-injection")]
+        if let Some(left) = &mut self.fail_write {
+            *left -= 1;
+            if *left == 0 {
+                self.fail_write = None;
+                self.stats.power_failures += 1;
+                return Err(Interrupt::PowerFailure);
+            }
+        }
+        self.spend(cost)
+    }
+
+    /// Bills one journal FRAM access at its direction's price.
+    fn spend_journal(
+        &mut self,
+        costs: &CostModel,
+        bytes: usize,
+        op: JournalOp,
+    ) -> Result<(), Interrupt> {
+        match op {
+            JournalOp::Read => self.spend(costs.fram_read(bytes)),
+            JournalOp::Write => self.spend_write(costs.fram_write(bytes)),
+        }
+    }
+
     fn spend(&mut self, cost: Cost) -> Result<(), Interrupt> {
         // Time passes regardless of whether the energy was there: a
         // brown-out happens *during* the operation.
@@ -239,9 +272,34 @@ pub struct Device {
     sensor_cursors: Option<NvCell<[u64; 4]>>,
     trace: Trace,
     reboots: u64,
+    /// Route sparse commits through the deliberately mis-ordered
+    /// protocol ([`Device::set_misordered_sparse_commits`]).
+    #[cfg(feature = "crash-injection")]
+    misordered_sparse: bool,
 }
 
 impl Device {
+    /// Test-only fault injection: the `n`-th billed FRAM write access
+    /// from now (`n ≥ 1`; a cell or raw write, or one journal write
+    /// access) fails with [`Interrupt::PowerFailure`] before it reaches
+    /// FRAM. `None` disarms. Lets a test enumerate every crash point of
+    /// an operation exactly, instead of sampling them with capacitor
+    /// sizes. Only built with the `crash-injection` feature.
+    #[cfg(feature = "crash-injection")]
+    pub fn fail_at_fram_write(&mut self, n: Option<u64>) {
+        assert!(n != Some(0), "write numbers start at 1");
+        self.power.fail_write = n;
+    }
+
+    /// Test-only protocol mutation: every later sparse commit applies
+    /// its sub-writes *before* staging the record and setting the flag
+    /// — the ordering bug a crash-point explorer must catch. Only built
+    /// with the `crash-injection` feature.
+    #[cfg(feature = "crash-injection")]
+    pub fn set_misordered_sparse_commits(&mut self, on: bool) {
+        self.misordered_sparse = on;
+    }
+
     /// Current persistent-clock reading (`GetTime()` in the paper).
     pub fn now(&self) -> SimInstant {
         self.power.clock.now()
@@ -318,7 +376,7 @@ impl Device {
     /// journal for multi-cell atomicity).
     pub fn nv_write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) -> Result<(), Interrupt> {
         let cost = self.costs.fram_write(T::SIZE);
-        self.power.spend(cost)?;
+        self.power.spend_write(cost)?;
         self.fram.write(cell, value);
         Ok(())
     }
@@ -353,7 +411,7 @@ impl Device {
     /// transactional; stage into a journal for atomicity).
     pub fn nv_write_raw(&mut self, addr: usize, data: &[u8]) -> Result<(), Interrupt> {
         let cost = self.costs.fram_write(data.len());
-        self.power.spend(cost)?;
+        self.power.spend_write(cost)?;
         self.fram.write_raw(addr, data);
         Ok(())
     }
@@ -384,10 +442,7 @@ impl Device {
         let power = &mut self.power;
         let costs = &self.costs;
         journal.commit(&mut self.fram, tx, &mut |bytes, op| {
-            power.spend(match op {
-                JournalOp::Read => costs.fram_read(bytes),
-                JournalOp::Write => costs.fram_write(bytes),
-            })
+            power.spend_journal(costs, bytes, op)
         })
     }
 
@@ -396,12 +451,12 @@ impl Device {
     pub fn commit_sparse(&mut self, journal: &Journal, tx: &SparseTx) -> Result<(), Interrupt> {
         let power = &mut self.power;
         let costs = &self.costs;
-        journal.commit_sparse(&mut self.fram, tx, &mut |bytes, op| {
-            power.spend(match op {
-                JournalOp::Read => costs.fram_read(bytes),
-                JournalOp::Write => costs.fram_write(bytes),
-            })
-        })
+        let mut spend = |bytes, op| power.spend_journal(costs, bytes, op);
+        #[cfg(feature = "crash-injection")]
+        if self.misordered_sparse {
+            return journal.commit_sparse_misordered(&mut self.fram, tx, &mut spend);
+        }
+        journal.commit_sparse(&mut self.fram, tx, &mut spend)
     }
 
     /// Completes an interrupted commit on boot, if any. Replay reads
@@ -410,10 +465,7 @@ impl Device {
         let power = &mut self.power;
         let costs = &self.costs;
         journal.recover(&mut self.fram, &mut |bytes, op| {
-            power.spend(match op {
-                JournalOp::Read => costs.fram_read(bytes),
-                JournalOp::Write => costs.fram_write(bytes),
-            })
+            power.spend_journal(costs, bytes, op)
         })
     }
 
@@ -654,12 +706,16 @@ impl DeviceBuilder {
                 stats: DeviceStats::default(),
                 category: CostCategory::App,
                 deadline: None,
+                #[cfg(feature = "crash-injection")]
+                fail_write: None,
             },
             costs: self.costs,
             peripherals: self.peripherals,
             sensor_cursors: None,
             trace: self.trace,
             reboots: 0,
+            #[cfg(feature = "crash-injection")]
+            misordered_sparse: false,
         }
     }
 }

@@ -61,6 +61,8 @@ const FLAG_IDLE: u8 = 0;
 const FLAG_ENTRIES: u8 = 1;
 /// Flag value: a committed sparse-delta record is pending.
 const FLAG_SPARSE: u8 = 2;
+/// Most sub-writes one sparse record's `u16` count word can hold.
+pub const MAX_SUB_WRITES: usize = u16::MAX as usize;
 
 /// A volatile write-set staged by a task before commit.
 ///
@@ -95,21 +97,6 @@ impl TxWriter {
             }
         }
         self.entries.push((addr, data));
-    }
-
-    /// Stages a variable-length `u16` list at `addr` as **one** journal
-    /// entry: a `u16` count followed by the items, little-endian (see
-    /// [`encode_u16_list`]). Unlike [`TxWriter::write_raw`], re-staging
-    /// a list at the same address replaces the previous entry even when
-    /// the lengths differ — the count word makes the shorter image
-    /// self-delimiting, so stale tail bytes can never be misread.
-    ///
-    /// This is the staging primitive for armed worklists: the list
-    /// commits atomically with whatever else is in the transaction, so
-    /// a reboot sees either the complete new list or the old one.
-    pub fn write_u16_list(&mut self, addr: usize, items: &[u16]) {
-        self.entries.retain(|(a, _)| *a != addr);
-        self.entries.push((addr, encode_u16_list(items)));
     }
 
     /// Reads a cell, observing staged writes first.
@@ -151,11 +138,17 @@ impl TxWriter {
 /// Unlike [`TxWriter`], the staged sub-writes are serialised into one
 /// length-prefixed record (`count: u16`, then `addr: u32`, `len: u16`,
 /// `data` per sub-write) that [`Journal::commit_sparse`] stages with a
-/// single FRAM write and applies straight from RAM. Sub-writes to the
-/// same address are merged in place, mirroring [`TxWriter::write_raw`].
+/// single FRAM write and applies straight from RAM. [`SparseTx::push`]
+/// merges sub-writes to the same address in place, mirroring
+/// [`TxWriter::write_raw`]; [`SparseTx::append_raw`] skips that scan
+/// for callers that stage disjoint ranges. Payloads
+/// live in one flat buffer, so a write-set reused through
+/// [`SparseTx::clear`] stages without allocating.
 #[derive(Default, Debug)]
 pub struct SparseTx {
-    writes: Vec<(usize, Vec<u8>)>,
+    /// `(addr, offset into data, len)` per sub-write, in staging order.
+    writes: Vec<(usize, usize, usize)>,
+    data: Vec<u8>,
 }
 
 impl SparseTx {
@@ -164,22 +157,32 @@ impl SparseTx {
         Self::default()
     }
 
-    /// Stages a typed sub-write.
+    /// Stages a typed sub-write, replacing an earlier one of the same
+    /// address and size.
     pub fn push<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        let mut buf = vec![0u8; T::SIZE];
-        value.store(&mut buf);
-        self.push_raw(cell.addr(), buf);
+        let addr = cell.addr();
+        let staged = self
+            .writes
+            .iter()
+            .find(|&&(a, _, len)| a == addr && len == T::SIZE);
+        let off = match staged {
+            Some(&(_, off, _)) => off,
+            None => {
+                let off = self.data.len();
+                self.writes.push((addr, off, T::SIZE));
+                self.data.resize(off + T::SIZE, 0);
+                off
+            }
+        };
+        value.store(&mut self.data[off..off + T::SIZE]);
     }
 
-    /// Stages a raw sub-write.
-    pub fn push_raw(&mut self, addr: usize, data: Vec<u8>) {
-        for (a, d) in self.writes.iter_mut() {
-            if *a == addr && d.len() == data.len() {
-                *d = data;
-                return;
-            }
-        }
-        self.writes.push((addr, data));
+    /// Stages a raw sub-write without looking for an earlier one to
+    /// merge with: the caller guarantees `addr..addr + data.len()`
+    /// overlaps no other staged sub-write.
+    pub fn append_raw(&mut self, addr: usize, data: &[u8]) {
+        self.writes.push((addr, self.data.len(), data.len()));
+        self.data.extend_from_slice(data);
     }
 
     /// Number of staged sub-writes.
@@ -195,58 +198,33 @@ impl SparseTx {
     /// Journal bytes the serialised record occupies: the count word
     /// plus a header and payload per sub-write.
     pub fn record_bytes(&self) -> usize {
-        2 + self
-            .writes
+        2 + ENTRY_HEADER * self.writes.len() + self.data.len()
+    }
+
+    /// The staged sub-writes as `(addr, data)`, in staging order.
+    fn sub_writes(&self) -> impl Iterator<Item = (usize, &[u8])> {
+        self.writes
             .iter()
-            .map(|(_, d)| ENTRY_HEADER + d.len())
-            .sum::<usize>()
+            .map(|&(addr, off, len)| (addr, &self.data[off..off + len]))
     }
 
     /// Serialises the record image staged into the journal region.
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.record_bytes());
         buf.extend_from_slice(&(self.writes.len() as u16).to_le_bytes());
-        for (addr, data) in &self.writes {
-            buf.extend_from_slice(&(*addr as u32).to_le_bytes());
+        for (addr, data) in self.sub_writes() {
+            buf.extend_from_slice(&(addr as u32).to_le_bytes());
             buf.extend_from_slice(&(data.len() as u16).to_le_bytes());
             buf.extend_from_slice(data);
         }
         buf
     }
 
-    /// Discards all staged sub-writes.
+    /// Discards all staged sub-writes, keeping the buffers.
     pub fn clear(&mut self) {
         self.writes.clear();
+        self.data.clear();
     }
-}
-
-/// Encodes a `u16` list as its FRAM image: a `u16` count followed by
-/// the items, all little-endian. The inverse of [`decode_u16_list`].
-pub fn encode_u16_list(items: &[u16]) -> Vec<u8> {
-    debug_assert!(items.len() <= u16::MAX as usize);
-    let mut buf = Vec::with_capacity(2 + items.len() * 2);
-    buf.extend_from_slice(&(items.len() as u16).to_le_bytes());
-    for v in items {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    buf
-}
-
-/// Bytes a `u16` list of `n` items occupies in FRAM (count word +
-/// items) — use to size the backing region at allocation time.
-pub fn u16_list_bytes(n: usize) -> usize {
-    2 + 2 * n
-}
-
-/// Decodes a `u16` list image produced by [`encode_u16_list`]. The
-/// slice may be longer than the encoded list (a region sized for the
-/// maximum); only `count` items are read.
-pub fn decode_u16_list(bytes: &[u8]) -> Vec<u16> {
-    let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-    bytes[2..2 + count * 2]
-        .chunks_exact(2)
-        .map(|c| u16::from_le_bytes([c[0], c[1]]))
-        .collect()
 }
 
 /// The journal region handle.
@@ -349,8 +327,9 @@ impl Journal {
         if tx.is_empty() {
             return Ok(());
         }
+        // The record's count word holds at most `u16::MAX` sub-writes.
         let needed = tx.record_bytes();
-        if needed > self.capacity {
+        if needed > self.capacity || tx.len() > MAX_SUB_WRITES {
             return Err(Interrupt::Fault(Fault::JournalOverflow {
                 needed,
                 capacity: self.capacity,
@@ -367,11 +346,39 @@ impl Journal {
 
         // Phase 3: apply straight from RAM; a failure here is repaired
         // by `recover`, which replays the FRAM copy.
-        for (addr, data) in &tx.writes {
+        for (addr, data) in tx.sub_writes() {
             spend(data.len(), JournalOp::Write)?;
-            fram.write_raw(*addr, data);
+            fram.write_raw(addr, data);
         }
 
+        spend(1, JournalOp::Write)?;
+        fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
+        Ok(())
+    }
+
+    /// A deliberately broken [`Journal::commit_sparse`]: the sub-writes
+    /// are applied *before* the record is staged and the flag set, so a
+    /// power failure between two applies leaves a torn, unrecoverable
+    /// update. Exists only so crash-point explorers can show they catch
+    /// an ordering bug (see `Device::set_misordered_sparse_commits`).
+    #[cfg(feature = "crash-injection")]
+    pub fn commit_sparse_misordered(
+        &self,
+        fram: &mut Fram,
+        tx: &SparseTx,
+        spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
+    ) -> Result<(), Interrupt> {
+        if tx.is_empty() {
+            return Ok(());
+        }
+        for (addr, data) in tx.sub_writes() {
+            spend(data.len(), JournalOp::Write)?;
+            fram.write_raw(addr, data);
+        }
+        spend(tx.record_bytes(), JournalOp::Write)?;
+        fram.write_raw(self.base + ENTRIES_OFF, &tx.encode());
+        spend(1, JournalOp::Write)?;
+        fram.write_raw(self.base + FLAG_OFF, &[FLAG_SPARSE]);
         spend(1, JournalOp::Write)?;
         fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
         Ok(())
@@ -540,51 +547,6 @@ mod tests {
         assert_eq!(fram.peek(&a), 0, "target untouched");
     }
 
-    #[test]
-    fn u16_list_round_trips_through_commit() {
-        let mut fram = Fram::new(4096);
-        let journal = Journal::new(&mut fram, 256, MemOwner::Runtime).unwrap();
-        let addr = fram
-            .alloc_raw(u16_list_bytes(8), MemOwner::Monitor, "wl")
-            .unwrap();
-
-        let mut tx = TxWriter::new();
-        tx.write_u16_list(addr, &[3, 1, 7]);
-        assert_eq!(tx.len(), 1, "one journal entry for the whole list");
-        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
-        assert_eq!(
-            decode_u16_list(fram.peek_raw(addr, u16_list_bytes(8))),
-            vec![3, 1, 7]
-        );
-
-        // A shorter re-stage replaces the longer image: the count word
-        // self-delimits, stale tail bytes are never read.
-        let mut tx = TxWriter::new();
-        tx.write_u16_list(addr, &[9]);
-        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
-        assert_eq!(
-            decode_u16_list(fram.peek_raw(addr, u16_list_bytes(8))),
-            vec![9]
-        );
-
-        let mut tx = TxWriter::new();
-        tx.write_u16_list(addr, &[]);
-        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
-        assert!(decode_u16_list(fram.peek_raw(addr, u16_list_bytes(8))).is_empty());
-    }
-
-    #[test]
-    fn restaging_a_u16_list_in_one_tx_keeps_one_entry() {
-        let mut tx = TxWriter::new();
-        tx.write_u16_list(100, &[1, 2, 3, 4]);
-        tx.write_u16_list(100, &[5]);
-        assert_eq!(tx.len(), 1);
-        assert_eq!(tx.journal_bytes(), 6 + u16_list_bytes(1));
-        // Lists at other addresses are unaffected.
-        tx.write_u16_list(200, &[6, 7]);
-        assert_eq!(tx.len(), 2);
-    }
-
     /// The core atomicity property: inject a power failure after every
     /// possible number of charged bytes; after recovery the FRAM state
     /// must be either fully pre-transaction or fully post-transaction.
@@ -732,6 +694,29 @@ mod tests {
             Interrupt::Fault(Fault::JournalOverflow { .. })
         ));
         assert_eq!(fram.peek(&a), 0, "target untouched");
+    }
+
+    #[test]
+    fn sparse_tx_past_the_count_word_is_rejected_cleanly() {
+        let mut fram = Fram::new(1 << 20);
+        let journal = Journal::new(&mut fram, 1 << 19, MemOwner::Runtime).unwrap();
+        let base = fram
+            .alloc_raw(MAX_SUB_WRITES + 1, MemOwner::App, "bytes")
+            .unwrap();
+        let mut tx = SparseTx::new();
+        for i in 0..=MAX_SUB_WRITES {
+            tx.append_raw(base + i, &[1]);
+        }
+        assert!(tx.record_bytes() <= journal.capacity());
+        let err = journal
+            .commit_sparse(&mut fram, &tx, &mut no_fail)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            Interrupt::Fault(Fault::JournalOverflow { .. })
+        ));
+        assert_eq!(fram.peek_raw(base, 1), &[0], "target untouched");
+        assert!(!journal.is_pending(&fram));
     }
 
     /// Same exhaustive fault-injection sweep as the entry-list commit:
