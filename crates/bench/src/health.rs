@@ -451,6 +451,38 @@ mod tests {
         assert_eq!(dev.fram().read_ops(), reads0, "warm deliveries read FRAM");
     }
 
+    /// `RUNTIME_ATTEMPT_OVERHEAD` is a per-attempt ceiling on the task
+    /// runtime's own bookkeeping. Measured here on the Fig. 5 app over a
+    /// whole continuous run: every runtime-billed nanojoule — checkTask
+    /// dispatch, the seq reservation, the attempt counter, the finish
+    /// and advance commits, path bookkeeping — divided by the run's
+    /// task attempts, so the figure over-approximates the protocol cost
+    /// the constant covers.
+    #[test]
+    fn runtime_attempt_overhead_covers_the_measured_protocol_cost() {
+        use artemis_core::trace::TraceEvent;
+        use artemis_ir::analysis::RUNTIME_ATTEMPT_OVERHEAD;
+        use intermittent_sim::device::CostCategory;
+
+        let mut dev = benchmark_device(Harvester::Continuous);
+        let mut rt = install_artemis(&mut dev, HEALTH_SPEC);
+        let before = dev.stats().energy(CostCategory::Runtime);
+        rt.run_once(&mut dev, RunLimit::sim_time(SimDuration::from_hours(1)))
+            .completed()
+            .expect("must complete");
+        let spent = dev.stats().energy(CostCategory::Runtime) - before;
+        let attempts = dev
+            .trace()
+            .count(|e| matches!(e, TraceEvent::TaskStart { .. }));
+        let per_attempt_nj = spent.as_joules_f64() * 1e9 / attempts as f64;
+        let ceiling_nj = RUNTIME_ATTEMPT_OVERHEAD.as_joules_f64() * 1e9;
+        assert!(
+            per_attempt_nj <= ceiling_nj,
+            "runtime bookkeeping {per_attempt_nj:.1} nJ/attempt exceeds the \
+             {ceiling_nj:.0} nJ allowance"
+        );
+    }
+
     #[test]
     fn mayfly_health_app_completes_on_continuous_power() {
         let mut dev = benchmark_device(Harvester::Continuous);

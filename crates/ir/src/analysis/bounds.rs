@@ -70,12 +70,12 @@
 
 use artemis_core::event::EventKind;
 use artemis_spec::Diagnostic;
-use intermittent_sim::journal::MAX_SUB_WRITES;
+use intermittent_sim::journal::{
+    commit_write_bytes, commit_writes, record_bytes, replay_reads, MAX_SUB_WRITES,
+};
 
 use crate::compile::{CompiledMachine, CompiledSuite};
 
-/// Journal entry header bytes (`addr: u32` + `len: u16`).
-const ENTRY_HEADER: usize = 6;
 /// Sequence cell (`u64`).
 const U64_BYTES: usize = 8;
 /// Verdict count (`u32`).
@@ -94,40 +94,13 @@ pub const COMPILED_DISPATCH_CYCLES: u64 = 10;
 /// Cycles per dispatched transition evaluated.
 pub const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 
-/// FRAM writes of a sparse journal commit with `k` sub-writes (stage,
-/// flag, `k` applies, clear); sparse commits perform no reads.
-const fn sparse_commit_writes(k: usize) -> usize {
-    k + 3
-}
-
-/// FRAM reads of replaying a torn sparse record of `k` sub-writes on
-/// reboot: the count word, then each sub-write's header and payload.
-const fn replay_reads(k: usize) -> usize {
-    1 + 2 * k
-}
-
-/// Journal payload bytes of one entry carrying `data` bytes. Sub-write
-/// slots of a sparse record have the same header, plus the record's
-/// leading `count: u16` accounted separately ([`sparse_record_bytes`]).
-const fn entry_bytes(data: usize) -> usize {
-    ENTRY_HEADER + data
-}
-
-/// Journal payload bytes of a sparse record whose sub-write entries
-/// total `entries_bytes` (headers included).
-const fn sparse_record_bytes(entries_bytes: usize) -> usize {
-    2 + entries_bytes
-}
-
-/// Writes, write bytes and record bytes of one sparse record committing
-/// `k` sub-writes of `data` payload bytes in total: the staged record,
-/// the flag set, each payload, the flag clear.
+/// Writes, write bytes and record bytes of one journal record
+/// committing `k` sub-writes of `data` payload bytes in total.
 const fn record_cost(k: usize, data: usize) -> (usize, usize, usize) {
-    let record = sparse_record_bytes(ENTRY_HEADER * k + data);
     (
-        sparse_commit_writes(k),
-        record + data + 2 * FLAG_BYTES,
-        record,
+        commit_writes(k),
+        commit_write_bytes(k, data),
+        record_bytes(k, data),
     )
 }
 
@@ -169,7 +142,7 @@ pub struct EventCost {
     /// delivery reads at most `read_bytes + cold_extra_read_bytes`
     /// bytes.
     pub cold_extra_read_bytes: usize,
-    /// Journal payload bytes of the key's worst-case whole-event record.
+    /// Journal bytes of the key's worst-case whole-event record.
     pub commit_bytes: usize,
     /// Worst-case FRAM bytes read by the uncached read pattern (every
     /// input read from FRAM once, machine blocks read up to their
@@ -330,12 +303,11 @@ pub fn suite_bounds(compiled: &CompiledSuite) -> SuiteBounds {
         }
     }
 
-    let reset_commit_bytes = machines
-        .iter()
-        .map(|m| entry_bytes(m.layout().block_len))
-        .sum::<usize>()
-        + entry_bytes(U32_BYTES) // verdict count
-        + entry_bytes(U64_BYTES); // seq
+    // Every machine block, then the verdict count and the seq.
+    let reset_commit_bytes = record_bytes(
+        machines.len() + 2,
+        machines.iter().map(|m| m.layout().block_len).sum::<usize>() + U32_BYTES + U64_BYTES,
+    );
 
     let worst_commit_bytes = per_key
         .iter()
@@ -376,8 +348,8 @@ pub fn check_bounds(compiled: &CompiledSuite, journal_capacity: Option<usize>) -
             None => "<out-of-graph>".to_string(),
         };
         let subject = format!("event {:?}({task})", c.kind);
-        // `writes` is the record's sub-writes plus stage, flag and clear.
-        let sub_writes = c.writes - 3;
+        // `writes` is the record's sub-writes plus its fixed overhead.
+        let sub_writes = c.writes - commit_writes(0);
         if sub_writes > MAX_SUB_WRITES {
             diags.push(Diagnostic::error(
                 "bounds",
@@ -452,7 +424,7 @@ mod tests {
         // One record: seq, verdict count, state, counter and verdict
         // cell (5 sub-writes + 3).
         assert_eq!(start_a.writes, 5 + 3);
-        assert_eq!(start_a.floor_writes, sparse_commit_writes(2));
+        assert_eq!(start_a.floor_writes, commit_writes(2));
         // Cold refill = flag + seq + 1 block.
         assert_eq!(start_a.cold_extra_reads, 2 + 1);
         let state = m.layout().state_bytes;
@@ -464,7 +436,7 @@ mod tests {
             (FLAG_BYTES + U64_BYTES) + span + (U32_BYTES + VERDICT_BYTES)
         );
         let data = U64_BYTES + U32_BYTES + state + slot + VERDICT_BYTES;
-        let record = sparse_record_bytes(5 * ENTRY_HEADER + data);
+        let record = record_bytes(5, data);
         assert_eq!(start_a.commit_bytes, record);
         assert_eq!(start_a.write_bytes, record + data + 2 * FLAG_BYTES);
         assert_eq!(start_a.replay_reads, replay_reads(5));
@@ -550,7 +522,7 @@ mod tests {
         );
         // The record stages 4 entries, then applies 21 payload bytes.
         let data = U64_BYTES + U32_BYTES + 1 + 8;
-        let record = sparse_record_bytes(4 * ENTRY_HEADER + data);
+        let record = record_bytes(4, data);
         assert_eq!(start_a.commit_bytes, record);
         assert_eq!(start_a.write_bytes, record + data + 2);
         assert_eq!(
@@ -568,7 +540,10 @@ mod tests {
         assert_eq!(start_a.replay_reads, replay_reads(4));
         assert_eq!(start_a.cold_extra_read_bytes, 11 + record);
         // The suite's capacity also covers the whole-block reset image.
-        assert!(b.worst_commit_bytes >= entry_bytes(1 + 8 + 11) + entry_bytes(U64_BYTES));
+        assert_eq!(
+            b.reset_commit_bytes,
+            record_bytes(3, (1 + 8 + 11) + U32_BYTES + U64_BYTES)
+        );
         assert_eq!(
             b.worst_commit_bytes,
             record.max(b.reset_commit_bytes),

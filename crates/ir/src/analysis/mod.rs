@@ -60,7 +60,7 @@ use crate::fsm::MonitorSuite;
 /// Runs every analysis pass over a compiled suite paired with its
 /// source machines. Returns all findings, errors first.
 ///
-/// `journal_capacity` is the payload capacity (bytes) of the journal
+/// `journal_capacity` is the record capacity (bytes) of the journal
 /// the engine will commit through; pass `None` to skip the capacity
 /// cross-check (e.g. when linting outside an install).
 pub fn analyze_suite(

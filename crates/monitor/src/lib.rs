@@ -84,11 +84,12 @@
 //! transitions' guards and bodies can read or write. The engine
 //! exploits it twice per step: the machine block is decoded only up to
 //! the covering slot span, and only that span is re-encoded and diffed.
-//! The delivery's one record is a **sparse delta record**
-//! ([`SparseTx`]): one staged FRAM write, the flag, the scattered
-//! applies and the flag clear, with no journal re-reads. Entry-list
-//! commits remain only for the whole-suite reset, path-restart
-//! re-initialisation, and the reference engine.
+//! The delivery's one record is a **sparse delta record**: a
+//! [`TxWriter`] committed as the journal's one record format — one
+//! staged FRAM write, the flag, the scattered applies and the flag
+//! clear, with no journal re-reads. The whole-suite reset, path-restart
+//! re-initialisation and the reference engine commit through the same
+//! record.
 //!
 //! Machine sub-writes are **dirty diffs**: each new image is diffed
 //! against the shadow cache's authoritative old image and journalled as
@@ -144,8 +145,8 @@ use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
 use immortal::Routine;
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
-use intermittent_sim::fram::NvCell;
-use intermittent_sim::journal::{Journal, SparseTx, TxWriter};
+use intermittent_sim::fram::{NvCell, NvData};
+use intermittent_sim::journal::{record_bytes, Journal, TxWriter, SUB_WRITE_HEADER};
 
 use state::{EncodedEvent, NvValue};
 
@@ -317,7 +318,7 @@ pub struct InstallOptions {
     /// [`MonitorEngine::install_precompiled`], whose caller already
     /// holds compiled bytecode.
     pub opt: OptLevel,
-    /// Journal capacity override in payload bytes. `None` derives the
+    /// Journal capacity override in record bytes. `None` derives the
     /// capacity from the static resource bounds: the larger of the
     /// whole-suite reset record and the worst key's whole-event record
     /// (see [`artemis_ir::suite_bounds`]), raised on the reference
@@ -452,7 +453,7 @@ enum MachineStore {
 
 /// One machine block: the state field followed by the variable slots,
 /// in the machine's packed [`MachineLayout`] — a single FRAM op to load
-/// and a single journal entry (or sparse record) to commit.
+/// and a single journal sub-write to commit.
 struct Block {
     addr: usize,
     layout: MachineLayout,
@@ -481,16 +482,33 @@ fn check_install(machines: usize, opts: &InstallOptions) -> Result<(), InstallEr
     Ok(())
 }
 
-/// Largest entry-list commit the reference engine stages, in journal
-/// bytes: its per-cell reset, its arming commit, or one machine's step.
-/// Each entry is a 6-byte header plus its cell — a 4-byte state word,
-/// 9-byte variables and verdicts, the 4-byte verdict count and step
-/// counters, the 8-byte seq and the 31-byte event.
+/// Largest record the reference engine commits, in journal bytes: its
+/// per-cell reset, its arming commit, or one machine's step. A machine
+/// is a state word plus one cell per variable; the rest are the seq,
+/// the verdict count and cells, the event and the routine's step
+/// counters.
 fn reference_commit_bytes(suite: &MonitorSuite) -> usize {
-    let cells = |m: &artemis_ir::StateMachine| 10 + 15 * m.vars.len();
-    let reset = suite.machines().iter().map(cells).sum::<usize>() + 10 + 14;
-    let arming = 37 + 14 + 10 + 2 * 10;
-    let step = suite.machines().iter().map(cells).max().unwrap_or(0) + 15 + 10 + 10;
+    const WORD: usize = <u32 as NvData>::SIZE;
+    let cells =
+        |m: &artemis_ir::StateMachine| (1 + m.vars.len(), WORD + NvValue::SIZE * m.vars.len());
+    let (reset_k, reset_data) = suite
+        .machines()
+        .iter()
+        .map(cells)
+        .fold((0, 0), |(k, d), (mk, md)| (k + mk, d + md));
+    // Machines, then the verdict count and the seq.
+    let reset = record_bytes(reset_k + 2, reset_data + WORD + u64::SIZE);
+    // Event, seq, verdict count and the routine's two counters.
+    let arming = record_bytes(5, EncodedEvent::SIZE + u64::SIZE + 3 * WORD);
+    // One machine's cells, a verdict cell, the verdict count and the
+    // step counter.
+    let step = suite
+        .machines()
+        .iter()
+        .map(cells)
+        .map(|(k, data)| record_bytes(k + 3, data + <VerdictCell as NvData>::SIZE + 2 * WORD))
+        .max()
+        .unwrap_or(0);
     reset.max(arming).max(step)
 }
 
@@ -508,15 +526,15 @@ fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
                 tx.write(cell, NvValue(decl.init));
             }
         }
-        MachineStore::Block(b) => tx.write_raw(b.addr, b.initial_image.clone()),
+        MachineStore::Block(b) => tx.append_raw(b.addr, &b.initial_image),
     }
 }
 
-/// Sub-write header bytes of one [`SparseTx`] run — the diff-commit
+/// Sub-write header bytes of one journal record run — the diff-commit
 /// merge threshold: two changed runs separated by an unchanged gap of
 /// at most this many bytes are cheaper merged (the gap's idempotent
 /// re-write costs `gap` bytes, a separate run costs another header).
-const DIFF_MERGE_GAP: usize = 6;
+const DIFF_MERGE_GAP: usize = SUB_WRITE_HEADER;
 
 /// Byte-granular dirty diff: calls `emit(start, end)` for each changed
 /// run of `new` vs `old` (half-open, in order), adjacent runs merged
@@ -586,7 +604,7 @@ struct Scratch {
     /// engine).
     staged: Vec<VerdictCell>,
     /// The delivery's one journal record (production engine).
-    record: SparseTx,
+    record: TxWriter,
 }
 
 /// The persistent dispatch state, which is what tells the two engines
@@ -964,7 +982,7 @@ impl MonitorEngine {
                 verdicts: Vec::new(),
                 worklist: Vec::with_capacity(machines.len()),
                 staged: Vec::new(),
-                record: SparseTx::new(),
+                record: TxWriter::new(),
             });
 
             // The epoch starts at the device's *current* reboot
@@ -1487,12 +1505,12 @@ impl MonitorEngine {
         }
 
         for (slot, &cell) in scratch.staged.iter().enumerate() {
-            scratch.record.push(&self.verdict_cells[slot], cell);
+            scratch.record.write(&self.verdict_cells[slot], cell);
         }
         let count = scratch.staged.len() as u32;
-        scratch.record.push(&self.verdict_count, count);
-        scratch.record.push(&self.seq_cell, seq);
-        dev.commit_sparse(&self.journal, &scratch.record)?;
+        scratch.record.write(&self.verdict_count, count);
+        scratch.record.write(&self.seq_cell, seq);
+        dev.commit(&self.journal, &scratch.record)?;
         self.cache_put(|c| {
             c.journal_clean = true;
             c.seq = Some(seq);
@@ -1726,7 +1744,7 @@ impl MonitorEngine {
     }
 
     /// Appends one verdict to the persistent verdict log inside the
-    /// reference engine's entry-list transaction `tx`.
+    /// reference engine's step record `tx`.
     fn stage_verdict(
         &self,
         dev: &mut Device,

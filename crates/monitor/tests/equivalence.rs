@@ -170,8 +170,8 @@ fn normalise(oracle: Vec<Vec<(usize, OnFail)>>) -> Vec<Vec<(usize, OnFail)>> {
 // The two engines differ in everything but semantics — storage layout
 // (packed blocks vs cells), dispatch (volatile worklists vs full scan),
 // trigger test (dispatch table vs observed set), evaluation (bytecode
-// vs tree walk), commits (one sparse record per event vs one per-cell
-// entry list per machine), reads
+// vs tree walk), commits (one diff record per event vs one per-cell
+// record per machine), reads
 // (shadow cache vs FRAM) — so for any spec, any event stream and any
 // power-failure schedule they must produce identical verdicts AND
 // identical FRAM-visible machine state.
@@ -1306,7 +1306,7 @@ impl Explorer {
     /// installed and reset.
     fn install(&self) -> (Device, MonitorEngine) {
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        dev.set_misordered_sparse_commits(self.misordered);
+        dev.set_misordered_commits(self.misordered);
         let engine = MonitorEngine::install_precompiled_shared(
             &mut dev,
             self.suite.clone(),

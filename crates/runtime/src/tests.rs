@@ -622,3 +622,76 @@ fn start_task_crash_counts_as_an_attempt_only_after_the_record_flag() {
         }
     }
 }
+
+/// Properties watching both tasks of `sense_send_app`, so the runtime's
+/// commits interleave with monitor records. One crash adds at most one
+/// attempt, which stays within `maxTries`.
+const EXPLORER_SPEC: &str = "sense { maxTries: 3 onFail: skipPath; }
+send { maxTries: 3 onFail: skipPath; }";
+
+/// What a run leaves behind: its outcome and the committed contents of
+/// the `sent` and `samples` channels.
+type RunState = (SimOutcome<RunOutcome>, Vec<f64>, Vec<f64>);
+
+/// Runs `sense_send_app` on continuous power, losing power once at
+/// billed FRAM write `crash_at` of the run (`None`: never). Returns the
+/// final state and the number of reboots.
+fn crash_run(crash_at: Option<u64>, misordered: bool) -> (RunState, u64) {
+    let app = sense_send_app();
+    let mut dev = continuous_device();
+    dev.set_misordered_commits(misordered);
+    let mut rt = install(&mut dev, &app, EXPLORER_SPEC);
+    dev.fail_at_fram_write(crash_at);
+    let outcome = rt.run_once(&mut dev, RunLimit::unbounded());
+    let tx = intermittent_sim::journal::TxWriter::new();
+    let mut read = |name| rt.channel(name).unwrap().read_all(&mut dev, &tx).unwrap();
+    let state = (outcome, read("sent"), read("samples"));
+    (state, dev.reboots())
+}
+
+/// Crashes a full run at every billed FRAM write in turn — task
+/// commits, the attempt counter, seq reservations, monitor records —
+/// and lets it finish. Returns how many crash points there were and
+/// those whose run diverged from the continuous one.
+fn explore_runtime_crash_points(misordered: bool) -> (u64, Vec<u64>) {
+    let (reference, reboots) = crash_run(None, false);
+    assert_eq!(reboots, 0);
+    let mut divergent = Vec::new();
+    let mut n = 1;
+    loop {
+        let (state, reboots) = crash_run(Some(n), misordered);
+        if reboots == 0 {
+            // Past the run's last billed write.
+            return (n - 1, divergent);
+        }
+        assert_eq!(reboots, 1, "one crash at write {n}");
+        if state != reference {
+            divergent.push(n);
+        }
+        n += 1;
+    }
+}
+
+/// A power failure at any FRAM write of the runtime protocol recovers
+/// to exactly the continuous run's outcome and committed channels.
+#[test]
+fn every_runtime_crash_point_matches_the_continuous_run() {
+    let (writes, divergent) = explore_runtime_crash_points(false);
+    assert!(
+        divergent.is_empty(),
+        "divergent crash points: {divergent:?}"
+    );
+    assert!(writes > 20, "only {writes} crash points explored");
+}
+
+/// The runtime explorer is not vacuous: with commits that apply their
+/// sub-writes before staging the record and setting its flag, some
+/// crash point tears a task commit and the explorer must report it.
+#[test]
+fn runtime_crash_point_explorer_flags_a_misordered_commit() {
+    let (_, divergent) = explore_runtime_crash_points(true);
+    assert!(
+        !divergent.is_empty(),
+        "a misordered commit went unnoticed by the runtime crash-point explorer"
+    );
+}

@@ -20,7 +20,7 @@ use crate::energy::Energy;
 pub use crate::fram::MemOwner;
 use crate::fram::{Fram, NvCell, NvData, Sram};
 use crate::harvester::Harvester;
-use crate::journal::{Journal, JournalOp, SparseTx, TxWriter};
+use crate::journal::{Journal, JournalOp, TxWriter};
 use crate::mcu::{Cost, CostModel};
 use crate::peripherals::{Peripheral, PeripheralBank};
 
@@ -42,7 +42,7 @@ pub enum Fault {
     JournalOverflow {
         /// Bytes the transaction needed.
         needed: usize,
-        /// Journal payload capacity.
+        /// Largest record the journal holds.
         capacity: usize,
     },
     /// A single operation costs more than a full capacitor holds; it
@@ -272,10 +272,10 @@ pub struct Device {
     sensor_cursors: Option<NvCell<[u64; 4]>>,
     trace: Trace,
     reboots: u64,
-    /// Route sparse commits through the deliberately mis-ordered
-    /// protocol ([`Device::set_misordered_sparse_commits`]).
+    /// Route commits through the deliberately mis-ordered protocol
+    /// ([`Device::set_misordered_commits`]).
     #[cfg(feature = "crash-injection")]
-    misordered_sparse: bool,
+    misordered_commits: bool,
 }
 
 impl Device {
@@ -291,13 +291,13 @@ impl Device {
         self.power.fail_write = n;
     }
 
-    /// Test-only protocol mutation: every later sparse commit applies
-    /// its sub-writes *before* staging the record and setting the flag
-    /// — the ordering bug a crash-point explorer must catch. Only built
+    /// Test-only protocol mutation: every later commit applies its
+    /// sub-writes *before* staging the record and setting the flag —
+    /// the ordering bug a crash-point explorer must catch. Only built
     /// with the `crash-injection` feature.
     #[cfg(feature = "crash-injection")]
-    pub fn set_misordered_sparse_commits(&mut self, on: bool) {
-        self.misordered_sparse = on;
+    pub fn set_misordered_commits(&mut self, on: bool) {
+        self.misordered_commits = on;
     }
 
     /// Current persistent-clock reading (`GetTime()` in the paper).
@@ -426,7 +426,8 @@ impl Device {
         self.fram.peek_raw(addr, len)
     }
 
-    /// Creates a commit journal with `capacity` payload bytes.
+    /// Creates a commit journal holding one record of up to `capacity`
+    /// bytes.
     pub fn make_journal(&mut self, capacity: usize, owner: MemOwner) -> Result<Journal, Interrupt> {
         Journal::new(&mut self.fram, capacity, owner).map_err(|e| {
             Interrupt::Fault(Fault::OutOfFram {
@@ -436,27 +437,17 @@ impl Device {
         })
     }
 
-    /// Commits a staged write-set crash-atomically, billing each
-    /// journal FRAM access at its direction's price.
-    pub fn commit(&mut self, journal: &Journal, tx: &TxWriter) -> Result<(), Interrupt> {
-        let power = &mut self.power;
-        let costs = &self.costs;
-        journal.commit(&mut self.fram, tx, &mut |bytes, op| {
-            power.spend_journal(costs, bytes, op)
-        })
-    }
-
-    /// Commits a sparse write-set crash-atomically as one journal
+    /// Commits a staged write-set crash-atomically as one journal
     /// record, billing each FRAM access at its direction's price.
-    pub fn commit_sparse(&mut self, journal: &Journal, tx: &SparseTx) -> Result<(), Interrupt> {
+    pub fn commit(&mut self, journal: &Journal, tx: &TxWriter) -> Result<(), Interrupt> {
         let power = &mut self.power;
         let costs = &self.costs;
         let mut spend = |bytes, op| power.spend_journal(costs, bytes, op);
         #[cfg(feature = "crash-injection")]
-        if self.misordered_sparse {
-            return journal.commit_sparse_misordered(&mut self.fram, tx, &mut spend);
+        if self.misordered_commits {
+            return journal.commit_misordered(&mut self.fram, tx, &mut spend);
         }
-        journal.commit_sparse(&mut self.fram, tx, &mut spend)
+        journal.commit(&mut self.fram, tx, &mut spend)
     }
 
     /// Completes an interrupted commit on boot, if any. Replay reads
@@ -715,7 +706,7 @@ impl DeviceBuilder {
             trace: self.trace,
             reboots: 0,
             #[cfg(feature = "crash-injection")]
-            misordered_sparse: false,
+            misordered_commits: false,
         }
     }
 }

@@ -3,35 +3,29 @@
 //! Task-based intermittent runtimes require *all-or-nothing* task
 //! effects: either every output of a task reaches nonvolatile memory or
 //! none does, no matter where a power failure lands (paper §3.1, "Tasks
-//! are atomic units with all-or-nothing semantics"). The classic
-//! implementation — used here — is a redo journal in FRAM:
+//! are atomic units with all-or-nothing semantics"). The implementation
+//! here is a redo journal in FRAM with **one record format**. A
+//! [`TxWriter`] stages `k` sub-writes in RAM; [`Journal::commit`] then
 //!
-//! 1. staged writes are copied into the journal region;
-//! 2. the entry count is written;
-//! 3. a single-byte *commit flag* is set (the linearisation point — a
+//! 1. stages the whole length-prefixed record (`count: u16`, then
+//!    `addr: u32`, `len: u16` and the payload per sub-write) into the
+//!    journal region with a single FRAM write;
+//! 2. sets a single-byte *commit flag* (the linearisation point — a
 //!    one-byte FRAM write is atomic on the real part);
-//! 4. entries are applied to their home locations;
-//! 5. the flag is cleared.
+//! 3. applies the sub-writes to their home locations straight from RAM;
+//! 4. clears the flag.
 //!
-//! A failure before step 3 discards the transaction; a failure after it
-//! is repaired on reboot by [`Journal::recover`], which re-applies the
-//! (idempotent) redo entries. Fault-injection tests in this module drive
-//! a commit through a power failure at **every** possible byte boundary
-//! and assert atomicity each time.
+//! That is [`commit_writes`]`(k) = k + 3` FRAM writes and no reads. A
+//! failure before step 2 discards the record; a failure after it is
+//! repaired on reboot by [`Journal::recover`], which replays the
+//! (idempotent) record from its FRAM copy in [`replay_reads`]`(k)`
+//! reads. Fault-injection tests in this module drive a commit through a
+//! power failure at **every** possible byte boundary and assert
+//! atomicity each time.
 //!
-//! Two record formats share the region, discriminated by the flag byte:
-//!
-//! - **Entry-list** ([`TxWriter`] via [`Journal::commit`], flag = 1):
-//!   the classic format above. Each entry is staged with its own header
-//!   write, and the apply phase re-reads every entry from the journal —
-//!   `2e+1` FRAM reads and `3e+3` writes for `e` entries.
-//! - **Sparse delta** ([`SparseTx`] via [`Journal::commit_sparse`],
-//!   flag = 2): the whole length-prefixed record is staged in a single
-//!   FRAM write, and after the flag is set the sub-writes are applied
-//!   straight from RAM — `k+3` writes and **zero** reads for `k`
-//!   sub-writes. Only reboot recovery re-reads the record from FRAM.
-//!   This is the commit path for statically-derived write sets, where
-//!   an event touches a handful of scattered slots.
+//! The `const fn`s below are the format's whole cost arithmetic; the
+//! static bounds analysis and the monitor engine price records through
+//! them, so a format change is an edit to this file alone.
 
 use crate::device::{Fault, Interrupt};
 use crate::fram::{Fram, MemOwner, NvCell, NvData, OutOfFram};
@@ -47,32 +41,63 @@ pub enum JournalOp {
     Write,
 }
 
-/// Byte cost of a journal entry header: `addr: u32` + `len: u16`.
-const ENTRY_HEADER: usize = 6;
+/// Header bytes of one sub-write in a record: `addr: u32` + `len: u16`.
+pub const SUB_WRITE_HEADER: usize = 6;
+/// Bytes of the record's leading sub-write count (`u16`).
+const COUNT_BYTES: usize = 2;
+/// Bytes of the commit flag.
+const FLAG_BYTES: usize = 1;
+/// Most sub-writes one record's `u16` count word can hold.
+pub const MAX_SUB_WRITES: usize = u16::MAX as usize;
 /// Byte offset of the commit flag within the journal region.
 const FLAG_OFF: usize = 0;
-/// Byte offset of the entry count (`u16`).
-const COUNT_OFF: usize = 1;
-/// First entry byte.
-const ENTRIES_OFF: usize = 3;
-/// Flag value: no transaction pending.
+/// Byte offset of the record within the journal region.
+const RECORD_OFF: usize = FLAG_OFF + FLAG_BYTES;
+/// Flag value: no record pending.
 const FLAG_IDLE: u8 = 0;
-/// Flag value: a committed entry-list transaction is pending.
-const FLAG_ENTRIES: u8 = 1;
-/// Flag value: a committed sparse-delta record is pending.
-const FLAG_SPARSE: u8 = 2;
-/// Most sub-writes one sparse record's `u16` count word can hold.
-pub const MAX_SUB_WRITES: usize = u16::MAX as usize;
+/// Flag value: a committed record is pending.
+const FLAG_COMMITTED: u8 = 1;
+
+/// Journal bytes of a record of `k` sub-writes carrying `data` payload
+/// bytes in total: the count word plus a header and payload per
+/// sub-write.
+pub const fn record_bytes(k: usize, data: usize) -> usize {
+    COUNT_BYTES + SUB_WRITE_HEADER * k + data
+}
+
+/// FRAM writes of committing a record of `k` sub-writes: the staged
+/// record, the flag set, `k` applies and the flag clear.
+pub const fn commit_writes(k: usize) -> usize {
+    k + 3
+}
+
+/// FRAM bytes written by committing a record of `k` sub-writes
+/// carrying `data` payload bytes: the staged record, the payloads once
+/// more as they are applied, and the flag set and clear.
+pub const fn commit_write_bytes(k: usize, data: usize) -> usize {
+    record_bytes(k, data) + data + 2 * FLAG_BYTES
+}
+
+/// FRAM reads of replaying a pending record of `k` sub-writes on
+/// reboot: the count word, then each sub-write's header and payload
+/// (the flag probe that finds it pending is billed separately).
+pub const fn replay_reads(k: usize) -> usize {
+    1 + 2 * k
+}
 
 /// A volatile write-set staged by a task before commit.
 ///
-/// Writes to the same cell are merged in place, so re-assigning an
-/// output inside one task costs a single journal entry. Reads go
-/// through [`TxWriter::read`], which observes staged values
-/// (read-your-writes).
+/// Typed writes to the same cell are merged in place, so re-assigning
+/// an output inside one task costs a single sub-write; reads go through
+/// [`TxWriter::read`], which observes staged values (read-your-writes).
+/// [`TxWriter::append_raw`] skips the merge scan for callers that stage
+/// disjoint ranges. Payloads live in one flat buffer, so a write-set
+/// reused through [`TxWriter::clear`] stages without allocating.
 #[derive(Default, Debug)]
 pub struct TxWriter {
-    entries: Vec<(usize, Vec<u8>)>,
+    /// `(addr, offset into data, len)` per sub-write, in staging order.
+    writes: Vec<(usize, usize, usize)>,
+    data: Vec<u8>,
 }
 
 impl TxWriter {
@@ -81,108 +106,39 @@ impl TxWriter {
         Self::default()
     }
 
-    /// Stages a typed write.
-    pub fn write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        let mut buf = vec![0u8; T::SIZE];
-        value.store(&mut buf);
-        self.write_raw(cell.addr(), buf);
+    /// The staged payload of `cell`, if a write of its size is staged.
+    fn staged<T: NvData>(&self, cell: &NvCell<T>) -> Option<usize> {
+        self.writes
+            .iter()
+            .find(|&&(a, _, len)| a == cell.addr() && len == T::SIZE)
+            .map(|&(_, off, _)| off)
     }
 
-    /// Stages a raw write.
-    pub fn write_raw(&mut self, addr: usize, data: Vec<u8>) {
-        for (a, d) in self.entries.iter_mut() {
-            if *a == addr && d.len() == data.len() {
-                *d = data;
-                return;
-            }
-        }
-        self.entries.push((addr, data));
+    /// Stages a typed write, replacing an earlier one of the same cell.
+    pub fn write<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
+        let off = self.staged(cell).unwrap_or_else(|| {
+            let off = self.data.len();
+            self.writes.push((cell.addr(), off, T::SIZE));
+            self.data.resize(off + T::SIZE, 0);
+            off
+        });
+        value.store(&mut self.data[off..off + T::SIZE]);
+    }
+
+    /// Stages a raw write without looking for an earlier one to merge
+    /// with: the caller guarantees `addr..addr + data.len()` overlaps no
+    /// other staged sub-write.
+    pub fn append_raw(&mut self, addr: usize, data: &[u8]) {
+        self.writes.push((addr, self.data.len(), data.len()));
+        self.data.extend_from_slice(data);
     }
 
     /// Reads a cell, observing staged writes first.
     pub fn read<T: NvData>(&self, fram: &mut Fram, cell: &NvCell<T>) -> T {
-        for (a, d) in &self.entries {
-            if *a == cell.addr() && d.len() == T::SIZE {
-                return T::load(d);
-            }
+        match self.staged(cell) {
+            Some(off) => T::load(&self.data[off..off + T::SIZE]),
+            None => fram.read(cell),
         }
-        fram.read(cell)
-    }
-
-    /// Number of staged entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total journal bytes this write-set will occupy.
-    pub fn journal_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(_, d)| ENTRY_HEADER + d.len())
-            .sum()
-    }
-
-    /// Discards all staged writes.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// A volatile write-set destined for a single-record sparse commit.
-///
-/// Unlike [`TxWriter`], the staged sub-writes are serialised into one
-/// length-prefixed record (`count: u16`, then `addr: u32`, `len: u16`,
-/// `data` per sub-write) that [`Journal::commit_sparse`] stages with a
-/// single FRAM write and applies straight from RAM. [`SparseTx::push`]
-/// merges sub-writes to the same address in place, mirroring
-/// [`TxWriter::write_raw`]; [`SparseTx::append_raw`] skips that scan
-/// for callers that stage disjoint ranges. Payloads
-/// live in one flat buffer, so a write-set reused through
-/// [`SparseTx::clear`] stages without allocating.
-#[derive(Default, Debug)]
-pub struct SparseTx {
-    /// `(addr, offset into data, len)` per sub-write, in staging order.
-    writes: Vec<(usize, usize, usize)>,
-    data: Vec<u8>,
-}
-
-impl SparseTx {
-    /// Creates an empty sparse write-set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stages a typed sub-write, replacing an earlier one of the same
-    /// address and size.
-    pub fn push<T: NvData>(&mut self, cell: &NvCell<T>, value: T) {
-        let addr = cell.addr();
-        let staged = self
-            .writes
-            .iter()
-            .find(|&&(a, _, len)| a == addr && len == T::SIZE);
-        let off = match staged {
-            Some(&(_, off, _)) => off,
-            None => {
-                let off = self.data.len();
-                self.writes.push((addr, off, T::SIZE));
-                self.data.resize(off + T::SIZE, 0);
-                off
-            }
-        };
-        value.store(&mut self.data[off..off + T::SIZE]);
-    }
-
-    /// Stages a raw sub-write without looking for an earlier one to
-    /// merge with: the caller guarantees `addr..addr + data.len()`
-    /// overlaps no other staged sub-write.
-    pub fn append_raw(&mut self, addr: usize, data: &[u8]) {
-        self.writes.push((addr, self.data.len(), data.len()));
-        self.data.extend_from_slice(data);
     }
 
     /// Number of staged sub-writes.
@@ -195,10 +151,10 @@ impl SparseTx {
         self.writes.is_empty()
     }
 
-    /// Journal bytes the serialised record occupies: the count word
-    /// plus a header and payload per sub-write.
+    /// Journal bytes the serialised record occupies
+    /// ([`record_bytes`]).
     pub fn record_bytes(&self) -> usize {
-        2 + ENTRY_HEADER * self.writes.len() + self.data.len()
+        record_bytes(self.writes.len(), self.data.len())
     }
 
     /// The staged sub-writes as `(addr, data)`, in staging order.
@@ -220,14 +176,15 @@ impl SparseTx {
         buf
     }
 
-    /// Discards all staged sub-writes, keeping the buffers.
+    /// Discards all staged writes, keeping the buffers.
     pub fn clear(&mut self) {
         self.writes.clear();
         self.data.clear();
     }
 }
 
-/// The journal region handle.
+/// The journal region handle: the commit flag followed by room for one
+/// record of up to [`Journal::capacity`] bytes.
 ///
 /// # Examples
 ///
@@ -251,24 +208,40 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Reserves a journal region of `capacity` payload bytes.
+    /// Reserves a journal region holding one record of up to
+    /// `capacity` bytes ([`record_bytes`], count word included).
     pub fn new(fram: &mut Fram, capacity: usize, owner: MemOwner) -> Result<Journal, OutOfFram> {
-        let base = fram.alloc_raw(ENTRIES_OFF + capacity, owner, "commit journal")?;
+        let base = fram.alloc_raw(RECORD_OFF + capacity, owner, "commit journal")?;
         // The freshly zeroed flag byte means "idle".
         Ok(Journal { base, capacity })
     }
 
-    /// The journal's payload capacity in bytes.
+    /// The largest record the journal holds, in bytes.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Commits a write-set atomically.
+    /// Rejects a record the region or its count word cannot hold.
+    fn check_fits(&self, tx: &TxWriter) -> Result<(), Interrupt> {
+        let needed = tx.record_bytes();
+        if needed > self.capacity || tx.len() > MAX_SUB_WRITES {
+            return Err(Interrupt::Fault(Fault::JournalOverflow {
+                needed,
+                capacity: self.capacity,
+            }));
+        }
+        Ok(())
+    }
+
+    /// Commits a write-set atomically as one journal record.
     ///
-    /// `spend` is charged once per FRAM access with its byte count and
-    /// direction ([`JournalOp`]) and may fail with
-    /// [`Interrupt::PowerFailure`], aborting the commit at that point;
-    /// the journal protocol guarantees the abort is clean.
+    /// The record is staged with a single FRAM write, linearised by the
+    /// flag byte, and the sub-writes are then applied from RAM — no
+    /// journal re-reads on the happy path. `spend` is charged once per
+    /// FRAM access with its byte count and direction ([`JournalOp`])
+    /// and may fail with [`Interrupt::PowerFailure`], aborting the
+    /// commit at that point: before the flag write the record is
+    /// discarded, after it [`Journal::recover`] replays it.
     pub fn commit(
         &self,
         fram: &mut Fram,
@@ -278,71 +251,15 @@ impl Journal {
         if tx.is_empty() {
             return Ok(());
         }
-        let needed = tx.journal_bytes();
-        if needed > self.capacity {
-            return Err(Interrupt::Fault(Fault::JournalOverflow {
-                needed,
-                capacity: self.capacity,
-            }));
-        }
-
-        // Phase 1: copy entries into the journal region.
-        let mut off = self.base + ENTRIES_OFF;
-        for (addr, data) in &tx.entries {
-            spend(ENTRY_HEADER + data.len(), JournalOp::Write)?;
-            let mut header = [0u8; ENTRY_HEADER];
-            header[..4].copy_from_slice(&(*addr as u32).to_le_bytes());
-            header[4..].copy_from_slice(&(data.len() as u16).to_le_bytes());
-            fram.write_raw(off, &header);
-            fram.write_raw(off + ENTRY_HEADER, data);
-            off += ENTRY_HEADER + data.len();
-        }
-        spend(2, JournalOp::Write)?;
-        fram.write_raw(
-            self.base + COUNT_OFF,
-            &(tx.entries.len() as u16).to_le_bytes(),
-        );
-
-        // Phase 2: the linearisation point — one atomic byte.
-        spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_ENTRIES]);
-
-        // Phase 3: apply; a failure here is repaired by `recover`.
-        self.apply(fram, spend)
-    }
-
-    /// Commits a sparse write-set atomically as one journal record.
-    ///
-    /// The record is staged with a single FRAM write, linearised by the
-    /// flag byte, and the sub-writes are then applied from RAM — no
-    /// journal re-reads on the happy path. A failure before the flag
-    /// write discards the record; after it, [`Journal::recover`]
-    /// replays the record from FRAM (redo, idempotent).
-    pub fn commit_sparse(
-        &self,
-        fram: &mut Fram,
-        tx: &SparseTx,
-        spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
-    ) -> Result<(), Interrupt> {
-        if tx.is_empty() {
-            return Ok(());
-        }
-        // The record's count word holds at most `u16::MAX` sub-writes.
-        let needed = tx.record_bytes();
-        if needed > self.capacity || tx.len() > MAX_SUB_WRITES {
-            return Err(Interrupt::Fault(Fault::JournalOverflow {
-                needed,
-                capacity: self.capacity,
-            }));
-        }
+        self.check_fits(tx)?;
 
         // Phase 1: stage the whole record in one write.
-        spend(needed, JournalOp::Write)?;
-        fram.write_raw(self.base + ENTRIES_OFF, &tx.encode());
+        spend(tx.record_bytes(), JournalOp::Write)?;
+        fram.write_raw(self.base + RECORD_OFF, &tx.encode());
 
         // Phase 2: the linearisation point — one atomic byte.
-        spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_SPARSE]);
+        spend(FLAG_BYTES, JournalOp::Write)?;
+        fram.write_raw(self.base + FLAG_OFF, &[FLAG_COMMITTED]);
 
         // Phase 3: apply straight from RAM; a failure here is repaired
         // by `recover`, which replays the FRAM copy.
@@ -351,124 +268,82 @@ impl Journal {
             fram.write_raw(addr, data);
         }
 
-        spend(1, JournalOp::Write)?;
+        spend(FLAG_BYTES, JournalOp::Write)?;
         fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
         Ok(())
     }
 
-    /// A deliberately broken [`Journal::commit_sparse`]: the sub-writes
-    /// are applied *before* the record is staged and the flag set, so a
+    /// A deliberately broken [`Journal::commit`]: the sub-writes are
+    /// applied *before* the record is staged and the flag set, so a
     /// power failure between two applies leaves a torn, unrecoverable
     /// update. Exists only so crash-point explorers can show they catch
-    /// an ordering bug (see `Device::set_misordered_sparse_commits`).
+    /// an ordering bug (see `Device::set_misordered_commits`).
     #[cfg(feature = "crash-injection")]
-    pub fn commit_sparse_misordered(
+    pub fn commit_misordered(
         &self,
         fram: &mut Fram,
-        tx: &SparseTx,
+        tx: &TxWriter,
         spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
     ) -> Result<(), Interrupt> {
         if tx.is_empty() {
             return Ok(());
         }
+        self.check_fits(tx)?;
         for (addr, data) in tx.sub_writes() {
             spend(data.len(), JournalOp::Write)?;
             fram.write_raw(addr, data);
         }
         spend(tx.record_bytes(), JournalOp::Write)?;
-        fram.write_raw(self.base + ENTRIES_OFF, &tx.encode());
-        spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_SPARSE]);
-        spend(1, JournalOp::Write)?;
+        fram.write_raw(self.base + RECORD_OFF, &tx.encode());
+        spend(FLAG_BYTES, JournalOp::Write)?;
+        fram.write_raw(self.base + FLAG_OFF, &[FLAG_COMMITTED]);
+        spend(FLAG_BYTES, JournalOp::Write)?;
         fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
         Ok(())
     }
 
-    /// Completes an interrupted commit, if one is pending.
+    /// Completes an interrupted commit, if one is pending, by replaying
+    /// its record from the FRAM copy (redo, idempotent).
     ///
-    /// Returns `Ok(true)` when a pending transaction was re-applied.
-    /// Called by the runtime on every boot before any other FRAM use.
+    /// Returns `Ok(true)` when a pending record was replayed. Called by
+    /// the runtime on every boot before any other FRAM use.
     pub fn recover(
         &self,
         fram: &mut Fram,
         spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
     ) -> Result<bool, Interrupt> {
-        spend(1, JournalOp::Read)?;
-        let flag = fram.read_raw(self.base + FLAG_OFF, 1)[0];
-        match flag {
-            FLAG_IDLE => Ok(false),
-            FLAG_SPARSE => {
-                self.replay_sparse(fram, spend)?;
-                Ok(true)
-            }
-            _ => {
-                self.apply(fram, spend)?;
-                Ok(true)
-            }
+        spend(FLAG_BYTES, JournalOp::Read)?;
+        if fram.read_raw(self.base + FLAG_OFF, FLAG_BYTES)[0] == FLAG_IDLE {
+            return Ok(false);
         }
+
+        let mut off = self.base + RECORD_OFF;
+        spend(COUNT_BYTES, JournalOp::Read)?;
+        let count = fram.read_raw(off, COUNT_BYTES);
+        let count = u16::from_le_bytes([count[0], count[1]]) as usize;
+        off += COUNT_BYTES;
+        for _ in 0..count {
+            spend(SUB_WRITE_HEADER, JournalOp::Read)?;
+            let h = fram.read_raw(off, SUB_WRITE_HEADER);
+            let addr = u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize;
+            let len = u16::from_le_bytes([h[4], h[5]]) as usize;
+            off += SUB_WRITE_HEADER;
+            spend(len, JournalOp::Read)?;
+            let data = fram.read_raw(off, len).to_vec();
+            spend(len, JournalOp::Write)?;
+            fram.write_raw(addr, &data);
+            off += len;
+        }
+
+        spend(FLAG_BYTES, JournalOp::Write)?;
+        fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
+        Ok(true)
     }
 
-    /// Returns `true` if a committed-but-unapplied transaction is
-    /// pending (for tests).
+    /// Returns `true` if a committed-but-unapplied record is pending
+    /// (for tests).
     pub fn is_pending(&self, fram: &Fram) -> bool {
-        fram.peek_raw(self.base + FLAG_OFF, 1)[0] != FLAG_IDLE
-    }
-
-    fn apply(
-        &self,
-        fram: &mut Fram,
-        spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
-    ) -> Result<(), Interrupt> {
-        spend(2, JournalOp::Read)?;
-        let count_bytes = fram.read_raw(self.base + COUNT_OFF, 2);
-        let count = u16::from_le_bytes([count_bytes[0], count_bytes[1]]) as usize;
-
-        let mut off = self.base + ENTRIES_OFF;
-        for _ in 0..count {
-            spend(ENTRY_HEADER, JournalOp::Read)?;
-            let header = fram.read_raw(off, ENTRY_HEADER).to_vec();
-            let addr = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let len = u16::from_le_bytes([header[4], header[5]]) as usize;
-            spend(len, JournalOp::Read)?;
-            let data = fram.read_raw(off + ENTRY_HEADER, len).to_vec();
-            spend(len, JournalOp::Write)?;
-            fram.write_raw(addr, &data);
-            off += ENTRY_HEADER + len;
-        }
-
-        // Clear the flag: the transaction is fully applied.
-        spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
-        Ok(())
-    }
-
-    /// Replays a committed sparse record from its FRAM copy (reboot
-    /// path only — the happy path applies from RAM).
-    fn replay_sparse(
-        &self,
-        fram: &mut Fram,
-        spend: &mut dyn FnMut(usize, JournalOp) -> Result<(), Interrupt>,
-    ) -> Result<(), Interrupt> {
-        spend(2, JournalOp::Read)?;
-        let count_bytes = fram.read_raw(self.base + ENTRIES_OFF, 2);
-        let count = u16::from_le_bytes([count_bytes[0], count_bytes[1]]) as usize;
-
-        let mut off = self.base + ENTRIES_OFF + 2;
-        for _ in 0..count {
-            spend(ENTRY_HEADER, JournalOp::Read)?;
-            let header = fram.read_raw(off, ENTRY_HEADER).to_vec();
-            let addr = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let len = u16::from_le_bytes([header[4], header[5]]) as usize;
-            spend(len, JournalOp::Read)?;
-            let data = fram.read_raw(off + ENTRY_HEADER, len).to_vec();
-            spend(len, JournalOp::Write)?;
-            fram.write_raw(addr, &data);
-            off += ENTRY_HEADER + len;
-        }
-
-        spend(1, JournalOp::Write)?;
-        fram.write_raw(self.base + FLAG_OFF, &[FLAG_IDLE]);
-        Ok(())
+        fram.peek_raw(self.base + FLAG_OFF, FLAG_BYTES)[0] != FLAG_IDLE
     }
 }
 
@@ -486,6 +361,19 @@ mod tests {
 
     fn no_fail(_: usize, _: JournalOp) -> Result<(), Interrupt> {
         Ok(())
+    }
+
+    /// A `spend` callback that lets `budget` bytes through, then fails.
+    fn fail_after(budget: usize) -> impl FnMut(usize, JournalOp) -> Result<(), Interrupt> {
+        let mut spent = 0usize;
+        move |n, _| {
+            if spent + n > budget {
+                Err(Interrupt::PowerFailure)
+            } else {
+                spent += n;
+                Ok(())
+            }
+        }
     }
 
     #[test]
@@ -547,153 +435,59 @@ mod tests {
         assert_eq!(fram.peek(&a), 0, "target untouched");
     }
 
-    /// The core atomicity property: inject a power failure after every
-    /// possible number of charged bytes; after recovery the FRAM state
-    /// must be either fully pre-transaction or fully post-transaction.
-    #[test]
-    fn commit_is_atomic_under_exhaustive_failure_injection() {
-        // First measure the total byte budget of a successful commit.
-        let (mut fram, journal, a, b) = setup();
-        let mut tx = TxWriter::new();
-        tx.write(&a, 0xAAAA_AAAA_AAAA_AAAA);
-        tx.write(&b, 0xBBBB_BBBB);
-        let mut total = 0usize;
-        journal
-            .commit(&mut fram, &tx, &mut |n, _| {
-                total += n;
-                Ok(())
-            })
-            .unwrap();
-        assert!(total > 0);
-
-        for fail_at in 0..total {
-            let (mut fram, journal, a, b) = setup();
-            let mut tx = TxWriter::new();
-            tx.write(&a, 0xAAAA_AAAA_AAAA_AAAA);
-            tx.write(&b, 0xBBBB_BBBB);
-
-            let mut spent = 0usize;
-            let result = journal.commit(&mut fram, &tx, &mut |n, _| {
-                if spent + n > fail_at {
-                    Err(Interrupt::PowerFailure)
-                } else {
-                    spent += n;
-                    Ok(())
-                }
-            });
-            assert!(matches!(result, Err(Interrupt::PowerFailure)));
-
-            // Reboot: recovery must complete or discard the transaction.
-            journal.recover(&mut fram, &mut no_fail).unwrap();
-            let va = fram.peek(&a);
-            let vb = fram.peek(&b);
-            let old = (va, vb) == (1, 2);
-            let new = (va, vb) == (0xAAAA_AAAA_AAAA_AAAA, 0xBBBB_BBBB);
-            assert!(
-                old || new,
-                "fail_at={fail_at}: torn state a={va:#x} b={vb:#x}"
-            );
-            assert!(!journal.is_pending(&fram));
-        }
-    }
-
-    /// Recovery itself may be interrupted; repeated recovery attempts
-    /// must still converge to the committed state (redo idempotence).
-    #[test]
-    fn recover_is_idempotent_under_repeated_failures() {
-        let (mut fram, journal, a, b) = setup();
-        let mut tx = TxWriter::new();
-        tx.write(&a, 77);
-        tx.write(&b, 88);
-
-        // Stop the commit exactly after the flag write: staging bytes +
-        // count (2) + flag (1) are allowed through, the apply phase is
-        // not.
-        let flag_budget = tx.journal_bytes() + 2 + 1;
-        let mut spent = 0usize;
-        let r = journal.commit(&mut fram, &tx, &mut |n, _| {
-            if spent + n > flag_budget {
-                Err(Interrupt::PowerFailure)
-            } else {
-                spent += n;
-                Ok(())
-            }
-        });
-        assert!(matches!(r, Err(Interrupt::PowerFailure)));
-        assert!(journal.is_pending(&fram));
-
-        // Interrupt recovery at progressively later byte boundaries; the
-        // final successful pass must land the full transaction.
-        let mut fail_at = 0usize;
-        loop {
-            let mut spent = 0usize;
-            let r = journal.recover(&mut fram, &mut |n, _| {
-                if spent + n > fail_at {
-                    Err(Interrupt::PowerFailure)
-                } else {
-                    spent += n;
-                    Ok(())
-                }
-            });
-            match r {
-                Ok(applied) => {
-                    assert!(applied);
-                    break;
-                }
-                Err(_) => fail_at += 1,
-            }
-            assert!(fail_at < 10_000, "recovery never converged");
-        }
-        assert_eq!(fram.peek(&a), 77);
-        assert_eq!(fram.peek(&b), 88);
-        assert!(!journal.is_pending(&fram));
-
-        // A second recovery finds nothing to do.
-        assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
-    }
-
     #[test]
     fn sparse_commit_applies_scattered_writes_without_reads() {
         let (mut fram, journal, a, b) = setup();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 10u64);
-        tx.push(&b, 20u32);
-        let reads = fram.read_ops();
-        journal.commit_sparse(&mut fram, &tx, &mut no_fail).unwrap();
+        let mut tx = TxWriter::new();
+        tx.write(&a, 10u64);
+        tx.write(&b, 20u32);
+        let (reads, writes) = (fram.read_ops(), fram.write_ops());
+        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
+        // k sub-writes cost k+3 raw writes and zero reads.
+        assert_eq!(fram.write_ops(), writes + commit_writes(2) as u64);
         assert_eq!(fram.read(&a), 10);
         assert_eq!(fram.read(&b), 20);
         assert!(!journal.is_pending(&fram));
-        // k sub-writes cost k+3 raw writes and zero reads.
         assert_eq!(fram.read_ops(), reads + 2, "only the two readbacks");
     }
 
+    /// Merging keeps the record at one sub-write: its size is the
+    /// format's arithmetic for one 8-byte payload.
     #[test]
     fn sparse_tx_merges_rewrites_of_same_cell() {
         let (mut fram, journal, a, _) = setup();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 1u64);
-        tx.push(&a, 9u64);
-        assert_eq!(tx.len(), 1);
-        assert_eq!(tx.record_bytes(), 2 + ENTRY_HEADER + 8);
-        journal.commit_sparse(&mut fram, &tx, &mut no_fail).unwrap();
+        let mut tx = TxWriter::new();
+        tx.write(&a, 1u64);
+        tx.write(&a, 9u64);
+        assert_eq!(tx.record_bytes(), record_bytes(1, 8));
+        assert_eq!(tx.record_bytes(), 2 + SUB_WRITE_HEADER + 8);
+        journal.commit(&mut fram, &tx, &mut no_fail).unwrap();
         assert_eq!(fram.peek(&a), 9);
     }
 
+    /// Capacity counts the whole record, count word included: a record
+    /// of exactly the capacity commits, one byte more is rejected.
     #[test]
     fn oversized_sparse_tx_is_rejected_cleanly() {
-        let mut fram = Fram::new(4096);
-        let journal = Journal::new(&mut fram, 8, MemOwner::Runtime).unwrap();
-        let a = fram.alloc::<u64>(0, MemOwner::App, "a").unwrap();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 7u64);
-        let err = journal
-            .commit_sparse(&mut fram, &tx, &mut no_fail)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            Interrupt::Fault(Fault::JournalOverflow { .. })
-        ));
-        assert_eq!(fram.peek(&a), 0, "target untouched");
+        let exact = record_bytes(1, 8);
+        for (capacity, fits) in [(exact, true), (exact - 1, false)] {
+            let mut fram = Fram::new(4096);
+            let journal = Journal::new(&mut fram, capacity, MemOwner::Runtime).unwrap();
+            let a = fram.alloc::<u64>(0, MemOwner::App, "a").unwrap();
+            let mut tx = TxWriter::new();
+            tx.write(&a, 7u64);
+            let r = journal.commit(&mut fram, &tx, &mut no_fail);
+            if fits {
+                r.unwrap();
+                assert_eq!(fram.peek(&a), 7);
+            } else {
+                assert!(matches!(
+                    r.unwrap_err(),
+                    Interrupt::Fault(Fault::JournalOverflow { .. })
+                ));
+                assert_eq!(fram.peek(&a), 0, "target untouched");
+            }
+        }
     }
 
     #[test]
@@ -703,14 +497,12 @@ mod tests {
         let base = fram
             .alloc_raw(MAX_SUB_WRITES + 1, MemOwner::App, "bytes")
             .unwrap();
-        let mut tx = SparseTx::new();
+        let mut tx = TxWriter::new();
         for i in 0..=MAX_SUB_WRITES {
             tx.append_raw(base + i, &[1]);
         }
         assert!(tx.record_bytes() <= journal.capacity());
-        let err = journal
-            .commit_sparse(&mut fram, &tx, &mut no_fail)
-            .unwrap_err();
+        let err = journal.commit(&mut fram, &tx, &mut no_fail).unwrap_err();
         assert!(matches!(
             err,
             Interrupt::Fault(Fault::JournalOverflow { .. })
@@ -719,42 +511,34 @@ mod tests {
         assert!(!journal.is_pending(&fram));
     }
 
-    /// Same exhaustive fault-injection sweep as the entry-list commit:
-    /// a power failure at every byte boundary must leave FRAM fully
-    /// pre- or fully post-transaction after recovery — a torn sparse
-    /// record (failure before the flag) must be discarded wholesale.
+    /// The core atomicity property: inject a power failure after every
+    /// possible number of charged bytes; after recovery the FRAM state
+    /// must be either fully pre-transaction or fully post-transaction —
+    /// a torn record (failure before the flag) is discarded wholesale.
     #[test]
     fn sparse_commit_is_atomic_under_exhaustive_failure_injection() {
+        let stage = |a: &NvCell<u64>, b: &NvCell<u32>| {
+            let mut tx = TxWriter::new();
+            tx.write(a, 0xAAAA_AAAA_AAAA_AAAA_u64);
+            tx.write(b, 0xBBBB_BBBB_u32);
+            tx
+        };
         let (mut fram, journal, a, b) = setup();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 0xAAAA_AAAA_AAAA_AAAA_u64);
-        tx.push(&b, 0xBBBB_BBBB_u32);
         let mut total = 0usize;
         journal
-            .commit_sparse(&mut fram, &tx, &mut |n, _| {
+            .commit(&mut fram, &stage(&a, &b), &mut |n, _| {
                 total += n;
                 Ok(())
             })
             .unwrap();
-        assert!(total > 0);
+        assert_eq!(total, commit_write_bytes(2, 12));
 
         for fail_at in 0..total {
             let (mut fram, journal, a, b) = setup();
-            let mut tx = SparseTx::new();
-            tx.push(&a, 0xAAAA_AAAA_AAAA_AAAA_u64);
-            tx.push(&b, 0xBBBB_BBBB_u32);
-
-            let mut spent = 0usize;
-            let result = journal.commit_sparse(&mut fram, &tx, &mut |n, _| {
-                if spent + n > fail_at {
-                    Err(Interrupt::PowerFailure)
-                } else {
-                    spent += n;
-                    Ok(())
-                }
-            });
+            let result = journal.commit(&mut fram, &stage(&a, &b), &mut fail_after(fail_at));
             assert!(matches!(result, Err(Interrupt::PowerFailure)));
 
+            // Reboot: recovery must complete or discard the record.
             journal.recover(&mut fram, &mut no_fail).unwrap();
             let va = fram.peek(&a);
             let vb = fram.peek(&b);
@@ -768,42 +552,27 @@ mod tests {
         }
     }
 
-    /// Replay of a committed sparse record is redo-idempotent: recovery
-    /// itself may be interrupted arbitrarily often and must converge.
+    /// Replay of a committed record is redo-idempotent: recovery itself
+    /// may be interrupted arbitrarily often and must converge.
     #[test]
     fn sparse_recover_is_idempotent_under_repeated_failures() {
         let (mut fram, journal, a, b) = setup();
-        let mut tx = SparseTx::new();
-        tx.push(&a, 77u64);
-        tx.push(&b, 88u32);
+        let mut tx = TxWriter::new();
+        tx.write(&a, 77u64);
+        tx.write(&b, 88u32);
 
         // Allow staging + flag through, stop before any apply write.
         let flag_budget = tx.record_bytes() + 1;
-        let mut spent = 0usize;
-        let r = journal.commit_sparse(&mut fram, &tx, &mut |n, _| {
-            if spent + n > flag_budget {
-                Err(Interrupt::PowerFailure)
-            } else {
-                spent += n;
-                Ok(())
-            }
-        });
+        let r = journal.commit(&mut fram, &tx, &mut fail_after(flag_budget));
         assert!(matches!(r, Err(Interrupt::PowerFailure)));
         assert!(journal.is_pending(&fram));
         assert_eq!(fram.peek(&a), 1, "no sub-write applied yet");
 
+        // Interrupt recovery at progressively later byte boundaries; the
+        // final successful pass must land the full record.
         let mut fail_at = 0usize;
         loop {
-            let mut spent = 0usize;
-            let r = journal.recover(&mut fram, &mut |n, _| {
-                if spent + n > fail_at {
-                    Err(Interrupt::PowerFailure)
-                } else {
-                    spent += n;
-                    Ok(())
-                }
-            });
-            match r {
+            match journal.recover(&mut fram, &mut fail_after(fail_at)) {
                 Ok(applied) => {
                     assert!(applied);
                     break;
@@ -815,6 +584,7 @@ mod tests {
         assert_eq!(fram.peek(&a), 77);
         assert_eq!(fram.peek(&b), 88);
         assert!(!journal.is_pending(&fram));
+        // A second recovery finds nothing to do.
         assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
     }
 
@@ -824,9 +594,9 @@ mod tests {
     fn torn_sparse_record_prefix_recovers_to_old_image() {
         let image = {
             let (_, _, a, b) = setup();
-            let mut tx = SparseTx::new();
-            tx.push(&a, 0xDEAD_BEEF_u64);
-            tx.push(&b, 0xCAFE_u32);
+            let mut tx = TxWriter::new();
+            tx.write(&a, 0xDEAD_BEEF_u64);
+            tx.write(&b, 0xCAFE_u32);
             tx.encode()
         };
 
@@ -835,7 +605,7 @@ mod tests {
         // is dead data.
         for torn in 0..=image.len() {
             let (mut fram, journal, a, b) = setup();
-            fram.write_raw(journal.base + ENTRIES_OFF, &image[..torn]);
+            fram.write_raw(journal.base + RECORD_OFF, &image[..torn]);
             assert!(!journal.recover(&mut fram, &mut no_fail).unwrap());
             assert!(!journal.is_pending(&fram));
             assert_eq!(fram.peek(&a), 1, "torn={torn}: old image lost");

@@ -52,7 +52,6 @@ pub use artemis_ir as ir;
 pub use artemis_monitor as monitor;
 pub use artemis_runtime as runtime;
 pub use artemis_spec as spec;
-pub use checkpoint;
 pub use immortal;
 pub use intermittent_sim as sim;
 pub use mayfly;
