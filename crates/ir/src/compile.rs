@@ -31,7 +31,7 @@ use artemis_core::event::EventKind;
 use intermittent_sim::OpCycles;
 
 use crate::exec::coerce;
-use crate::expr::{apply_binop, BinOp, EvalError, EventCtx, Expr, Value};
+use crate::expr::{apply, BinOp, EvalError, EventCtx, Expr, Value};
 use crate::fsm::{EmitFail, MonitorSuite, StateMachine, Stmt, TaskPat, Transition, Trigger};
 use crate::layout::MachineLayout;
 
@@ -794,7 +794,7 @@ impl CompiledMachine {
                         Value::Int(i64::try_from(ctx.energy_nj).unwrap_or(i64::MAX))
                 }
                 Op::Bin { op, dst, a, b } => {
-                    regs[dst as usize] = apply_binop(op, regs[a as usize], regs[b as usize])?
+                    regs[dst as usize] = apply(op, regs[a as usize], regs[b as usize])?
                 }
                 Op::Not { dst, src } => {
                     regs[dst as usize] = Value::Bool(!regs[src as usize].as_bool()?)
@@ -829,7 +829,7 @@ impl CompiledMachine {
                     target,
                     when,
                 } => {
-                    let v = apply_binop(op, regs[a as usize], regs[b as usize])?;
+                    let v = apply(op, regs[a as usize], regs[b as usize])?;
                     regs[dst as usize] = v;
                     if v.as_bool()? == when {
                         pc = target as usize;
@@ -844,7 +844,7 @@ impl CompiledMachine {
                     target,
                     when,
                 } => {
-                    let v = apply_binop(op, vars[slot as usize], self.lits[lit as usize])?;
+                    let v = apply(op, vars[slot as usize], self.lits[lit as usize])?;
                     regs[dst as usize] = v;
                     if v.as_bool()? == when {
                         pc = target as usize;

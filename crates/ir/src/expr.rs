@@ -279,12 +279,12 @@ pub fn eval(expr: &Expr, env: &dyn VarEnv, ctx: &EventCtx) -> Result<Value, Eval
             }
             let l = eval(lhs, env, ctx)?;
             let r = eval(rhs, env, ctx)?;
-            apply_binop(*op, l, r)
+            apply(*op, l, r)
         }
     }
 }
 
-pub(crate) fn apply_binop(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
+pub(crate) fn apply(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
     use BinOp::*;
     use Value::*;
 
@@ -324,8 +324,8 @@ pub(crate) fn apply_binop(op: BinOp, l: Value, r: Value) -> Result<Value, EvalEr
             And | Or => unreachable!("handled above"),
         }),
         // Int/Float comparisons promote the int (range bounds vs data).
-        (Int(a), Float(_)) => apply_binop(op, Float(a as f64), r),
-        (Float(_), Int(b)) => apply_binop(op, l, Float(b as f64)),
+        (Int(a), Float(_)) => apply(op, Float(a as f64), r),
+        (Float(_), Int(b)) => apply(op, l, Float(b as f64)),
         (Bool(a), Bool(b)) => Ok(match op {
             Eq => Bool(a == b),
             Ne => Bool(a != b),

@@ -44,7 +44,7 @@
 use core::ops::Range;
 
 use crate::compile::{CompiledMachine, Op, RawMachine};
-use crate::expr::{apply_binop, BinOp, Value, VarType};
+use crate::expr::{apply, BinOp, Value, VarType};
 
 /// How hard [`CompiledMachine::compile`] works on the bytecode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -334,7 +334,7 @@ fn fold_constants(ops: &mut [Op], lits: &mut Vec<Value>) -> bool {
             Op::Const { dst, lit } => set(&mut known, dst, lits.get(lit as usize).copied()),
             Op::Bin { op, dst, a, b } => {
                 let folded = match (get(&known, a), get(&known, b)) {
-                    (Some(va), Some(vb)) => apply_binop(op, va, vb).ok(),
+                    (Some(va), Some(vb)) => apply(op, va, vb).ok(),
                     _ => None,
                 };
                 match folded.and_then(|v| intern(lits, v).map(|l| (v, l))) {

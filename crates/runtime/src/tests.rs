@@ -633,6 +633,11 @@ send { maxTries: 3 onFail: skipPath; }";
 /// the `sent` and `samples` channels.
 type RunState = (SimOutcome<RunOutcome>, Vec<f64>, Vec<f64>);
 
+/// Simulated-time budget of one explorer run, over 30x the ~30 ms a
+/// run with one crash takes. A run that livelocks hits it and ends as
+/// `NonTermination`, which the explorer counts as divergence.
+const EXPLORER_TIME_LIMIT: SimDuration = SimDuration::from_secs(1);
+
 /// Runs `sense_send_app` on continuous power, losing power once at
 /// billed FRAM write `crash_at` of the run (`None`: never). Returns the
 /// final state and the number of reboots.
@@ -642,7 +647,7 @@ fn crash_run(crash_at: Option<u64>, misordered: bool) -> (RunState, u64) {
     dev.set_misordered_commits(misordered);
     let mut rt = install(&mut dev, &app, EXPLORER_SPEC);
     dev.fail_at_fram_write(crash_at);
-    let outcome = rt.run_once(&mut dev, RunLimit::unbounded());
+    let outcome = rt.run_once(&mut dev, RunLimit::both(EXPLORER_TIME_LIMIT, 2));
     let tx = intermittent_sim::journal::TxWriter::new();
     let mut read = |name| rt.channel(name).unwrap().read_all(&mut dev, &tx).unwrap();
     let state = (outcome, read("sent"), read("samples"));
@@ -656,6 +661,7 @@ fn crash_run(crash_at: Option<u64>, misordered: bool) -> (RunState, u64) {
 fn explore_runtime_crash_points(misordered: bool) -> (u64, Vec<u64>) {
     let (reference, reboots) = crash_run(None, false);
     assert_eq!(reboots, 0);
+    assert!(matches!(reference.0, SimOutcome::Completed(_)));
     let mut divergent = Vec::new();
     let mut n = 1;
     loop {
@@ -681,7 +687,9 @@ fn every_runtime_crash_point_matches_the_continuous_run() {
         divergent.is_empty(),
         "divergent crash points: {divergent:?}"
     );
-    assert!(writes > 20, "only {writes} crash points explored");
+    // Every billed write of the run is a crash point: a change in the
+    // protocol's write count must be looked at, not silently explored.
+    assert_eq!(writes, 65, "crash points explored");
 }
 
 /// The runtime explorer is not vacuous: with commits that apply their
