@@ -273,7 +273,7 @@ pub fn artemis_builder(app: AppGraph) -> ArtemisRuntimeBuilder {
 /// Traces are bounded (ring buffer) so a 100k-device fleet holds one
 /// 256-record window per *live* device, not an unbounded history.
 pub fn fleet_factory() -> impl Fn(u64, u64) -> FleetDevice + Sync {
-    fleet_factory_opt(artemis_ir::OptLevel::from_env())
+    fleet_factory_opt(artemis_ir::OptLevel::Full)
 }
 
 /// [`fleet_factory`] at an explicit bytecode optimization level (the

@@ -58,19 +58,6 @@ pub enum OptLevel {
     Full,
 }
 
-impl OptLevel {
-    /// Reads the `ARTEMIS_OPT_LEVEL` environment knob (`none` /
-    /// `full`, case-insensitive; anything else — including unset —
-    /// resolves to the default). Used by the equivalence suite and the
-    /// bench drivers so CI can force the unoptimized oracle.
-    pub fn from_env() -> OptLevel {
-        match std::env::var("ARTEMIS_OPT_LEVEL") {
-            Ok(v) if v.eq_ignore_ascii_case("none") => OptLevel::None,
-            _ => OptLevel::default(),
-        }
-    }
-}
-
 /// Optimizes every guard/body range of a compiled machine and
 /// reassembles it via [`CompiledMachine::from_raw`] (recomputing
 /// access sets, layout, and step costs). Semantics-preserving for any

@@ -51,14 +51,18 @@
 //!   delivery path deployments use, and it is the closest analogue of
 //!   the paper's generated C monitors;
 //! - the **reference engine** ([`ExecMode::Interpreter`] +
-//!   [`RoutingMode::FullScan`]) keeps the tree-walking interpreter over
-//!   one FRAM cell per variable, persisting the event and stepping
-//!   every installed machine through a persistent [`Routine`], one
-//!   journal commit per machine. It is the executable semantics the
-//!   production engine is checked against: differential tests pin the
-//!   two to identical verdicts and FRAM-visible machine state for any
-//!   spec, event stream and power-failure schedule — the "intermittent
-//!   run ≡ continuous run" criterion of Surbatovich et al.
+//!   [`RoutingMode::FullScan`]) is a volatile interpreter: one
+//!   in-memory `(state, vars)` per machine, and the tree-walking
+//!   [`artemis_ir::exec::step`] over every machine the event's `Path:`
+//!   does not rule out. It allocates no FRAM, keeps no journal and
+//!   bills nothing, so it is a continuous run whatever device it is
+//!   given. It is the executable semantics the production engine is
+//!   checked against: differential tests pin an intermittent
+//!   production run to identical verdicts and machine state as the
+//!   reference run of the same events, for any spec, event stream and
+//!   power-failure schedule — the "intermittent run ≡ continuous run"
+//!   criterion of Surbatovich et al. The external monitor of §7
+//!   ([`RemoteMonitorEngine`]) runs the same interpreter.
 //!
 //! Any other combination is rejected with
 //! [`InstallError::UnsupportedEngine`] before any FRAM is allocated.
@@ -87,9 +91,8 @@
 //! The delivery's one record is a **sparse delta record**: a
 //! [`TxWriter`] committed as the journal's one record format — one
 //! staged FRAM write, the flag, the scattered applies and the flag
-//! clear, with no journal re-reads. The whole-suite reset, path-restart
-//! re-initialisation and the reference engine commit through the same
-//! record.
+//! clear, with no journal re-reads. The whole-suite reset and
+//! path-restart re-initialisation commit through the same record.
 //!
 //! Machine sub-writes are **dirty diffs**: each new image is diffed
 //! against the shadow cache's authoritative old image and journalled as
@@ -126,6 +129,7 @@
 //! delivery in the same epoch is write-only. Hit/miss/invalidation
 //! counters are exposed through [`MonitorEngine::cache_stats`].
 
+mod interp;
 pub mod remote;
 pub mod state;
 
@@ -137,18 +141,16 @@ use artemis_core::app::{AppGraph, PathId, TaskId};
 use artemis_core::event::MonitorEvent;
 use artemis_core::property::OnFail;
 use artemis_ir::compile::{CompileIssue, CompiledEvent, CompiledMachine, CompiledSuite};
-use artemis_ir::exec::{step, IrEvent, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::fsm::{EmitFail, MonitorSuite};
 use artemis_ir::layout::MachineLayout;
-use artemis_ir::opt::OptLevel;
 use artemis_ir::validate::{validate_strict, Issue};
-use immortal::Routine;
 use intermittent_sim::device::{CostCategory, Device, Interrupt, MemOwner};
-use intermittent_sim::fram::{NvCell, NvData};
-use intermittent_sim::journal::{record_bytes, Journal, TxWriter, SUB_WRITE_HEADER};
+use intermittent_sim::fram::NvCell;
+use intermittent_sim::journal::{Journal, TxWriter, SUB_WRITE_HEADER};
 
-use state::{EncodedEvent, NvValue};
+use interp::Interpreter;
+use state::EncodedEvent;
 
 pub use remote::{NoMonitoring, RemoteMonitorEngine};
 
@@ -224,11 +226,6 @@ pub trait Monitoring {
     }
 }
 
-/// Modelled CPU cost of scanning one machine's transitions for one
-/// event, in cycles (the interpreter stand-in for generated C code).
-const STEP_BASE_CYCLES: u64 = 40;
-/// Additional cycles per transition considered.
-const STEP_PER_TRANSITION_CYCLES: u64 = 12;
 /// Modelled cost of the compiled path's dispatch-table lookup — a
 /// kind/task index instead of a name-comparing scan.
 const COMPILED_DISPATCH_CYCLES: u64 = 10;
@@ -252,9 +249,9 @@ pub enum RoutingMode {
     /// event.
     #[default]
     Routed,
-    /// The reference dispatch semantics: every installed machine is
-    /// stepped through the persistent [`Routine`], dismissed ones
-    /// paying a counter write. Only the reference engine uses it.
+    /// The reference dispatch semantics: every installed machine the
+    /// event's path does not rule out is stepped, in suite order. Only
+    /// the reference engine uses it.
     FullScan,
 }
 
@@ -265,8 +262,8 @@ pub enum ExecMode {
     /// — the production engine's core.
     #[default]
     Compiled,
-    /// The tree-walking reference interpreter over one FRAM cell per
-    /// variable — the reference engine's core.
+    /// The tree-walking reference interpreter over volatile machine
+    /// state — the reference engine's core.
     Interpreter,
 }
 
@@ -311,18 +308,10 @@ pub struct InstallOptions {
     pub mode: ExecMode,
     /// Event dispatch strategy (routed worklists by default).
     pub routing: RoutingMode,
-    /// Bytecode optimization level for ahead-of-time compilation
-    /// ([`OptLevel::Full`] by default). [`OptLevel::None`] ships the
-    /// straight-from-lowering bytecode and serves as the differential
-    /// oracle for the optimizer. Ignored by
-    /// [`MonitorEngine::install_precompiled`], whose caller already
-    /// holds compiled bytecode.
-    pub opt: OptLevel,
     /// Journal capacity override in record bytes. `None` derives the
     /// capacity from the static resource bounds: the larger of the
     /// whole-suite reset record and the worst key's whole-event record
-    /// (see [`artemis_ir::suite_bounds`]), raised on the reference
-    /// engine to cover its per-cell reset commit. Install checks the suite
+    /// (see [`artemis_ir::suite_bounds`]). Install checks the suite
     /// against whatever capacity ends up in force, so an undersized
     /// override rejects the install with [`InstallError::Analysis`]
     /// instead of faulting with `JournalOverflow` mid-run.
@@ -437,20 +426,6 @@ pub struct MonitorVerdict {
     pub action: Action,
 }
 
-/// Where one machine's persistent `(state, vars)` live in FRAM.
-enum MachineStore {
-    /// One cell per variable plus a state cell (reference engine).
-    Cells {
-        state_cell: NvCell<u32>,
-        var_cells: Vec<NvCell<NvValue>>,
-        /// Dense task ids this machine observes; `None` when it has a
-        /// wildcard trigger and must see everything.
-        observed: Option<Vec<u32>>,
-    },
-    /// One contiguous block (production engine).
-    Block(Block),
-}
-
 /// One machine block: the state field followed by the variable slots,
 /// in the machine's packed [`MachineLayout`] — a single FRAM op to load
 /// and a single journal sub-write to commit.
@@ -482,52 +457,37 @@ fn check_install(machines: usize, opts: &InstallOptions) -> Result<(), InstallEr
     Ok(())
 }
 
-/// Largest record the reference engine commits, in journal bytes: its
-/// per-cell reset, its arming commit, or one machine's step. A machine
-/// is a state word plus one cell per variable; the rest are the seq,
-/// the verdict count and cells, the event and the routine's step
-/// counters.
-fn reference_commit_bytes(suite: &MonitorSuite) -> usize {
-    const WORD: usize = <u32 as NvData>::SIZE;
-    let cells =
-        |m: &artemis_ir::StateMachine| (1 + m.vars.len(), WORD + NvValue::SIZE * m.vars.len());
-    let (reset_k, reset_data) = suite
-        .machines()
-        .iter()
-        .map(cells)
-        .fold((0, 0), |(k, d), (mk, md)| (k + mk, d + md));
-    // Machines, then the verdict count and the seq.
-    let reset = record_bytes(reset_k + 2, reset_data + WORD + u64::SIZE);
-    // Event, seq, verdict count and the routine's two counters.
-    let arming = record_bytes(5, EncodedEvent::SIZE + u64::SIZE + 3 * WORD);
-    // One machine's cells, a verdict cell, the verdict count and the
-    // step counter.
-    let step = suite
-        .machines()
-        .iter()
-        .map(cells)
-        .map(|(k, data)| record_bytes(k + 3, data + <VerdictCell as NvData>::SIZE + 2 * WORD))
-        .max()
-        .unwrap_or(0);
-    reset.max(arming).max(step)
-}
-
-/// Stages a machine's re-initialisation into `tx`, honouring its
-/// storage layout.
-fn stage_machine_reset(tx: &mut TxWriter, lm: &LoadedMachine) {
-    match &lm.store {
-        MachineStore::Cells {
-            state_cell,
-            var_cells,
-            ..
-        } => {
-            tx.write(state_cell, lm.machine.initial);
-            for (cell, decl) in var_cells.iter().zip(&lm.machine.vars) {
-                tx.write(cell, NvValue(decl.init));
+/// The source-level install checks every deployment runs (the local
+/// engines and [`RemoteMonitorEngine`] alike): each machine passes
+/// strict validation, observes only tasks of `app`, and has a governing
+/// path for every path-directed action.
+pub(crate) fn validate_suite(suite: &MonitorSuite, app: &AppGraph) -> Result<(), InstallError> {
+    for m in suite.machines() {
+        validate_strict(m).map_err(InstallError::Invalid)?;
+        for task in m.observed_tasks() {
+            if app.task_by_name(task).is_none() {
+                return Err(InstallError::UnknownTask {
+                    machine: m.name.clone(),
+                    task: task.to_string(),
+                });
             }
         }
-        MachineStore::Block(b) => tx.append_raw(b.addr, &b.initial_image),
+        let pathless = |t: &artemis_ir::fsm::Transition| {
+            t.emit.as_ref().is_some_and(|e| {
+                e.path.is_none()
+                    && matches!(
+                        e.action,
+                        OnFail::RestartPath | OnFail::SkipPath | OnFail::CompletePath
+                    )
+            })
+        };
+        if m.path.is_none() && m.transitions.iter().any(pathless) {
+            return Err(InstallError::MissingPath {
+                machine: m.name.clone(),
+            });
+        }
     }
+    Ok(())
 }
 
 /// Sub-write header bytes of one journal record run — the diff-commit
@@ -568,57 +528,28 @@ fn diff_runs(old: &[u8], new: &[u8], mut emit: impl FnMut(usize, usize)) {
 
 struct LoadedMachine {
     machine: artemis_ir::StateMachine,
-    store: MachineStore,
+    block: Block,
 }
 
-impl LoadedMachine {
-    /// The machine's FRAM block — every machine of a production engine
-    /// has one.
-    fn block(&self) -> &Block {
-        match &self.store {
-            MachineStore::Block(b) => b,
-            MachineStore::Cells { .. } => unreachable!("production engines store blocks"),
-        }
-    }
-}
-
-/// Reused per-event buffers: once installed, the engine's hot path
-/// allocates nothing.
+/// Reused per-event buffers: once installed, the production engine's
+/// hot path allocates nothing.
 struct Scratch {
-    /// Bytecode register file (production engine).
+    /// Bytecode register file.
     regs: Vec<Value>,
     /// Decoded variable snapshot.
     vars: Vec<Value>,
-    /// Pre-step variable snapshot for change detection (reference
-    /// engine).
-    before_vars: Vec<Value>,
-    /// Block image as loaded (production engine).
+    /// Block image as loaded.
     block: Vec<u8>,
-    /// Block image after the step (production engine).
+    /// Block image after the step.
     block_new: Vec<u8>,
     /// Verdict staging for read-back.
     verdicts: Vec<MonitorVerdict>,
-    /// The delivery's interested worklist (production engine).
+    /// The delivery's interested worklist.
     worklist: Vec<u16>,
-    /// The verdict cells a delivery emits, in order (production
-    /// engine).
+    /// The verdict cells a delivery emits, in order.
     staged: Vec<VerdictCell>,
-    /// The delivery's one journal record (production engine).
+    /// The delivery's one journal record.
     record: TxWriter,
-}
-
-/// The persistent dispatch state, which is what tells the two engines
-/// apart in FRAM.
-enum Dispatch {
-    /// Production engine: nothing beyond the sequence number and the
-    /// verdict log — a delivery's worklist is volatile.
-    Routed,
-    /// Reference engine: the persisted event and the full-scan step
-    /// counter, so a reboot resumes the scan machine by machine.
-    FullScan {
-        routine: Routine,
-        event_cell: NvCell<EncodedEvent>,
-    },
 }
 
 /// An encoded verdict cell: `(machine index, (action tag, path))` —
@@ -640,11 +571,10 @@ struct MachineShadow {
 /// shadow contents equal the corresponding FRAM bytes within one reboot
 /// epoch; during a delivery the stepped machines' shadows run ahead
 /// until the record commits, and a failed delivery wipes the cache.
-/// `NvValue`
-/// encoding is canonical (`encode(decode(x)) == x` for every
-/// engine-written image), which is what lets the machine shadows store
-/// *decoded* `(state, vars)` and regenerate byte-identical block
-/// images for change detection.
+/// The [`MachineLayout`] encoding is canonical (`encode(decode(x)) == x`
+/// for every engine-written image), which is what lets the machine
+/// shadows store *decoded* `(state, vars)` and regenerate
+/// byte-identical block images for change detection.
 struct ShadowCache {
     /// [`Sram`](intermittent_sim::Sram) reboot generation the cache was
     /// last synced to.
@@ -702,19 +632,31 @@ impl ShadowCache {
 /// The engine. Create with [`MonitorEngine::install`] (the production
 /// engine) or [`MonitorEngine::install_with`].
 pub struct MonitorEngine {
+    core: Core,
+}
+
+/// The engine [`InstallOptions`] selected.
+enum Core {
+    Production(Box<Production>),
+    /// The volatile reference interpreter: no FRAM, no journal, no
+    /// billing.
+    Reference(RefCell<Interpreter>),
+}
+
+/// The production engine: bytecode, one FRAM block per machine, the
+/// journal its deliveries commit through, and the volatile shadow of
+/// its FRAM reads.
+struct Production {
     /// Bytecode, dispatch tables, the routing index, and the task-name
-    /// table interned once at install (both engines resolve event task
-    /// ids through it).
+    /// table interned once at install.
     compiled: Arc<CompiledSuite>,
     machines: Vec<LoadedMachine>,
-    dispatch: Dispatch,
     journal: Journal,
     seq_cell: NvCell<u64>,
     verdict_count: NvCell<u32>,
-    verdict_cells: Vec<NvCell<(u32, (u8, u32))>>,
-    /// The volatile shadow of the hot path's FRAM reads: `Some` iff
-    /// this is the production engine.
-    cache: Option<RefCell<ShadowCache>>,
+    verdict_cells: Vec<NvCell<VerdictCell>>,
+    /// The volatile shadow of the hot path's FRAM reads.
+    cache: RefCell<ShadowCache>,
     /// Dynamic executed-instruction counters (volatile, like the cache
     /// stats — see [`ExecStats`]).
     exec: RefCell<ExecStats>,
@@ -745,47 +687,20 @@ impl MonitorEngine {
         // Checked again at install proper; rejecting here skips
         // compiling a suite that can never install.
         check_install(suite.len(), &opts)?;
-        for m in suite.machines() {
-            validate_strict(m).map_err(InstallError::Invalid)?;
-            for task in m.observed_tasks() {
-                if app.task_by_name(task).is_none() {
-                    return Err(InstallError::UnknownTask {
-                        machine: m.name.clone(),
-                        task: task.to_string(),
-                    });
-                }
-            }
-            for t in &m.transitions {
-                if let Some(e) = &t.emit {
-                    if e.path.is_none()
-                        && m.path.is_none()
-                        && matches!(
-                            e.action,
-                            OnFail::RestartPath | OnFail::SkipPath | OnFail::CompletePath
-                        )
-                    {
-                        return Err(InstallError::MissingPath {
-                            machine: m.name.clone(),
-                        });
-                    }
-                }
-            }
-        }
-
-        // AOT compilation: slot indices, task-id dispatch tables,
-        // bytecode — and the interned task-name table both engines use.
-        // Suites that pass the checks above always compile; the error
-        // arm guards hand-written machines.
-        let compiled =
-            CompiledSuite::compile_with(&suite, app, opts.opt).map_err(InstallError::Compile)?;
+        validate_suite(&suite, app)?;
+        // AOT compilation: slot indices, task-id dispatch tables and
+        // bytecode. Suites that pass the checks above always compile;
+        // the error arm guards hand-written machines.
+        let compiled = CompiledSuite::compile(&suite, app).map_err(InstallError::Compile)?;
         Self::install_precompiled(dev, suite, compiled, app, opts)
     }
 
     /// Installs an already-compiled suite, skipping the source-level
     /// checks of [`MonitorEngine::install_with`] — the entry point for
-    /// hand-assembled or mutated bytecode built through
-    /// [`artemis_ir::RawMachine`]. The static analysis gate is *not*
-    /// skippable: "verifier accepts ⇒ engine safe" holds precisely
+    /// hand-assembled, mutated or unoptimized bytecode (built through
+    /// [`artemis_ir::RawMachine`] or
+    /// [`CompiledSuite::compile_with`]). The static analysis gate is
+    /// *not* skippable: "verifier accepts ⇒ engine safe" holds precisely
     /// because every program the engine executes has passed it. `suite`
     /// must be the source the machines were compiled from (it supplies
     /// names, types and FRAM layout); a machine-count mismatch is
@@ -806,6 +721,10 @@ impl MonitorEngine {
     /// private copy — the fleet harness compiles once per worker sweep,
     /// not once per device. All mutable monitor state (FRAM blocks,
     /// journal, caches, scratch) stays per-engine.
+    ///
+    /// The reference engine passes the same gate, so both engines
+    /// accept exactly the same suites, and then touches neither FRAM
+    /// nor the device's cost accounts.
     pub fn install_precompiled_shared(
         dev: &mut Device,
         suite: MonitorSuite,
@@ -814,20 +733,12 @@ impl MonitorEngine {
         opts: InstallOptions,
     ) -> Result<Self, InstallError> {
         check_install(suite.len(), &opts)?;
-        let production = opts.mode == ExecMode::Compiled;
 
         // Default journal capacity = the static worst-case record: the
         // larger of the whole-suite reset record and the worst key's
-        // whole-event record (see `suite_bounds`). The reference
-        // engine's per-cell commits are costed separately.
+        // whole-event record (see `suite_bounds`).
         let bounds = artemis_ir::suite_bounds(&compiled);
-        let floor = if production {
-            bounds.worst_commit_bytes
-        } else {
-            bounds
-                .worst_commit_bytes
-                .max(reference_commit_bytes(&suite))
-        };
+        let floor = bounds.worst_commit_bytes;
         let capacity = opts.journal_capacity.unwrap_or(floor);
         // The analyzer checks the reset and per-key commits; an
         // override must also cover the rest of the worst-case figure
@@ -861,164 +772,25 @@ impl MonitorEngine {
             });
         }
 
-        let dev_err = InstallError::Device;
-        let owner = MemOwner::Monitor;
-        let prev = dev.category();
-        dev.set_category(CostCategory::Monitor);
-
-        let result = (|| {
-            let journal = dev.make_journal(capacity, owner).map_err(dev_err)?;
-            // The reference engine persists the event and its full-scan
-            // step counter; a production delivery is one record, so it
-            // keeps neither.
-            let dispatch = if production {
-                Dispatch::Routed
-            } else {
-                Dispatch::FullScan {
-                    routine: Routine::new(dev, owner, "monitor.routine").map_err(dev_err)?,
-                    event_cell: dev
-                        .nv_alloc(EncodedEvent::default(), owner, "monitor.event")
-                        .map_err(dev_err)?,
-                }
-            };
-            let seq_cell = dev.nv_alloc(0u64, owner, "monitor.seq").map_err(dev_err)?;
-            let verdict_count = dev
-                .nv_alloc(0u32, owner, "monitor.verdicts.count")
-                .map_err(dev_err)?;
-
-            // One verdict cell per machine: an event steps each machine
-            // at most once.
-            let mut verdict_cells = Vec::with_capacity(suite.len());
-            for i in 0..suite.len() {
-                verdict_cells.push(
-                    dev.nv_alloc(
-                        (0u32, (0u8, 0u32)),
-                        owner,
-                        &format!("monitor.verdicts[{i}]"),
-                    )
-                    .map_err(dev_err)?,
-                );
-            }
-
-            let mut machines = Vec::with_capacity(suite.len());
-            for (mi, m) in suite.into_iter().enumerate() {
-                let store = if production {
-                    // One contiguous block per machine, pre-imaged with
-                    // the initial snapshot. The geometry and the
-                    // snapshot come from the compiled machine —
-                    // install_precompiled callers may hand-assemble
-                    // machines, and the block must agree with the
-                    // bytecode that steps it.
-                    let cmach = &compiled.machines()[mi];
-                    let layout = cmach.layout().clone();
-                    let mut initial_image = Vec::with_capacity(layout.block_len);
-                    layout.encode(cmach.initial_state(), cmach.var_inits(), &mut initial_image);
-                    let addr = dev
-                        .nv_alloc_raw(initial_image.len(), owner, &format!("{}.block", m.name))
-                        .map_err(dev_err)?;
-                    dev.nv_write_raw(addr, &initial_image).map_err(dev_err)?;
-                    MachineStore::Block(Block {
-                        addr,
-                        layout,
-                        initial_image,
-                    })
-                } else {
-                    let state_cell = dev
-                        .nv_alloc(m.initial, owner, &format!("{}.state", m.name))
-                        .map_err(dev_err)?;
-                    let mut var_cells = Vec::with_capacity(m.vars.len());
-                    for v in &m.vars {
-                        var_cells.push(
-                            dev.nv_alloc(NvValue(v.init), owner, &format!("{}.{}", m.name, v.name))
-                                .map_err(dev_err)?,
-                        );
-                    }
-                    // Pre-resolve the observed task set so events for
-                    // other tasks skip the machine without touching its
-                    // state (the generated C's trigger test, one compare
-                    // per machine).
-                    let has_wildcard = m.transitions.iter().any(|t| {
-                        matches!(
-                            t.trigger,
-                            artemis_ir::fsm::Trigger::Any
-                                | artemis_ir::fsm::Trigger::Start(artemis_ir::fsm::TaskPat::Any)
-                                | artemis_ir::fsm::Trigger::End(artemis_ir::fsm::TaskPat::Any)
-                        )
-                    });
-                    let observed = (!has_wildcard).then(|| {
-                        m.observed_tasks()
-                            .iter()
-                            .filter_map(|n| app.task_by_name(n).map(|t| t.0))
-                            .collect::<Vec<u32>>()
-                    });
-                    MachineStore::Cells {
-                        state_cell,
-                        var_cells,
-                        observed,
-                    }
-                };
-                machines.push(LoadedMachine { machine: m, store });
-            }
-
-            let max_vars = machines
-                .iter()
-                .map(|lm| lm.machine.vars.len())
-                .max()
-                .unwrap_or(0);
-            let max_block = machines
-                .iter()
-                .map(|lm| match &lm.store {
-                    MachineStore::Block(b) => b.layout.block_len,
-                    MachineStore::Cells { .. } => 0,
-                })
-                .max()
-                .unwrap_or(0);
-            let scratch = RefCell::new(Scratch {
-                regs: vec![Value::Int(0); compiled.max_regs()],
-                vars: Vec::with_capacity(max_vars),
-                before_vars: Vec::with_capacity(max_vars),
-                block: Vec::with_capacity(max_block),
-                block_new: Vec::with_capacity(max_block),
-                verdicts: Vec::new(),
-                worklist: Vec::with_capacity(machines.len()),
-                staged: Vec::new(),
-                record: TxWriter::new(),
-            });
-
-            // The epoch starts at the device's *current* reboot
-            // generation so a freshly installed engine doesn't count a
-            // spurious invalidation.
-            let cache = production.then(|| {
-                RefCell::new(ShadowCache::new(
-                    dev.sram().generation(),
-                    machines.len(),
-                    verdict_cells.len(),
-                ))
-            });
-            Ok(MonitorEngine {
-                compiled,
-                machines,
-                dispatch,
-                journal,
-                seq_cell,
-                verdict_count,
-                verdict_cells,
-                cache,
-                exec: RefCell::new(ExecStats::default()),
-                scratch,
-            })
-        })();
-        dev.set_category(prev);
-        result
+        let core = if opts.mode == ExecMode::Interpreter {
+            Core::Reference(RefCell::new(Interpreter::new(suite, app)))
+        } else {
+            let prev = dev.category();
+            dev.set_category(CostCategory::Monitor);
+            let production = Production::allocate(dev, suite, compiled, capacity);
+            dev.set_category(prev);
+            Core::Production(Box::new(production.map_err(InstallError::Device)?))
+        };
+        Ok(MonitorEngine { core })
     }
 
     /// The execution core the engine runs: [`ExecMode::Compiled`] for
     /// the production engine, [`ExecMode::Interpreter`] for the
     /// reference engine.
     pub fn mode(&self) -> ExecMode {
-        match self.dispatch {
-            Dispatch::Routed => ExecMode::Compiled,
-            Dispatch::FullScan { .. } => ExecMode::Interpreter,
+        match self.core {
+            Core::Production(_) => ExecMode::Compiled,
+            Core::Reference(_) => ExecMode::Interpreter,
         }
     }
 
@@ -1026,9 +798,9 @@ impl MonitorEngine {
     /// production engine, [`RoutingMode::FullScan`] for the reference
     /// engine.
     pub fn routing_mode(&self) -> RoutingMode {
-        match self.dispatch {
-            Dispatch::Routed => RoutingMode::Routed,
-            Dispatch::FullScan { .. } => RoutingMode::FullScan,
+        match self.core {
+            Core::Production(_) => RoutingMode::Routed,
+            Core::Reference(_) => RoutingMode::FullScan,
         }
     }
 
@@ -1036,9 +808,10 @@ impl MonitorEngine {
     /// engine, which keeps no cache. The engine-level mirror of
     /// `ArtemisRuntime::events_delivered`.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .as_ref()
-            .map_or_else(CacheStats::default, |c| c.borrow().stats)
+        match &self.core {
+            Core::Production(p) => p.cache.borrow().stats,
+            Core::Reference(_) => CacheStats::default(),
+        }
     }
 
     /// Dynamic bytecode execution counters (all-zero on the reference
@@ -1047,7 +820,10 @@ impl MonitorEngine {
     /// event, `instructions` grows by at most the key's
     /// `step_cost(kind, task).instructions`.
     pub fn exec_stats(&self) -> ExecStats {
-        *self.exec.borrow()
+        match &self.core {
+            Core::Production(p) => *p.exec.borrow(),
+            Core::Reference(_) => ExecStats::default(),
+        }
     }
 
     /// Pushes the current [`CacheStats`] onto the device trace ring
@@ -1061,6 +837,196 @@ impl MonitorEngine {
         });
     }
 
+    /// Costless read of every machine's `(state, vars)` — the
+    /// production engine's FRAM-visible monitor state, the reference
+    /// engine's interpreter state. For differential tests and
+    /// debugging; does not bill the device.
+    pub fn snapshot(&self, dev: &Device) -> Vec<(u32, Vec<Value>)> {
+        match &self.core {
+            Core::Production(p) => p.snapshot(dev),
+            Core::Reference(r) => r.borrow().snapshot(),
+        }
+    }
+
+    /// Number of installed machines.
+    pub fn machine_count(&self) -> usize {
+        match &self.core {
+            Core::Production(p) => p.machines.len(),
+            Core::Reference(r) => r.borrow().machine_count(),
+        }
+    }
+
+    /// Machine names, in suite order.
+    pub fn machine_names(&self) -> Vec<String> {
+        match &self.core {
+            Core::Production(p) => p.machines.iter().map(|m| m.machine.name.clone()).collect(),
+            Core::Reference(r) => r.borrow().machine_names(),
+        }
+    }
+
+    /// Hard reset: re-initialises every machine and clears the verdict
+    /// log and sequence number (Figure 8 `resetMonitor`; run once at
+    /// first boot).
+    pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
+        match &self.core {
+            Core::Production(p) => p.reset_monitor(dev),
+            Core::Reference(r) => {
+                r.borrow_mut().reset();
+                Ok(())
+            }
+        }
+    }
+
+    /// Completes work a power failure interrupted, if any (Figure 8
+    /// `monitorFinalize`; run on every reboot before task processing).
+    /// On the production engine that is journal recovery alone: it
+    /// returns `true` iff a torn record was replayed. An event whose
+    /// record never reached its commit flag left nothing behind and
+    /// re-runs whole when it is delivered again. The reference engine
+    /// has nothing to finalise.
+    pub fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
+        match &self.core {
+            Core::Production(p) => p.monitor_finalize(dev),
+            Core::Reference(_) => Ok(false),
+        }
+    }
+
+    /// Delivers one event under a sequence number and returns the
+    /// verdicts of every machine that reported a violation.
+    ///
+    /// Re-delivering the sequence number the engine processed last does
+    /// not re-step machines; it returns the recorded verdicts.
+    pub fn call_monitor(
+        &self,
+        dev: &mut Device,
+        seq: u64,
+        event: &MonitorEvent,
+    ) -> Result<Vec<MonitorVerdict>, Interrupt> {
+        match &self.core {
+            Core::Production(p) => p.call_monitor(dev, seq, event),
+            Core::Reference(r) => {
+                let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
+                Ok(r.borrow_mut().deliver(seq, &encoded))
+            }
+        }
+    }
+
+    /// Reads back the verdicts of the most recently processed event.
+    pub fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
+        match &self.core {
+            Core::Production(p) => p.last_verdicts(dev),
+            Core::Reference(r) => Ok(r.borrow().last_verdicts()),
+        }
+    }
+
+    /// Re-initialises the machines affected by a restart of `path`
+    /// (paper §3.3: monitors linked to tasks of a restarted path).
+    pub fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
+        match &self.core {
+            Core::Production(p) => p.on_path_restart(dev, path),
+            Core::Reference(r) => {
+                r.borrow_mut().restart_path(path);
+                Ok(())
+            }
+        }
+    }
+
+    /// Resolves a task's id to the name index used in encoded events.
+    pub fn encode_task(task: TaskId) -> u32 {
+        task.0
+    }
+}
+
+impl Production {
+    /// Allocates the production engine's persistent state in FRAM: the
+    /// journal, the sequence number, the verdict log and one block per
+    /// machine, pre-imaged with its initial snapshot.
+    fn allocate(
+        dev: &mut Device,
+        suite: MonitorSuite,
+        compiled: Arc<CompiledSuite>,
+        capacity: usize,
+    ) -> Result<Self, Interrupt> {
+        let owner = MemOwner::Monitor;
+        let journal = dev.make_journal(capacity, owner)?;
+        let seq_cell = dev.nv_alloc(0u64, owner, "monitor.seq")?;
+        let verdict_count = dev.nv_alloc(0u32, owner, "monitor.verdicts.count")?;
+
+        // One verdict cell per machine: an event steps each machine at
+        // most once.
+        let mut verdict_cells = Vec::with_capacity(suite.len());
+        for i in 0..suite.len() {
+            verdict_cells.push(dev.nv_alloc(
+                (0u32, (0u8, 0u32)),
+                owner,
+                &format!("monitor.verdicts[{i}]"),
+            )?);
+        }
+
+        let mut machines = Vec::with_capacity(suite.len());
+        for (cmach, m) in compiled.machines().iter().zip(suite) {
+            // The geometry and the snapshot come from the compiled
+            // machine — install_precompiled callers may hand-assemble
+            // machines, and the block must agree with the bytecode that
+            // steps it.
+            let layout = cmach.layout().clone();
+            let mut initial_image = Vec::with_capacity(layout.block_len);
+            layout.encode(cmach.initial_state(), cmach.var_inits(), &mut initial_image);
+            let addr =
+                dev.nv_alloc_raw(initial_image.len(), owner, &format!("{}.block", m.name))?;
+            dev.nv_write_raw(addr, &initial_image)?;
+            machines.push(LoadedMachine {
+                machine: m,
+                block: Block {
+                    addr,
+                    layout,
+                    initial_image,
+                },
+            });
+        }
+
+        let max_vars = machines
+            .iter()
+            .map(|lm| lm.machine.vars.len())
+            .max()
+            .unwrap_or(0);
+        let max_block = machines
+            .iter()
+            .map(|lm| lm.block.layout.block_len)
+            .max()
+            .unwrap_or(0);
+        let scratch = RefCell::new(Scratch {
+            regs: vec![Value::Int(0); compiled.max_regs()],
+            vars: Vec::with_capacity(max_vars),
+            block: Vec::with_capacity(max_block),
+            block_new: Vec::with_capacity(max_block),
+            verdicts: Vec::new(),
+            worklist: Vec::with_capacity(machines.len()),
+            staged: Vec::new(),
+            record: TxWriter::new(),
+        });
+
+        // The epoch starts at the device's *current* reboot generation
+        // so a freshly installed engine doesn't count a spurious
+        // invalidation.
+        let cache = RefCell::new(ShadowCache::new(
+            dev.sram().generation(),
+            machines.len(),
+            verdict_cells.len(),
+        ));
+        Ok(Production {
+            compiled,
+            machines,
+            journal,
+            seq_cell,
+            verdict_count,
+            verdict_cells,
+            cache,
+            exec: RefCell::new(ExecStats::default()),
+            scratch,
+        })
+    }
+
     /// Re-syncs the shadow cache with the device's reboot epoch —
     /// called on entry to every public path that touches FRAM. An
     /// epoch mismatch means at least one power failure happened since
@@ -1069,34 +1035,33 @@ impl MonitorEngine {
     /// recovery/read refills it (after journal replay — see the module
     /// docs for why replay-then-invalidate is safe).
     fn cache_sync(&self, dev: &Device) {
-        if let Some(cache) = &self.cache {
-            let mut c = cache.borrow_mut();
-            let epoch = dev.sram().generation();
-            if c.epoch != epoch {
-                c.epoch = epoch;
-                c.wipe();
-                c.stats.invalidations += 1;
-            }
+        let mut c = self.cache.borrow_mut();
+        let epoch = dev.sram().generation();
+        if c.epoch != epoch {
+            c.epoch = epoch;
+            c.wipe();
+            c.stats.invalidations += 1;
         }
     }
 
-    /// Defensive wholesale invalidation after an entry point returned
-    /// `Err` (a power failure mid-delivery): anything staged since the
-    /// last commit is suspect, so drop it all. Silent on the counters —
-    /// the epoch sync after the reboot accounts the invalidation.
-    fn cache_wipe(&self) {
-        if let Some(cache) = &self.cache {
-            cache.borrow_mut().wipe();
+    /// Runs `f` as one billed monitor entry point. If it returns `Err`
+    /// (a power failure mid-delivery) anything staged since the last
+    /// commit is suspect, so the whole cache is wiped — silently on the
+    /// counters: the epoch sync after the reboot accounts the
+    /// invalidation.
+    fn entry<T>(
+        &self,
+        dev: &mut Device,
+        f: impl FnOnce(&mut Device) -> Result<T, Interrupt>,
+    ) -> Result<T, Interrupt> {
+        let r = dev.billed(CostCategory::Monitor, |dev| {
+            self.cache_sync(dev);
+            f(dev)
+        });
+        if r.is_err() {
+            self.cache.borrow_mut().wipe();
         }
-    }
-
-    /// Mutates the shadow cache; no-op on the reference engine, which
-    /// keeps none. Used by the write-through points (after successful commits/writes) —
-    /// never from a failure path.
-    fn cache_put(&self, f: impl FnOnce(&mut ShadowCache)) {
-        if let Some(cache) = &self.cache {
-            f(&mut cache.borrow_mut());
-        }
+        r
     }
 
     /// Journal recovery with the known-clean fast path: once recovery
@@ -1104,15 +1069,12 @@ impl MonitorEngine {
     /// epoch, the flag re-read is skipped entirely. Returns `true` iff
     /// a torn record was replayed.
     fn recover_cached(&self, dev: &mut Device) -> Result<bool, Interrupt> {
-        let Some(cache) = &self.cache else {
-            return dev.recover(&self.journal);
-        };
-        if cache.borrow().journal_clean {
-            cache.borrow_mut().stats.hits += 1;
+        if self.cache.borrow().journal_clean {
+            self.cache.borrow_mut().stats.hits += 1;
             return Ok(false);
         }
         let replayed = dev.recover(&self.journal)?;
-        let mut c = cache.borrow_mut();
+        let mut c = self.cache.borrow_mut();
         c.journal_clean = true;
         c.stats.misses += 1;
         Ok(replayed)
@@ -1127,26 +1089,16 @@ impl MonitorEngine {
         put: impl Fn(&mut ShadowCache, &T),
         read: impl FnOnce(&mut Device) -> Result<T, Interrupt>,
     ) -> Result<T, Interrupt> {
-        let Some(cache) = &self.cache else {
-            return read(dev);
-        };
-        let hit = get(&cache.borrow());
+        let hit = get(&self.cache.borrow());
         if let Some(v) = hit {
-            cache.borrow_mut().stats.hits += 1;
+            self.cache.borrow_mut().stats.hits += 1;
             return Ok(v);
         }
         let v = read(dev)?;
-        let mut c = cache.borrow_mut();
+        let mut c = self.cache.borrow_mut();
         put(&mut c, &v);
         c.stats.misses += 1;
         Ok(v)
-    }
-
-    /// The production engine's shadow cache.
-    fn shadow(&self) -> &RefCell<ShadowCache> {
-        self.cache
-            .as_ref()
-            .expect("the production engine keeps a shadow cache")
     }
 
     /// Fills `scratch.block` with the first `span` bytes of machine
@@ -1162,10 +1114,9 @@ impl MonitorEngine {
         span: usize,
         scratch: &mut Scratch,
     ) -> Result<(), Interrupt> {
-        let block = self.machines[i].block();
-        let cache = self.shadow();
+        let block = &self.machines[i].block;
         let hit = {
-            let c = cache.borrow();
+            let c = self.cache.borrow();
             let ms = &c.machines[i];
             if ms.gen == c.gen {
                 block.layout.encode(ms.state, &ms.vars, &mut scratch.block);
@@ -1176,7 +1127,7 @@ impl MonitorEngine {
             }
         };
         if hit {
-            cache.borrow_mut().stats.hits += 1;
+            self.cache.borrow_mut().stats.hits += 1;
             return Ok(());
         }
         {
@@ -1184,7 +1135,7 @@ impl MonitorEngine {
             scratch.block.clear();
             scratch.block.extend_from_slice(bytes);
         }
-        let mut c = cache.borrow_mut();
+        let mut c = self.cache.borrow_mut();
         let ShadowCache { gen, machines, .. } = &mut *c;
         let ms = &mut machines[i];
         block
@@ -1201,16 +1152,29 @@ impl MonitorEngine {
     /// shadow then runs ahead of FRAM until the delivery's record
     /// commits; a delivery that fails first wipes the cache.
     fn shadow_machine_update(&self, i: usize, state: u32, vars: &[Value], writes: &[u16]) {
-        self.cache_put(|c| {
-            let gen = c.gen;
-            let ms = &mut c.machines[i];
-            if ms.gen == gen {
-                ms.state = state;
-                for &slot in writes {
-                    ms.vars[slot as usize] = vars[slot as usize];
-                }
+        let c = &mut *self.cache.borrow_mut();
+        let ms = &mut c.machines[i];
+        if ms.gen == c.gen {
+            ms.state = state;
+            for &slot in writes {
+                ms.vars[slot as usize] = vars[slot as usize];
             }
-        });
+        }
+    }
+
+    /// Re-images every machine `reset` selects to its initial snapshot
+    /// in the shadows, after a commit that wrote those images to FRAM.
+    fn shadow_reset(&self, reset: impl Fn(&LoadedMachine) -> bool) {
+        let c = &mut *self.cache.borrow_mut();
+        c.journal_clean = true;
+        for (ms, lm) in c.machines.iter_mut().zip(&self.machines) {
+            if reset(lm) {
+                let b = &lm.block;
+                b.layout
+                    .decode(&b.initial_image, &mut ms.state, &mut ms.vars);
+                ms.gen = c.gen;
+            }
+        }
     }
 
     /// Shadow-aware read of the verdict-log length.
@@ -1240,57 +1204,31 @@ impl MonitorEngine {
         )
     }
 
-    /// Costless read of every machine's persistent `(state, vars)` —
-    /// the FRAM-visible monitor state, independent of storage layout.
-    /// For differential tests and debugging; does not bill the device.
-    pub fn snapshot(&self, dev: &Device) -> Vec<(u32, Vec<Value>)> {
+    /// Every machine's `(state, vars)`, decoded from its FRAM block
+    /// without billing.
+    fn snapshot(&self, dev: &Device) -> Vec<(u32, Vec<Value>)> {
         self.machines
             .iter()
-            .map(|lm| match &lm.store {
-                MachineStore::Cells {
-                    state_cell,
-                    var_cells,
-                    ..
-                } => (
-                    dev.peek(state_cell),
-                    var_cells.iter().map(|c| dev.peek(c).0).collect(),
-                ),
-                MachineStore::Block(b) => {
-                    let mut vars = Vec::new();
-                    let mut state = 0u32;
-                    b.layout.decode(
-                        dev.peek_raw(b.addr, b.layout.block_len),
-                        &mut state,
-                        &mut vars,
-                    );
-                    (state, vars)
-                }
+            .map(|lm| {
+                let b = &lm.block;
+                let mut vars = Vec::new();
+                let mut state = 0u32;
+                b.layout.decode(
+                    dev.peek_raw(b.addr, b.layout.block_len),
+                    &mut state,
+                    &mut vars,
+                );
+                (state, vars)
             })
             .collect()
     }
 
-    /// Number of installed machines.
-    pub fn machine_count(&self) -> usize {
-        self.machines.len()
-    }
-
-    /// Machine names, in suite order.
-    pub fn machine_names(&self) -> Vec<String> {
-        self.machines
-            .iter()
-            .map(|m| m.machine.name.clone())
-            .collect()
-    }
-
-    /// Hard reset: re-initialises every machine and clears the verdict
-    /// log and sequence number (Figure 8 `resetMonitor`; run once at
-    /// first boot).
-    pub fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
+    /// See [`MonitorEngine::reset_monitor`].
+    fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
+        self.entry(dev, |dev| {
             let mut tx = TxWriter::new();
             for lm in &self.machines {
-                stage_machine_reset(&mut tx, lm);
+                tx.append_raw(lm.block.addr, &lm.block.initial_image);
             }
             tx.write(&self.verdict_count, 0u32);
             tx.write(&self.seq_cell, 0u64);
@@ -1298,73 +1236,27 @@ impl MonitorEngine {
             // The reset commit just (re)wrote every location the cache
             // mirrors — fill all the shadows, so even the first event
             // after a reset runs write-only.
-            self.cache_put(|c| {
-                c.journal_clean = true;
-                c.seq = Some(0);
-                c.verdict_count = Some(0);
-                let ShadowCache { gen, machines, .. } = &mut *c;
-                for (ms, lm) in machines.iter_mut().zip(&self.machines) {
-                    let b = lm.block();
-                    b.layout
-                        .decode(&b.initial_image, &mut ms.state, &mut ms.vars);
-                    ms.gen = *gen;
-                }
-            });
+            self.shadow_reset(|_| true);
+            let mut c = self.cache.borrow_mut();
+            c.seq = Some(0);
+            c.verdict_count = Some(0);
             Ok(())
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
+        })
     }
 
-    /// Completes work a power failure interrupted, if any (Figure 8
-    /// `monitorFinalize`; run on every reboot before task processing).
-    /// On the production engine that is journal recovery alone: it
-    /// returns `true` iff a torn record was replayed. An event whose
-    /// record never reached its commit flag left nothing behind and
-    /// re-runs whole when it is delivered again. The reference engine
-    /// also finishes an interrupted full scan, returning `true` if one
-    /// was pending.
-    pub fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
-            let replayed = self.recover_cached(dev)?;
-            match &self.dispatch {
-                Dispatch::Routed => Ok(replayed),
-                Dispatch::FullScan {
-                    routine,
-                    event_cell,
-                } => {
-                    if routine.is_complete(dev)? {
-                        return Ok(false);
-                    }
-                    self.run_reference_scan(dev, routine, event_cell)?;
-                    Ok(true)
-                }
-            }
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
+    /// See [`MonitorEngine::monitor_finalize`].
+    fn monitor_finalize(&self, dev: &mut Device) -> Result<bool, Interrupt> {
+        self.entry(dev, |dev| self.recover_cached(dev))
     }
 
-    /// Delivers one event under a sequence number and returns the
-    /// verdicts of every machine that reported a violation.
-    ///
-    /// Re-delivering a sequence number the engine has already processed
-    /// does not re-step machines; it returns the recorded verdicts (the
-    /// reference engine first finishes a scan a power failure cut
-    /// short).
-    pub fn call_monitor(
+    /// See [`MonitorEngine::call_monitor`].
+    fn call_monitor(
         &self,
         dev: &mut Device,
         seq: u64,
         event: &MonitorEvent,
     ) -> Result<Vec<MonitorVerdict>, Interrupt> {
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
+        self.entry(dev, |dev| {
             self.recover_cached(dev)?;
             let last_seq = self.cache_read(
                 dev,
@@ -1372,88 +1264,37 @@ impl MonitorEngine {
                 |c, v| c.seq = Some(*v),
                 |d| d.nv_read(&self.seq_cell),
             )?;
-            let fresh = last_seq != seq;
-            let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
-            match &self.dispatch {
-                Dispatch::Routed if fresh => self.deliver(dev, seq, &encoded),
-                Dispatch::Routed => self.read_verdicts(dev),
-                Dispatch::FullScan {
-                    routine,
-                    event_cell,
-                } => {
-                    if fresh {
-                        // Arm atomically: event, seq, verdict reset and
-                        // the step counter — a failure after this commit
-                        // resumes the scan, a failure before it re-arms.
-                        let mut tx = TxWriter::new();
-                        tx.write(event_cell, encoded);
-                        tx.write(&self.seq_cell, seq);
-                        tx.write(&self.verdict_count, 0u32);
-                        routine.stage_begin(&mut tx, self.machines.len() as u32);
-                        dev.commit(&self.journal, &tx)?;
-                    }
-                    self.run_reference_scan(dev, routine, event_cell)?;
-                    self.read_verdicts(dev)
-                }
+            if last_seq == seq {
+                return self.read_verdicts(dev);
             }
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
+            let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
+            self.deliver(dev, seq, &encoded)
+        })
     }
 
-    /// Reads back the verdicts of the most recently processed event.
-    pub fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
+    /// See [`MonitorEngine::last_verdicts`].
+    fn last_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
         dev.billed(CostCategory::Monitor, |dev| {
             self.cache_sync(dev);
             self.read_verdicts(dev)
         })
     }
 
-    /// Re-initialises the machines affected by a restart of `path`
-    /// (paper §3.3: monitors linked to tasks of a restarted path).
-    pub fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
-        let r = dev.billed(CostCategory::Monitor, |dev| {
-            self.cache_sync(dev);
+    /// See [`MonitorEngine::on_path_restart`].
+    fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
+        let restarted = |lm: &LoadedMachine| {
+            lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number())
+        };
+        self.entry(dev, |dev| {
             let mut tx = TxWriter::new();
-            for lm in &self.machines {
-                if lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number()) {
-                    stage_machine_reset(&mut tx, lm);
-                }
+            for lm in self.machines.iter().filter(|lm| restarted(lm)) {
+                tx.append_raw(lm.block.addr, &lm.block.initial_image);
             }
             dev.commit(&self.journal, &tx)?;
             // The commit rewrote the affected machines' images to
             // their initial snapshots — mirror that in their shadows.
-            self.cache_put(|c| {
-                c.journal_clean = true;
-                let ShadowCache { gen, machines, .. } = &mut *c;
-                for (ms, lm) in machines.iter_mut().zip(&self.machines) {
-                    if lm.machine.reset_on_path_restart && lm.machine.path == Some(path.number()) {
-                        let b = lm.block();
-                        b.layout
-                            .decode(&b.initial_image, &mut ms.state, &mut ms.vars);
-                        ms.gen = *gen;
-                    }
-                }
-            });
+            self.shadow_reset(restarted);
             Ok(())
-        });
-        if r.is_err() {
-            self.cache_wipe();
-        }
-        r
-    }
-
-    /// Runs the reference engine's pending full-scan steps.
-    fn run_reference_scan(
-        &self,
-        dev: &mut Device,
-        routine: &Routine,
-        event_cell: &NvCell<EncodedEvent>,
-    ) -> Result<(), Interrupt> {
-        routine.run(dev, &mut |dev, i| {
-            self.step_machine(dev, routine, event_cell, i)
         })
     }
 
@@ -1462,22 +1303,13 @@ impl MonitorEngine {
     /// event) into `worklist`.
     fn compute_worklist(&self, encoded: &EncodedEvent, worklist: &mut Vec<u16>) {
         worklist.clear();
-        for &mi in self
-            .compiled
-            .routing()
-            .interested(encoded.kind(), encoded.task)
-        {
-            let lm = &self.machines[mi as usize];
-            let path_dismissed = match lm.machine.path {
-                Some(machine_path) => {
-                    encoded.path_number != 0 && u32::from(encoded.path_number) != machine_path
-                }
-                None => false,
-            };
-            if !path_dismissed {
-                worklist.push(mi);
-            }
-        }
+        worklist.extend(
+            self.compiled
+                .routing()
+                .interested(encoded.kind(), encoded.task)
+                .iter()
+                .filter(|&&mi| !encoded.path_excludes(self.machines[mi as usize].machine.path)),
+        );
     }
 
     /// Production delivery under a fresh sequence number: steps every
@@ -1511,15 +1343,15 @@ impl MonitorEngine {
         scratch.record.write(&self.verdict_count, count);
         scratch.record.write(&self.seq_cell, seq);
         dev.commit(&self.journal, &scratch.record)?;
-        self.cache_put(|c| {
+        {
+            let c = &mut *self.cache.borrow_mut();
             c.journal_clean = true;
             c.seq = Some(seq);
             c.verdict_count = Some(count);
-            let gen = c.gen;
             for (slot, &cell) in scratch.staged.iter().enumerate() {
-                c.verdicts[slot] = (gen, cell);
+                c.verdicts[slot] = (c.gen, cell);
             }
-        });
+        }
 
         // The common case (no verdicts) allocates nothing.
         Ok(scratch
@@ -1533,107 +1365,6 @@ impl MonitorEngine {
                 })
             })
             .collect())
-    }
-
-    /// Reference step: processes the stored event through machine `i`
-    /// as one crash-atomic step of the full-scan [`Routine`] (the event
-    /// cell is re-read per machine and dismissal is tested
-    /// dynamically).
-    fn step_machine(
-        &self,
-        dev: &mut Device,
-        routine: &Routine,
-        event_cell: &NvCell<EncodedEvent>,
-        i: u32,
-    ) -> Result<(), Interrupt> {
-        let lm = &self.machines[i as usize];
-        let MachineStore::Cells {
-            state_cell,
-            var_cells,
-            observed,
-        } = &lm.store
-        else {
-            unreachable!("the reference engine stores cells");
-        };
-
-        let encoded = dev.nv_read(event_cell)?;
-
-        // Cheap dismissals first — the generated C's trigger test, and
-        // the `Path:` qualifier (paper §3.2): a property on a merged
-        // task is checked only against events from its governing path.
-        // A dismissed machine cannot change state, so its step
-        // completion is a plain counter write (re-execution is
-        // harmless).
-        let path_dismissed = match lm.machine.path {
-            Some(machine_path) => {
-                encoded.path_number != 0 && u32::from(encoded.path_number) != machine_path
-            }
-            None => false,
-        };
-        let dismissed =
-            path_dismissed || matches!(observed, Some(tasks) if !tasks.contains(&encoded.task));
-        if dismissed {
-            dev.compute(STEP_BASE_CYCLES)?;
-            return routine.complete_step(dev, i);
-        }
-
-        // Model the compute cost of the generated step function.
-        dev.compute(
-            STEP_BASE_CYCLES + STEP_PER_TRANSITION_CYCLES * lm.machine.transitions.len() as u64,
-        )?;
-
-        let task_name = self.compiled.task_name(encoded.task);
-
-        let scratch = &mut *self.scratch.borrow_mut();
-        let before_state = dev.nv_read(state_cell)?;
-        scratch.vars.clear();
-        for c in var_cells {
-            scratch.vars.push(dev.nv_read(c)?.0);
-        }
-        scratch.before_vars.clear();
-        scratch.before_vars.extend_from_slice(&scratch.vars);
-
-        let mut mstate = MachineState {
-            state: before_state,
-            vars: core::mem::take(&mut scratch.vars),
-        };
-
-        let ir_event = IrEvent {
-            kind: encoded.kind(),
-            task: task_name,
-            ctx: encoded.ctx(),
-        };
-
-        // Evaluation errors cannot occur on validated machines; treat
-        // them as accept-silently to keep the monitor total (the C
-        // monitor has no error channel either).
-        let emit = step(&lm.machine, &mut mstate, &ir_event).unwrap_or(None);
-        scratch.vars = mstate.vars;
-
-        // Implicit self-transition with no effects: plain counter write,
-        // no journal round-trip (matches the generated C, which only
-        // touches FRAM on actual assignments).
-        if emit.is_none() && mstate.state == before_state && scratch.vars == scratch.before_vars {
-            return routine.complete_step(dev, i);
-        }
-
-        let mut tx = TxWriter::new();
-        if mstate.state != before_state {
-            tx.write(state_cell, mstate.state);
-        }
-        for ((cell, v), old) in var_cells
-            .iter()
-            .zip(&scratch.vars)
-            .zip(&scratch.before_vars)
-        {
-            if v != old {
-                tx.write(cell, NvValue(*v));
-            }
-        }
-        if let Some(fail) = emit {
-            self.stage_verdict(dev, &mut tx, i, fail.action, fail.path.or(lm.machine.path))?;
-        }
-        routine.atomic_step(dev, &self.journal, i, &mut tx)
     }
 
     /// Production step of machine `i` inside a delivery:
@@ -1660,11 +1391,9 @@ impl MonitorEngine {
         let cm = &self.compiled.machines()[i];
         let kind = encoded.kind();
 
-        // O(1) trigger test off the dispatch table — kind-aware, so
-        // finer than the reference engine's observed-task set, but
-        // identical in effect: a dismissed machine has no transition
-        // that could match, and the reference step would be an
-        // implicit self-transition with no FRAM writes.
+        // O(1) trigger test off the dispatch table: a dismissed machine
+        // has no transition that could match, so the reference step
+        // would be an implicit self-transition.
         if cm.dispatch_len(kind, encoded.task) == 0 {
             return dev.compute(COMPILED_DISPATCH_CYCLES);
         }
@@ -1676,7 +1405,7 @@ impl MonitorEngine {
 
         let access = cm.access(kind, encoded.task);
         let lm = &self.machines[i];
-        let block = lm.block();
+        let block = &lm.block;
         let covered = access.max_touched_slot().map_or(0, |s| s as usize + 1);
         let span = block.layout.span(access.max_touched_slot());
 
@@ -1713,8 +1442,8 @@ impl MonitorEngine {
     /// counting executed instructions. Evaluation errors cannot occur
     /// on validated machines; they are treated as accept-silently to
     /// keep the monitor total (the C monitor has no error channel
-    /// either). Partial variable mutations are kept, matching the
-    /// reference engine's observable effects.
+    /// either). Partial variable mutations are kept, as on the
+    /// reference engine.
     fn run_bytecode<'c>(
         &self,
         cm: &'c CompiledMachine,
@@ -1743,25 +1472,6 @@ impl MonitorEngine {
         emit
     }
 
-    /// Appends one verdict to the persistent verdict log inside the
-    /// reference engine's step record `tx`.
-    fn stage_verdict(
-        &self,
-        dev: &mut Device,
-        tx: &mut TxWriter,
-        i: u32,
-        action: OnFail,
-        path: Option<u32>,
-    ) -> Result<(), Interrupt> {
-        let count = dev.nv_read(&self.verdict_count)?;
-        tx.write(
-            &self.verdict_cells[count as usize],
-            (i, encode_action(action, path)),
-        );
-        tx.write(&self.verdict_count, count + 1);
-        Ok(())
-    }
-
     fn read_verdicts(&self, dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
         let count = self.read_verdict_count_cached(dev)?;
         let scratch = &mut *self.scratch.borrow_mut();
@@ -1784,11 +1494,6 @@ impl MonitorEngine {
         } else {
             Ok(scratch.verdicts.clone())
         }
-    }
-
-    /// Resolves a task's id to the name index used in encoded events.
-    pub fn encode_task(task: TaskId) -> u32 {
-        task.0
     }
 }
 
@@ -1825,16 +1530,6 @@ impl Monitoring for MonitorEngine {
     fn machine_count(&self) -> usize {
         MonitorEngine::machine_count(self)
     }
-}
-
-/// Encodes an action as `(tag, one-based path or 0)`.
-pub(crate) fn encode_action_pub(action: OnFail, path: Option<u32>) -> (u8, u32) {
-    encode_action(action, path)
-}
-
-/// Decodes an action tag back; `None` for unknown tags.
-pub(crate) fn decode_action_pub(encoded: (u8, u32)) -> Option<Action> {
-    decode_action(encoded)
 }
 
 /// Encodes an action as `(tag, one-based path or 0)`.
@@ -2907,60 +2602,90 @@ mod tests {
         }
     }
 
-    /// The reference engine's per-cell reset commit outgrows the
-    /// production engine's worst commit on the paper's Figure 5 suite,
-    /// so an override sized for the production engine must reject the
-    /// reference install up front, before any FRAM is allocated,
-    /// instead of faulting in `reset_monitor`.
+    /// The reference engine is a continuous run whatever device it is
+    /// given: installing and driving it — reset, fresh deliveries, a
+    /// redelivery, a path restart, finalize and readback — allocates no
+    /// monitor FRAM, moves no FRAM byte and leaves the device's cost
+    /// accounts untouched.
     #[test]
-    fn reference_engine_rejects_a_production_sized_journal() {
-        let mut b = AppGraphBuilder::new();
-        let body = b.task("bodyTemp");
-        let avg = b.task_with_var("calcAvg", "avgTemp");
-        let heart = b.task("heartRate");
-        let accel = b.task("accel");
-        let classify = b.task("classify");
-        let mic = b.task("micSense");
-        let filter = b.task("filter");
-        let send = b.task("send");
-        b.path(&[body, avg, heart, send]);
-        b.path(&[accel, classify, send]);
-        b.path(&[mic, filter, send]);
-        let app = b.build().unwrap();
-        let suite = artemis_ir::compile(artemis_spec::samples::FIGURE5, &app).unwrap();
-        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
-        let sized = Some(artemis_ir::suite_bounds(&compiled).worst_commit_bytes);
-
+    fn reference_engine_touches_no_fram_and_bills_nothing() {
         let mut dev = DeviceBuilder::msp430fr5994().build();
-        let opts = InstallOptions {
-            journal_capacity: sized,
-            ..InstallOptions::default()
-        };
-        let engine = MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts).unwrap();
-        engine.reset_monitor(&mut dev).unwrap();
-
-        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let app = app();
+        let accel = app.task_by_name("accel").unwrap();
+        let suite = artemis_ir::compile(
+            "accel { maxTries: 1 onFail: skipPath; }\n\
+             send { collect: 2 dpTask: accel onFail: restartPath; }",
+            &app,
+        )
+        .unwrap();
         let used = dev.fram().used_by(MemOwner::Monitor);
-        let opts = InstallOptions {
-            journal_capacity: sized,
-            ..InstallOptions::reference()
-        };
-        match MonitorEngine::install_with(&mut dev, suite.clone(), &app, opts) {
-            Err(InstallError::Analysis(d)) => {
-                assert!(d.is_error());
-                assert_eq!(d.pass, "bounds");
-            }
-            Err(other) => panic!("expected a bounds rejection, got {other}"),
-            Ok(_) => panic!("a {sized:?}-byte journal cannot hold the reference reset commit"),
-        }
-        assert_eq!(dev.fram().used_by(MemOwner::Monitor), used);
+        let f = dev.fram();
+        let traffic = (f.read_ops(), f.write_ops(), f.read_bytes(), f.write_bytes());
+        let stats = *dev.stats();
 
-        // The reference engine's own derived capacity installs and
-        // resets.
         let engine =
             MonitorEngine::install_with(&mut dev, suite, &app, InstallOptions::reference())
                 .unwrap();
         engine.reset_monitor(&mut dev).unwrap();
+        for seq in 1..=2 {
+            engine
+                .call_monitor(&mut dev, seq, &MonitorEvent::start(accel, t(seq)))
+                .unwrap();
+        }
+        let verdicts = engine
+            .call_monitor(&mut dev, 2, &MonitorEvent::start(accel, t(2)))
+            .unwrap();
+        assert_eq!(verdicts.len(), 1, "the second start trips maxTries: 1");
+        assert_eq!(engine.last_verdicts(&mut dev).unwrap(), verdicts);
+        engine.on_path_restart(&mut dev, PathId(0)).unwrap();
+        assert!(!engine.monitor_finalize(&mut dev).unwrap());
+
+        assert_eq!(dev.fram().used_by(MemOwner::Monitor), used);
+        let f = dev.fram();
+        assert_eq!(
+            (f.read_ops(), f.write_ops(), f.read_bytes(), f.write_bytes()),
+            traffic
+        );
+        assert_eq!(*dev.stats(), stats);
+    }
+
+    /// Path numbers past 255 keep their path context: on an app whose
+    /// 257 paths all run `send`, a `Path: 1` machine must not step on
+    /// an event from path 257 — on the production engine, the reference
+    /// engine and the remote engine alike — and does step on one from
+    /// path 1.
+    #[test]
+    fn path_qualifier_holds_past_path_255() {
+        let mut b = AppGraphBuilder::new();
+        let send = b.task("send");
+        for _ in 0..257 {
+            b.path(&[send]);
+        }
+        let app = b.build().unwrap();
+        let ir = "machine m task send path 1 persistent { state S initial; \
+                  on startTask(send) from S to S { } fail skipTask; }";
+        let ev = |path| MonitorEvent::start(send, t(1)).on_path(PathId(path));
+        for engine in ["production", "reference", "remote"] {
+            let mut dev = DeviceBuilder::msp430fr5994().build();
+            let suite = artemis_ir::parse::parse_suite(ir).unwrap();
+            let monitor: Box<dyn Monitoring> = match engine {
+                "production" => Box::new(MonitorEngine::install(&mut dev, suite, &app).unwrap()),
+                "reference" => Box::new(
+                    MonitorEngine::install_with(&mut dev, suite, &app, InstallOptions::reference())
+                        .unwrap(),
+                ),
+                _ => Box::new(RemoteMonitorEngine::install(&mut dev, suite, &app).unwrap()),
+            };
+            monitor.reset_monitor(&mut dev).unwrap();
+            assert!(
+                monitor
+                    .call_monitor(&mut dev, 1, &ev(256))
+                    .unwrap()
+                    .is_empty(),
+                "{engine}: an event from path 257 stepped a `Path: 1` machine"
+            );
+            assert_eq!(monitor.call_monitor(&mut dev, 2, &ev(0)).unwrap().len(), 1);
+        }
     }
 
     #[test]
@@ -3076,12 +2801,13 @@ mod tests {
 
     #[test]
     fn routed_path_skips_uninterested_machines() {
-        // One machine watches `accel`, fifteen watch `send`. A start
-        // event on `accel` must not read the fifteen bystanders' blocks:
-        // the production engine's FRAM reads on its first delivery after
-        // a reboot (cold shadow cache) stay well below the reference
-        // engine's full scan.
+        // One machine watches `accel`, fifteen watch `send`. The first
+        // start event on `accel` after a reboot (cold shadow cache)
+        // must read no bystander block: its reads are exactly the key's
+        // static cold refill — journal flag, seq and the one interested
+        // machine's block.
         let app = app();
+        let accel = app.task_by_name("accel").unwrap();
         let mut src = String::from(
             "machine hot task accel persistent { state S initial; \
              on startTask(accel) from S to S { }; }\n",
@@ -3092,26 +2818,27 @@ mod tests {
                  on startTask(send) from S to S {{ }}; }}\n"
             ));
         }
+        let suite = artemis_ir::parse::parse_suite(&src).unwrap();
+        let compiled = CompiledSuite::compile(&suite, &app).unwrap();
+        let key = artemis_ir::suite_bounds(&compiled)
+            .per_key
+            .into_iter()
+            .find(|c| c.kind == EventKind::StartTask && c.task == Some(accel.0))
+            .unwrap();
+        assert_eq!(key.machines, 1);
 
-        let ops_for = |opts: InstallOptions| {
-            let mut dev = DeviceBuilder::msp430fr5994().build();
-            let suite = artemis_ir::parse::parse_suite(&src).unwrap();
-            let engine = MonitorEngine::install_with(&mut dev, suite, &app, opts).unwrap();
-            engine.reset_monitor(&mut dev).unwrap();
-            dev.power_cycle();
-            let accel = app.task_by_name("accel").unwrap();
-            let before = dev.fram().read_ops();
-            engine
-                .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
-                .unwrap();
-            dev.fram().read_ops() - before
-        };
-
-        let routed = ops_for(InstallOptions::default());
-        let scanned = ops_for(InstallOptions::reference());
-        assert!(
-            routed * 2 < scanned,
-            "routing saved too little: routed={routed} full-scan={scanned}"
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        let engine = MonitorEngine::install(&mut dev, suite, &app).unwrap();
+        engine.reset_monitor(&mut dev).unwrap();
+        dev.power_cycle();
+        let before = dev.fram().read_ops();
+        engine
+            .call_monitor(&mut dev, 1, &MonitorEvent::start(accel, t(0)))
+            .unwrap();
+        assert_eq!(
+            (dev.fram().read_ops() - before) as usize,
+            key.cold_extra_reads,
+            "flag (1) + seq (1) + the hot machine's block (1)"
         );
     }
 

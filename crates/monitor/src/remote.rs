@@ -18,19 +18,15 @@
 //! semantics are identical and only the cost profile changes.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
-use artemis_core::action::Action;
 use artemis_core::app::{AppGraph, PathId};
 use artemis_core::event::MonitorEvent;
-use artemis_ir::exec::{step, IrEvent, MachineState};
-use artemis_ir::expr::EventCtx;
 use artemis_ir::fsm::MonitorSuite;
-use artemis_ir::validate::validate_strict;
 use intermittent_sim::device::{CostCategory, Device, Interrupt};
 
-use crate::{decode_action_pub as decode_action, encode_action_pub as encode_action};
-use crate::{InstallError, MonitorVerdict, Monitoring};
+use crate::interp::Interpreter;
+use crate::state::EncodedEvent;
+use crate::{validate_suite, InstallError, MonitorVerdict, Monitoring};
 
 /// Bytes on the wire for one event message (kind, task, timestamp,
 /// depData, path, sequence number).
@@ -40,22 +36,16 @@ const VERDICT_MSG_BYTES: usize = 16;
 /// Bytes for a control message (reset / path restart).
 const CONTROL_MSG_BYTES: usize = 8;
 
-struct RemoteState {
-    machines: Vec<(artemis_ir::StateMachine, MachineState)>,
-    /// Last processed sequence number and its verdicts (dedup).
-    last: Option<(u64, Vec<MonitorVerdict>)>,
-}
-
 /// Monitors deployed on an external, continuously-powered device.
 pub struct RemoteMonitorEngine {
-    task_names: Vec<String>,
-    state: RefCell<RemoteState>,
-    /// Verdict cache by sequence number for re-queries.
-    replies: RefCell<HashMap<u64, Vec<MonitorVerdict>>>,
+    /// The remote device's monitors (free for the node: the remote
+    /// device is mains-powered).
+    remote: RefCell<Interpreter>,
 }
 
 impl RemoteMonitorEngine {
-    /// Validates the suite and "deploys" it to the external device.
+    /// Validates the suite exactly as the local engine's install does
+    /// and "deploys" it to the external device.
     ///
     /// Nothing is allocated in the node's FRAM — that is the point of
     /// this deployment (and visible in Table-2-style reports).
@@ -64,79 +54,10 @@ impl RemoteMonitorEngine {
         suite: MonitorSuite,
         app: &AppGraph,
     ) -> Result<Self, InstallError> {
-        for m in suite.machines() {
-            validate_strict(m).map_err(InstallError::Invalid)?;
-            for task in m.observed_tasks() {
-                if app.task_by_name(task).is_none() {
-                    return Err(InstallError::UnknownTask {
-                        machine: m.name.clone(),
-                        task: task.to_string(),
-                    });
-                }
-            }
-        }
-        let machines = suite
-            .into_iter()
-            .map(|m| {
-                let st = MachineState::initial(&m);
-                (m, st)
-            })
-            .collect();
+        validate_suite(&suite, app)?;
         Ok(RemoteMonitorEngine {
-            task_names: app.tasks().iter().map(|t| t.name.clone()).collect(),
-            state: RefCell::new(RemoteState {
-                machines,
-                last: None,
-            }),
-            replies: RefCell::new(HashMap::new()),
+            remote: RefCell::new(Interpreter::new(suite, app)),
         })
-    }
-
-    /// Steps the remote machines (free for the node: the remote device
-    /// is mains-powered).
-    fn remote_step(&self, seq: u64, event: &MonitorEvent, energy_nj: u64) -> Vec<MonitorVerdict> {
-        let mut state = self.state.borrow_mut();
-        if let Some((last_seq, verdicts)) = &state.last {
-            if *last_seq == seq {
-                return verdicts.clone();
-            }
-        }
-        let task_name = self
-            .task_names
-            .get(event.task.index())
-            .cloned()
-            .unwrap_or_default();
-        let mut verdicts = Vec::new();
-        for (idx, (machine, mstate)) in state.machines.iter_mut().enumerate() {
-            // The `Path:` qualifier filter, as in the local engine.
-            if let (Some(mp), Some(ep)) = (machine.path, event.path) {
-                if mp != ep.number() {
-                    continue;
-                }
-            }
-            let ir_event = IrEvent {
-                kind: event.kind,
-                task: &task_name,
-                ctx: EventCtx {
-                    time_us: event.timestamp.as_micros(),
-                    dep_data: event.dep_data,
-                    energy_nj,
-                },
-            };
-            if let Ok(Some(fail)) = step(machine, mstate, &ir_event) {
-                let encoded = encode_action(fail.action, fail.path.or(machine.path));
-                if let Some(action) = decode_action(encoded) {
-                    verdicts.push(MonitorVerdict {
-                        machine_index: idx,
-                        machine: machine.name.clone(),
-                        action,
-                    });
-                }
-            }
-        }
-        state.last = Some((seq, verdicts.clone()));
-        self.replies.borrow_mut().insert(seq, verdicts.clone());
-        verdicts
     }
 }
 
@@ -144,12 +65,7 @@ impl Monitoring for RemoteMonitorEngine {
     fn reset_monitor(&self, dev: &mut Device) -> Result<(), Interrupt> {
         // A control message over the radio.
         dev.billed(CostCategory::Monitor, |dev| dev.transmit(CONTROL_MSG_BYTES))?;
-        let mut state = self.state.borrow_mut();
-        for (machine, mstate) in state.machines.iter_mut() {
-            mstate.reset(machine);
-        }
-        state.last = None;
-        self.replies.borrow_mut().clear();
+        self.remote.borrow_mut().reset();
         Ok(())
     }
 
@@ -164,7 +80,7 @@ impl Monitoring for RemoteMonitorEngine {
         seq: u64,
         event: &MonitorEvent,
     ) -> Result<Vec<MonitorVerdict>, Interrupt> {
-        let energy_nj = dev.energy_level().as_nano_joules();
+        let encoded = EncodedEvent::from_event(event, dev.energy_level().as_nano_joules());
         // Pay for the radio round-trip FIRST: if the transmit browns
         // out, the event was not delivered and the re-attempt
         // retransmits under the same sequence number (dedup makes this
@@ -173,41 +89,25 @@ impl Monitoring for RemoteMonitorEngine {
             dev.transmit(EVENT_MSG_BYTES)?;
             dev.receive(VERDICT_MSG_BYTES)
         })?;
-        Ok(self.remote_step(seq, event, energy_nj))
+        Ok(self.remote.borrow_mut().deliver(seq, &encoded))
     }
 
     fn last_verdicts(&self, _dev: &mut Device) -> Result<Vec<MonitorVerdict>, Interrupt> {
-        Ok(self
-            .state
-            .borrow()
-            .last
-            .as_ref()
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default())
+        Ok(self.remote.borrow().last_verdicts())
     }
 
     fn on_path_restart(&self, dev: &mut Device, path: PathId) -> Result<(), Interrupt> {
         dev.billed(CostCategory::Monitor, |dev| dev.transmit(CONTROL_MSG_BYTES))?;
-        let mut state = self.state.borrow_mut();
-        for (machine, mstate) in state.machines.iter_mut() {
-            if machine.reset_on_path_restart && machine.path == Some(path.number()) {
-                mstate.reset(machine);
-            }
-        }
+        self.remote.borrow_mut().restart_path(path);
         Ok(())
     }
 
     fn machine_count(&self) -> usize {
-        self.state.borrow().machines.len()
+        self.remote.borrow().machine_count()
     }
 
     fn machine_names(&self) -> Vec<String> {
-        self.state
-            .borrow()
-            .machines
-            .iter()
-            .map(|(m, _)| m.name.clone())
-            .collect()
+        self.remote.borrow().machine_names()
     }
 }
 
@@ -251,12 +151,10 @@ pub fn event_wire_bytes() -> usize {
     EVENT_MSG_BYTES + VERDICT_MSG_BYTES
 }
 
-// Keep `Action` referenced for rustdoc links.
-const _: Option<Action> = None;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use artemis_core::action::Action;
     use artemis_core::app::AppGraphBuilder;
     use artemis_core::time::SimInstant;
     use intermittent_sim::device::DeviceBuilder;
@@ -295,6 +193,33 @@ mod tests {
             .unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].action, Action::SkipPath(PathId(0)));
+    }
+
+    /// The remote install runs the local install's source checks: a
+    /// path-directed action with no governing path anywhere is refused
+    /// instead of installing with a wrong path target.
+    #[test]
+    fn remote_install_rejects_what_local_install_rejects() {
+        let app = app();
+        let mut dev = DeviceBuilder::msp430fr5994().build();
+        for action in ["skipPath", "restartPath", "completePath"] {
+            let suite = artemis_ir::parse::parse_suite(&format!(
+                "machine p task accel persistent {{ state S initial; \
+                 on startTask(accel) from S to S {{ }} fail {action}; }}"
+            ))
+            .unwrap();
+            assert!(matches!(
+                crate::MonitorEngine::install(&mut dev, suite.clone(), &app),
+                Err(InstallError::MissingPath { .. })
+            ));
+            assert!(
+                matches!(
+                    RemoteMonitorEngine::install(&mut dev, suite, &app),
+                    Err(InstallError::MissingPath { .. })
+                ),
+                "a pathless {action} installed remotely"
+            );
+        }
     }
 
     #[test]

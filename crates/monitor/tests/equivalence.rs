@@ -1,21 +1,20 @@
 //! The persistent engine must implement exactly the reference
-//! semantics: for any event stream, the verdicts of
+//! semantics: for any event stream, the verdicts of the production
 //! [`MonitorEngine`] (FRAM-backed, journaled, resumable) equal those of
-//! the pure in-memory interpreter in `artemis_ir::exec` — with and
-//! without power failures injected between deliveries.
+//! the reference engine — the volatile interpreter over
+//! `artemis_ir::exec`, a continuous run whatever device it is given —
+//! with and without power failures injected between deliveries.
 //!
 //! Every differential, crash-window and redelivery property below runs
 //! the production engine (compiled, routed, sparse diff commits,
-//! shadow cache) against the reference engine (tree-walking
-//! interpreter over per-variable cells, full-scan dispatch): an
-//! intermittent production run must equal a continuous reference run
-//! of the same events.
+//! shadow cache) against the reference engine: an intermittent
+//! production run must equal a continuous reference run of the same
+//! events.
 
 use artemis_core::app::{AppGraph, AppGraphBuilder, TaskId};
 use artemis_core::event::MonitorEvent;
 use artemis_core::property::OnFail;
 use artemis_core::time::{SimDuration, SimInstant};
-use artemis_ir::exec::{ir_event, step, MachineState};
 use artemis_ir::expr::Value;
 use artemis_ir::{CompiledSuite, MonitorSuite, OptLevel};
 use artemis_monitor::{CacheStats, InstallOptions, MonitorEngine, MonitorVerdict, RoutingMode};
@@ -41,22 +40,6 @@ fn app() -> AppGraph {
     builder.build().unwrap()
 }
 
-/// CI also runs the suite once with `ARTEMIS_OPT_LEVEL=none`, forcing
-/// every production engine below onto the unoptimized bytecode — so
-/// each property doubles as a bytecode-optimizer oracle too.
-fn env_opt_level() -> OptLevel {
-    OptLevel::from_env()
-}
-
-/// The production engine, at the bytecode optimization level taken
-/// from the environment.
-fn production() -> InstallOptions {
-    InstallOptions {
-        opt: env_opt_level(),
-        ..InstallOptions::default()
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Ev {
     start: bool,
@@ -75,38 +58,22 @@ fn ev_strategy() -> impl Strategy<Value = Vec<Ev>> {
     )
 }
 
-/// Reference verdicts from the pure interpreter.
+/// Reference verdicts: the reference engine, on continuous power.
 fn oracle(app: &AppGraph, events: &[Ev]) -> Vec<Vec<(usize, OnFail)>> {
-    let suite = artemis_ir::compile(SPEC, app).unwrap();
-    let mut states: Vec<MachineState> =
-        suite.machines().iter().map(MachineState::initial).collect();
-    let mut t = 0u64;
-    let mut out = Vec::new();
-    for e in events {
-        t += e.gap_ms * 1_000;
-        let task = if e.task_a { TaskId(0) } else { TaskId(1) };
-        let event = if e.start {
-            MonitorEvent::start(task, SimInstant::from_micros(t))
-        } else {
-            MonitorEvent::end(task, SimInstant::from_micros(t))
-        };
-        let name = app.task_name(task);
-        let mut verdicts = Vec::new();
-        for (i, (machine, state)) in suite.machines().iter().zip(states.iter_mut()).enumerate() {
-            let ir = ir_event(&event, name, u64::MAX);
-            if let Some(fail) = step(machine, state, &ir).unwrap() {
-                verdicts.push((i, fail.action));
-            }
-        }
-        out.push(verdicts);
-    }
-    out
+    let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
+    engine_run(app, events, &mut dev, InstallOptions::reference())
 }
 
-/// Engine verdicts on the given device (which may inject failures).
-fn engine_run(app: &AppGraph, events: &[Ev], dev: &mut Device) -> Vec<Vec<(usize, OnFail)>> {
+/// Verdicts of the engine `opts` selects on the given device (which
+/// may inject failures).
+fn engine_run(
+    app: &AppGraph,
+    events: &[Ev],
+    dev: &mut Device,
+    opts: InstallOptions,
+) -> Vec<Vec<(usize, OnFail)>> {
     let suite = artemis_ir::compile(SPEC, app).unwrap();
-    let engine = MonitorEngine::install_with(dev, suite, app, production()).unwrap();
+    let engine = MonitorEngine::install_with(dev, suite, app, opts).unwrap();
     // Drive through the simulator so power failures reboot and resume.
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
@@ -159,22 +126,16 @@ fn engine_run(app: &AppGraph, events: &[Ev], dev: &mut Device) -> Vec<Vec<(usize
     results
 }
 
-/// Lowers the oracle's EmitFail actions to the same space.
-fn normalise(oracle: Vec<Vec<(usize, OnFail)>>) -> Vec<Vec<(usize, OnFail)>> {
-    oracle
-}
-
 // ---------------------------------------------------------------------------
 // Differential tests: production engine vs reference engine.
 //
-// The two engines differ in everything but semantics — storage layout
-// (packed blocks vs cells), dispatch (volatile worklists vs full scan),
-// trigger test (dispatch table vs observed set), evaluation (bytecode
-// vs tree walk), commits (one diff record per event vs one per-cell
-// record per machine), reads
-// (shadow cache vs FRAM) — so for any spec, any event stream and any
+// The two engines differ in everything but semantics — state (packed
+// FRAM blocks vs volatile memory), dispatch (routed worklists vs full
+// scan), trigger test (dispatch table vs trigger match), evaluation
+// (bytecode vs tree walk), crash atomicity (one diff record per event
+// vs none needed) — so for any spec, any event stream and any
 // power-failure schedule they must produce identical verdicts AND
-// identical FRAM-visible machine state.
+// identical machine state.
 // ---------------------------------------------------------------------------
 
 /// App with a producer task `a` (declaring the variable `temp` so
@@ -340,6 +301,35 @@ fn engine_run_stats(
     opts: InstallOptions,
 ) -> (RunOutcome, CacheStats) {
     let engine = MonitorEngine::install_with(dev, suite, app, opts).unwrap();
+    drive(&engine, events, dev)
+}
+
+/// The production engine over `spec` compiled without the bytecode
+/// optimizer (unoptimized bytecode installs through
+/// `install_precompiled`), run as [`engine_run_opts`] runs it.
+fn unoptimized_run(
+    app: &AppGraph,
+    spec: &str,
+    events: &[(Ev, Option<u32>)],
+    dev: &mut Device,
+) -> RunOutcome {
+    let suite = artemis_ir::compile(spec, app).unwrap();
+    let compiled = CompiledSuite::compile_with(&suite, app, OptLevel::None).unwrap();
+    let engine =
+        MonitorEngine::install_precompiled(dev, suite, compiled, app, InstallOptions::default())
+            .unwrap();
+    drive(&engine, events, dev).0
+}
+
+/// Delivers `events` (event `i` under seq `i + 1`) through an installed
+/// engine, rebooting and finalizing across power failures; returns the
+/// per-event verdicts, the final machine state and the shadow-cache
+/// counters.
+fn drive(
+    engine: &MonitorEngine,
+    events: &[(Ev, Option<u32>)],
+    dev: &mut Device,
+) -> (RunOutcome, CacheStats) {
     let done = dev
         .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
         .unwrap();
@@ -375,9 +365,9 @@ proptest! {
     #[test]
     fn engine_equals_interpreter_on_continuous_power(events in ev_strategy()) {
         let app = app();
-        let expected = normalise(oracle(&app, &events));
+        let expected = oracle(&app, &events);
         let mut dev = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let got = engine_run(&app, &events, &mut dev);
+        let got = engine_run(&app, &events, &mut dev, InstallOptions::default());
         prop_assert_eq!(got, expected);
     }
 
@@ -389,13 +379,13 @@ proptest! {
         budget_nj in 4_000u64..40_000,
     ) {
         let app = app();
-        let expected = normalise(oracle(&app, &events));
+        let expected = oracle(&app, &events);
         let mut dev = DeviceBuilder::msp430fr5994()
             .trace_disabled()
             .capacitor(Capacitor::with_budget(Energy::from_nano_joules(budget_nj)))
             .harvester(Harvester::FixedDelay(SimDuration::from_millis(100)))
             .build();
-        let got = engine_run(&app, &events, &mut dev);
+        let got = engine_run(&app, &events, &mut dev, InstallOptions::default());
         prop_assert_eq!(got, expected, "budget {} nJ", budget_nj);
     }
 
@@ -410,7 +400,7 @@ proptest! {
         let app = rich_app();
         let mut dev_c = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, production());
+        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, InstallOptions::default());
         let (vi, si) = engine_run_opts(&app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(vc, vi, "verdict divergence on spec: {}", spec);
         prop_assert_eq!(sc, si, "state divergence on spec: {}", spec);
@@ -429,7 +419,7 @@ proptest! {
         let app = rich_app();
         let mut dev_c = intermittent_device(budget_nj);
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, production());
+        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, InstallOptions::default());
         let (vi, si) = engine_run_opts(&app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(vc, vi, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
         prop_assert_eq!(sc, si, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
@@ -448,12 +438,8 @@ proptest! {
         let mut dev_o = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vo, so) = engine_run_opts(
-            &app, &spec, &events, &mut dev_o,
-            InstallOptions { opt: OptLevel::Full, ..production() });
-        let (vu, su) = engine_run_opts(
-            &app, &spec, &events, &mut dev_u,
-            InstallOptions { opt: OptLevel::None, ..production() });
+        let (vo, so) = engine_run_opts(&app, &spec, &events, &mut dev_o, InstallOptions::default());
+        let (vu, su) = unoptimized_run(&app, &spec, &events, &mut dev_u);
         let (vi, si) = engine_run_opts(
             &app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(&vo, &vu, "Full/None verdict divergence on spec: {}", spec);
@@ -478,12 +464,8 @@ proptest! {
         let mut dev_o = intermittent_device(budget_nj);
         let mut dev_u = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vo, so) = engine_run_opts(
-            &app, &spec, &events, &mut dev_o,
-            InstallOptions { opt: OptLevel::Full, ..production() });
-        let (vu, su) = engine_run_opts(
-            &app, &spec, &events, &mut dev_u,
-            InstallOptions { opt: OptLevel::None, ..production() });
+        let (vo, so) = engine_run_opts(&app, &spec, &events, &mut dev_o, InstallOptions::default());
+        let (vu, su) = unoptimized_run(&app, &spec, &events, &mut dev_u);
         let (vi, si) = engine_run_opts(
             &app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(&vo, &vu, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
@@ -504,7 +486,7 @@ proptest! {
         let app = rich_app();
         let mut dev_r = DeviceBuilder::msp430fr5994().trace_disabled().build();
         let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vr, sr) = engine_run_opts(&app, &spec, &events, &mut dev_r, production());
+        let (vr, sr) = engine_run_opts(&app, &spec, &events, &mut dev_r, InstallOptions::default());
         let (vf, sf) = engine_run_opts(&app, &spec, &events, &mut dev_f, InstallOptions::reference());
         prop_assert_eq!(vr, vf, "verdict divergence on spec: {}", spec);
         prop_assert_eq!(sr, sf, "state divergence on spec: {}", spec);
@@ -523,7 +505,7 @@ proptest! {
         let app = rich_app();
         let mut dev_r = intermittent_device(budget_nj);
         let mut dev_f = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vr, sr) = engine_run_opts(&app, &spec, &events, &mut dev_r, production());
+        let (vr, sr) = engine_run_opts(&app, &spec, &events, &mut dev_r, InstallOptions::default());
         let (vf, sf) = engine_run_opts(&app, &spec, &events, &mut dev_f, InstallOptions::reference());
         prop_assert_eq!(vr, vf, "verdict divergence, budget {} nJ, spec: {}", budget_nj, spec);
         prop_assert_eq!(sr, sf, "state divergence, budget {} nJ, spec: {}", budget_nj, spec);
@@ -544,7 +526,7 @@ proptest! {
         let app = rich_app();
         let mut dev_c = intermittent_device(budget_nj);
         let mut dev_i = DeviceBuilder::msp430fr5994().trace_disabled().build();
-        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, production());
+        let (vc, sc) = engine_run_opts(&app, &spec, &events, &mut dev_c, InstallOptions::default());
         let (vi, si) = engine_run_opts(&app, &spec, &events, &mut dev_i, InstallOptions::reference());
         prop_assert_eq!(&vc, &vi, "cached vs reference verdicts, budget {} nJ, spec: {}", budget_nj, spec);
         prop_assert_eq!(&sc, &si, "cached vs reference state, budget {} nJ, spec: {}", budget_nj, spec);
@@ -623,7 +605,13 @@ fn delivery_crash_windows_preserve_verdicts_and_state() {
     let mut total_reboots = 0u64;
     for budget_nj in (500..3_000).step_by(25) {
         let mut dev_r = intermittent_device(budget_nj);
-        let (vr, sr) = engine_run_opts(&app, CRASH_SPEC, &events, &mut dev_r, production());
+        let (vr, sr) = engine_run_opts(
+            &app,
+            CRASH_SPEC,
+            &events,
+            &mut dev_r,
+            InstallOptions::default(),
+        );
         assert_eq!(vr, vf, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sr, sf, "state divergence at budget {budget_nj} nJ");
         total_reboots += dev_r.reboots();
@@ -636,10 +624,11 @@ fn delivery_crash_windows_preserve_verdicts_and_state() {
 
 /// The optimizer's deterministic crash-window sweep: fused
 /// superinstructions change each step's compute and so move every
-/// crash window of the delivery, so the fine-grained budget sweep must
-/// land brown-outs across the optimized production engine's windows —
-/// and, at the other optimization level, across the unfused ones — and
-/// still recover to exactly the reference engine's verdicts and state.
+/// crash window of the delivery. The record sweep above lands
+/// brown-outs across the optimized production engine's windows; this
+/// one lands them across the unoptimized engine's unfused ones, and
+/// every run must still recover to exactly the reference engine's
+/// verdicts and state.
 #[test]
 fn optimizer_crash_windows_preserve_verdicts_and_state() {
     let app = rich_app();
@@ -648,23 +637,8 @@ fn optimizer_crash_windows_preserve_verdicts_and_state() {
 
     let mut total_reboots = 0u64;
     for budget_nj in (500..3_000).step_by(25) {
-        // Sweep the level the environment does not select, so the
-        // two sweeps cover both.
-        let opt = match env_opt_level() {
-            OptLevel::Full => OptLevel::None,
-            OptLevel::None => OptLevel::Full,
-        };
         let mut dev_o = intermittent_device(budget_nj);
-        let (vo, so) = engine_run_opts(
-            &app,
-            CRASH_SPEC,
-            &events,
-            &mut dev_o,
-            InstallOptions {
-                opt,
-                ..production()
-            },
-        );
+        let (vo, so) = unoptimized_run(&app, CRASH_SPEC, &events, &mut dev_o);
         assert_eq!(vo, vu, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(so, su, "state divergence at budget {budget_nj} nJ");
         total_reboots += dev_o.reboots();
@@ -752,7 +726,8 @@ fn twin_crash_sweep(ir: &str) {
     for budget_nj in (700..3_000).step_by(25) {
         let mut dev = intermittent_device(budget_nj);
         let suite = artemis_ir::parse::parse_suite(ir).unwrap();
-        let engine = MonitorEngine::install_with(&mut dev, suite, &app, production()).unwrap();
+        let engine =
+            MonitorEngine::install_with(&mut dev, suite, &app, InstallOptions::default()).unwrap();
         let done = dev
             .nv_alloc::<u32>(0, intermittent_sim::MemOwner::App, "done")
             .unwrap();
@@ -864,7 +839,8 @@ fn cached_crash_windows_preserve_verdicts_and_state() {
     for budget_nj in (500..3_000).step_by(25) {
         let mut dev_c = intermittent_device(budget_nj);
         let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
-        let ((vc, sc), stats) = engine_run_stats(&app, suite, &events, &mut dev_c, production());
+        let ((vc, sc), stats) =
+            engine_run_stats(&app, suite, &events, &mut dev_c, InstallOptions::default());
         assert_eq!(vc, vu, "verdict divergence at budget {budget_nj} nJ");
         assert_eq!(sc, su, "state divergence at budget {budget_nj} nJ");
         assert_cache_wiped_per_reboot(stats, dev_c.reboots(), budget_nj);
@@ -892,7 +868,7 @@ fn redelivered_completed_seq_only_replays_verdicts() {
         engine
     };
     let mut dev = DeviceBuilder::msp430fr5994().build();
-    let engine = install(&mut dev, production());
+    let engine = install(&mut dev, InstallOptions::default());
     assert_eq!(engine.routing_mode(), RoutingMode::Routed);
     let mut dev_ref = DeviceBuilder::msp430fr5994().build();
     let reference = install(&mut dev_ref, InstallOptions::reference());
@@ -1066,7 +1042,7 @@ proptest! {
         let app = rich_app();
         let (vo, so) = wide_oracle(&app, wide_suite(&app, &ir), &events);
         let mut dev = intermittent_device(budget_nj);
-        let (vr, sr) = engine_run_suite(&app, wide_suite(&app, &ir), &events, &mut dev, production());
+        let (vr, sr) = engine_run_suite(&app, wide_suite(&app, &ir), &events, &mut dev, InstallOptions::default());
         prop_assert_eq!(vr, vo, "verdict divergence, budget {} nJ", budget_nj);
         prop_assert_eq!(sr, so, "state divergence, budget {} nJ", budget_nj);
     }
@@ -1094,7 +1070,7 @@ fn wide_crash_suite(app: &AppGraph) -> WideCrashSuite {
         .map(|i| wide_machine(i, 0, (i % 4) as i64, i % 3 == 0, i % 2 == 0))
         .collect();
     let suite = artemis_ir::parse::parse_suite(&ir).unwrap();
-    let compiled = CompiledSuite::compile_with(&suite, app, env_opt_level()).unwrap();
+    let compiled = CompiledSuite::compile(&suite, app).unwrap();
     WideCrashSuite {
         suite,
         compiled: Arc::new(compiled),
@@ -1151,7 +1127,7 @@ fn wide_crash_run(wide: &WideCrashSuite, left: Option<u64>) -> (WideCrash, u64) 
         wide.suite.clone(),
         Arc::clone(&wide.compiled),
         &app,
-        production(),
+        InstallOptions::default(),
     )
     .unwrap();
     assert_eq!(engine.routing_mode(), RoutingMode::Routed);
@@ -1283,8 +1259,7 @@ impl Explorer {
     fn new(misordered: bool) -> Self {
         let app = rich_app();
         let suite = artemis_ir::compile(CRASH_SPEC, &app).unwrap();
-        let compiled =
-            Arc::new(CompiledSuite::compile_with(&suite, &app, env_opt_level()).unwrap());
+        let compiled = Arc::new(CompiledSuite::compile(&suite, &app).unwrap());
         let mut t = 0;
         let events = crash_events()
             .iter()
@@ -1312,7 +1287,7 @@ impl Explorer {
             self.suite.clone(),
             Arc::clone(&self.compiled),
             &self.app,
-            production(),
+            InstallOptions::default(),
         )
         .unwrap();
         engine.reset_monitor(&mut dev).unwrap();
